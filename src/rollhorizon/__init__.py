@@ -7,8 +7,10 @@ route prefixes are final and promised requests are never dropped.
 """
 
 from .assignment_ilp import (
+    AssignmentBudgetError,
     IlpSolution,
     StrandedRequestError,
+    UnprovenAssignmentWarning,
     canonical_objective,
     compute_penalty,
     solve_assignment,
@@ -48,9 +50,10 @@ from .routing import (
     PlanStart,
     best_route_exhaustive,
     best_route_insertion,
+    pair_feasible,
     schedule_route,
 )
-from .rtv import Edge, RtvGraph, Trip, build_rtv_graph, build_rv_edges
+from .rtv import Edge, RtvGraph, Trip, build_rtv_graph
 from .simulator import SimulationError, VehicleState, simulate_step
 from .travel import EuclideanTravel, MatrixTravel, TravelError, load_matrix
 from .window import Batch, batch_partition_check, coverage_end, window_processing
@@ -58,6 +61,7 @@ from .window import Batch, batch_partition_check, coverage_end, window_processin
 __version__ = "0.1.0"
 
 __all__ = [
+    "AssignmentBudgetError",
     "Batch",
     "CORPUS_SEEDS",
     "CandidateRoute",
@@ -85,6 +89,7 @@ __all__ = [
     "StrandedRequestError",
     "TravelError",
     "Trip",
+    "UnprovenAssignmentWarning",
     "Vehicle",
     "VehicleState",
     "adapt_benchmark",
@@ -92,7 +97,6 @@ __all__ = [
     "best_route_exhaustive",
     "best_route_insertion",
     "build_rtv_graph",
-    "build_rv_edges",
     "canonical_objective",
     "compute_penalty",
     "corpus_config",
@@ -104,6 +108,7 @@ __all__ = [
     "load_matrix",
     "make_fleet",
     "make_instance",
+    "pair_feasible",
     "report_violations",
     "run",
     "run_baseline",

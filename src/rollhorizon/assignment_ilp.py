@@ -25,6 +25,14 @@ class StrandedRequestError(RuntimeError):
         super().__init__(f"must-serve requests with no covering edge: {self.request_ids}")
 
 
+class AssignmentBudgetError(RuntimeError):
+    """The search ran out of nodes with no assignment and no valid fallback."""
+
+
+class UnprovenAssignmentWarning(RuntimeWarning):
+    """The search ran out of nodes and returned a plan not proven optimal."""
+
+
 @dataclass(frozen=True)
 class IlpSolution:
     chosen_edges: tuple[Edge, ...]
@@ -319,7 +327,9 @@ def solve_assignment(
     if best is None and out_of_budget:
         best = _fallback_incumbent(graph, must, penalty, solution_key)
         if best is None:
-            raise RuntimeError("assignment search exhausted its budget with no incumbent")
+            raise AssignmentBudgetError(
+                "assignment search exhausted its budget with no incumbent"
+            )
     if best is None:
         raise StrandedRequestError(sorted(must))
     obj, _key, chosen, ignored = best

@@ -8,7 +8,7 @@ import warnings
 from typing import Callable, Mapping, Optional, Sequence
 
 from . import metrics
-from .assignment_ilp import solve_assignment
+from .assignment_ilp import UnprovenAssignmentWarning, solve_assignment
 from .instance_io import Instance, RunReport
 from .model import Request, Route, ServiceRecord, SolverConfig, validate_config
 from .rtv import build_rtv_graph
@@ -110,6 +110,13 @@ def run(
             config,
         )
         solution = solve_assignment(graph, must_serve=sorted(must_serve))
+        if not solution.proven_optimal:
+            warnings.warn(
+                f"assignment at t={t}s stopped after {solution.nodes_explored} "
+                "nodes without proving its plan optimal",
+                UnprovenAssignmentWarning,
+                stacklevel=3,
+            )
         routes_by_vehicle: dict[int, object] = {vid: None for vid in states}
         chosen_ids: set[int] = set()
         for edge in solution.chosen_edges:

@@ -3,7 +3,8 @@
 schedule_route times a fixed stop sequence. best_route_exhaustive searches
 every precedence-valid ordering and is exact for small request sets.
 best_route_insertion slots one new request into an existing order and is
-the fallback once exhaustive search would be too wide.
+the fallback once exhaustive search would be too wide. pair_feasible only
+asks whether two requests can share a vehicle at all.
 """
 
 from __future__ import annotations
@@ -308,6 +309,66 @@ def best_route_exhaustive(
         True,
         tuple(seq),
     )
+
+
+# all 6 precedence-valid orders of stops 0-3 = (pickup a, dropoff a, pickup b,
+# dropoff b), those opening at a's pickup listed first; XOR 2 swaps the
+# requests, so the start at b's pickup tries its own-pickup orders first
+_PAIR_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1),
+                (2, 0, 1, 3), (2, 0, 3, 1), (2, 3, 0, 1))
+_PAIR_ORDERS_FROM = {
+    0: _PAIR_ORDERS,
+    2: tuple(tuple(i ^ 2 for i in order) for order in _PAIR_ORDERS),
+}
+
+
+def pair_feasible(a: Request, b: Request, travel, config: SolverConfig) -> bool:
+    """Could any vehicle serve both requests? Checked from each pickup.
+
+    A vehicle standing at either request's pickup at its desired time, with
+    nobody aboard, tries every stop order of the two rides; the answer is
+    True at the first order that keeps every wait, delay and capacity
+    limit. If a real vehicle has a feasible combined route, the same order
+    is feasible from that route's first pickup at its desired time, so the
+    screen never discards a truly shareable pair. Same verdict as
+    best_route_exhaustive from both starts, without optimising distance.
+    """
+    points = (a.pickup, a.dropoff, b.pickup, b.dropoff)
+    opens = (a.desired_pickup_time, a.earliest_dropoff_time,
+             b.desired_pickup_time, b.earliest_dropoff_time)
+    limits = (config.max_wait, config.max_delay, config.max_wait, config.max_delay)
+    loads = (a.load, -a.load, b.load, -b.load)
+    cap = config.capacity
+    dwell = config.dwell
+    time_of = travel.travel_time
+    times: list[Optional[int]] = [None] * 16  # leg i -> j at 4 * i + j, on first use
+    for first in (0, 2):
+        t0 = opens[first]
+        for order in _PAIR_ORDERS_FROM[first]:
+            # stop timing is _advance spelled out over positions: this runs
+            # for every pair of requests a run reveals, and per-stop calls
+            # with a Location-keyed leg memo cost more than the arithmetic
+            loc = first
+            free = t0
+            load = 0
+            for i in order:
+                leg = 4 * loc + i
+                tt = times[leg]
+                if tt is None:
+                    tt = times[leg] = time_of(points[loc], points[i])
+                arrival = free + tt
+                earliest = opens[i]
+                service = arrival if arrival > earliest else earliest
+                if service - earliest > limits[i]:
+                    break
+                load += loads[i]
+                if load > cap:
+                    break
+                free = service + dwell
+                loc = i
+            else:
+                return True
+    return False
 
 
 def best_route_insertion(

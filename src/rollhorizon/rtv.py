@@ -14,9 +14,9 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .model import DROPOFF, PICKUP, Request, SolverConfig
 from .routing import (
     CandidateRoute,
-    PlanStart,
     best_route_exhaustive,
     best_route_insertion,
+    pair_feasible,
     schedule_route,
 )
 
@@ -126,44 +126,9 @@ def _rr_screen(requests, travel, config) -> set[frozenset]:
     rr_pairs = set()
     for i, a in enumerate(requests):
         for b in requests[i + 1:]:
-            if _shareable(a, b, travel, config):
+            if pair_feasible(a, b, travel, config):
                 rr_pairs.add(frozenset((a.id, b.id)))
     return rr_pairs
-
-
-def build_rv_edges(active_requests, vehicle_states, travel, config: SolverConfig,
-                   requests_by_id=None):
-    """Pairwise feasibility screens.
-
-    Returns (rv_pairs, rr_pairs): request-vehicle pairs where the vehicle
-    can serve the request alone (on top of its passengers), and request
-    pairs a fresh vehicle placed at either pickup could serve together.
-    """
-    requests = sorted(active_requests, key=lambda r: r.id)
-    if requests_by_id is None:
-        requests_by_id = {r.id: r for r in requests}
-    rv_pairs = set()
-    for state in sorted(vehicle_states, key=lambda s: s.vehicle_id):
-        base = _dropoff_only_route(state, travel, config, requests_by_id)
-        for r in requests:
-            if _route_for(state, [r], base, travel, config, requests_by_id) is not None:
-                rv_pairs.add((r.id, state.vehicle_id))
-    return rv_pairs, _rr_screen(requests, travel, config)
-
-
-def _shareable(a: Request, b: Request, travel, config) -> bool:
-    """Could any vehicle serve both? Checked from each pickup as the start.
-
-    If a real vehicle has a feasible combined route, the same stop order is
-    feasible for a vehicle standing at that route's first pickup at its
-    desired time, so screening from both possible first pickups never
-    discards a truly shareable pair.
-    """
-    for first in (a, b):
-        start = PlanStart(first.pickup, first.desired_pickup_time)
-        if best_route_exhaustive(start, [a, b], travel, config) is not None:
-            return True
-    return False
 
 
 def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig,
@@ -364,14 +329,3 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         requiring,
         fallback,
     )
-
-
-def graph_dump(graph: RtvGraph) -> str:
-    """Text adjacency listing for debugging and docs."""
-    lines = []
-    for t in graph.trips:
-        lines.append(f"trip {t.id}: requests {list(t.request_ids)}")
-    for e in graph.edges:
-        label = "delivery-only" if e.trip_id is None else f"trip {e.trip_id}"
-        lines.append(f"edge {label} -> vehicle {e.vehicle_id} cost {e.cost:.6f}")
-    return "\n".join(lines)

@@ -1,10 +1,13 @@
 import dataclasses
 import random
+import re
 import warnings
 
 import pytest
 
 from instgen import random_instance
+from rollhorizon import engine
+from rollhorizon.assignment_ilp import AssignmentBudgetError, UnprovenAssignmentWarning
 from rollhorizon.engine import ConfigError, run, run_baseline
 from rollhorizon.instance_io import Instance, make_fleet
 from rollhorizon.model import (
@@ -146,3 +149,44 @@ def test_run_baseline_is_rh_zero():
     assert base.config.step == cfg.step
     via_replace = run(inst, dataclasses.replace(cfg, rh_factor=0))
     assert base.records == via_replace.records
+
+
+def _starved_assignment(monkeypatch, budget, *, keep_fallback=True, full_calls=0):
+    """Re-solves after the first full_calls get only `budget` search nodes."""
+    real = engine.solve_assignment
+    calls = [0]
+
+    def starved(graph, **kwargs):
+        calls[0] += 1
+        if calls[0] <= full_calls:
+            return real(graph, **kwargs)
+        if not keep_fallback:
+            graph = dataclasses.replace(graph, fallback_assignment=())
+        return real(graph, budget=budget, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_assignment", starved)
+
+
+def test_unproven_assignment_warns(monkeypatch):
+    inst, cfg = two_request_instance()
+    _starved_assignment(monkeypatch, budget=1)
+    with pytest.warns(UnprovenAssignmentWarning) as caught:
+        rep = run(inst, cfg)
+    assert re.match(r"assignment at t=0s stopped after \d+ nodes", str(caught[0].message))
+    # the empty plan is the only incumbent a starved first solve can adopt
+    assert not any(r.served for r in rep.records)
+
+
+def test_budget_exhausted_without_fallback_is_a_typed_error(monkeypatch):
+    inst, cfg = two_request_instance()
+    _starved_assignment(monkeypatch, budget=1, keep_fallback=False, full_calls=1)
+    with pytest.raises(AssignmentBudgetError, match="no incumbent"):
+        run(inst, cfg)
+
+
+def test_exhaustive_route_limit_one_runs():
+    # the pair screen runs no route search, so a one-request cap on exact
+    # search leaves pairs to cheapest insertion instead of raising
+    inst, cfg = two_request_instance()
+    rep = run(inst, dataclasses.replace(cfg, exhaustive_route_limit=1))
+    assert [(r.served, r.vehicle_id) for r in rep.records] == [(True, 0), (True, 0)]

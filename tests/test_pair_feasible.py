@@ -1,0 +1,89 @@
+"""pair_feasible against the brute-force oracle and the exact route search.
+
+The screen's verdict must be exactly "some vehicle standing at either
+pickup at its desired time can serve both requests", on hostile inputs
+too: asymmetric tables that break the triangle inequality, co-located
+stops, zero dwell and loads that fill the vehicle.
+"""
+
+import dataclasses
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import brute_force_best_route
+from rollhorizon.model import Location, Request, SolverConfig, derive_earliest_dropoff
+from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
+from rollhorizon.travel import EuclideanTravel, MatrixTravel
+
+MINUTE = 60
+
+
+@st.composite
+def euclidean_case(draw):
+    coord = st.integers(0, 8).map(float)
+    points = [Location(draw(coord), draw(coord)) for _ in range(4)]
+    return EuclideanTravel(1.0), points
+
+
+@st.composite
+def matrix_case(draw):
+    # nodes 0-3 are a's pickup and dropoff, then b's; independent entries
+    # make the table asymmetric and routinely break the triangle inequality
+    leg = st.integers(0, 15 * MINUTE)
+    times = [[0 if i == j else draw(leg) for j in range(4)] for i in range(4)]
+    dists = [[t / MINUTE for t in row] for row in times]
+    points = [Location(float(i), 0.0, node_id=i) for i in range(4)]
+    return MatrixTravel(times, dists), points
+
+
+@st.composite
+def pair_case(draw):
+    travel, points = draw(st.one_of(euclidean_case(), matrix_case()))
+    # co-located pickup and dropoff for either request
+    for p, d in ((0, 1), (2, 3)):
+        if draw(st.booleans()):
+            points[d] = points[p]
+    capacity = draw(st.integers(1, 3))
+    config = SolverConfig(
+        horizon=3600, step=600, max_wait=draw(st.integers(0, 15)) * MINUTE,
+        max_delay=draw(st.integers(0, 20)) * MINUTE,
+        dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1, capacity=capacity,
+    )
+    reqs = []
+    for rid in (0, 1):
+        req = Request(rid, points[2 * rid], points[2 * rid + 1],
+                      draw(st.integers(0, 20)) * MINUTE, 0, draw(st.integers(1, 2)))
+        reqs.append(derive_earliest_dropoff(req, travel))
+    return travel, config, reqs[0], reqs[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair_case())
+def test_pair_feasible_matches_brute_force_from_either_pickup(case):
+    travel, config, a, b = case
+    by_id = {a.id: a, b.id: b}
+    oracle = any(
+        brute_force_best_route(first.pickup, first.desired_pickup_time, [a.id, b.id],
+                               [], by_id, travel, config) is not None
+        for first in (a, b)
+    )
+    exact = any(
+        best_route_exhaustive(PlanStart(first.pickup, first.desired_pickup_time),
+                              [a, b], travel, config) is not None
+        for first in (a, b)
+    )
+    assert pair_feasible(a, b, travel, config) == oracle == exact
+    assert pair_feasible(b, a, travel, config) == oracle
+
+
+def test_vehicle_early_at_second_pickup_waits_for_it():
+    travel = EuclideanTravel(1.0)
+    # same ride, b wants its pickup 300 s after a: riding together means
+    # waiting there, which delays a's dropoff by 300 s
+    a = derive_earliest_dropoff(Request(0, Location(0, 0), Location(5, 0), 0, 0), travel)
+    b = derive_earliest_dropoff(Request(1, Location(0, 0), Location(5, 0), 300, 0), travel)
+    config = SolverConfig(horizon=3600, step=600, max_wait=100, max_delay=299,
+                          dwell=0, fleet_size=1, capacity=2)
+    assert not pair_feasible(a, b, travel, config)
+    assert pair_feasible(a, b, travel, dataclasses.replace(config, max_delay=300))

@@ -11,8 +11,8 @@ from rollhorizon.model import (
     SolverConfig,
     derive_earliest_dropoff,
 )
-from rollhorizon.routing import PlanStart, best_route_exhaustive
-from rollhorizon.rtv import build_rtv_graph, build_rv_edges
+from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
+from rollhorizon.rtv import build_rtv_graph
 from rollhorizon.simulator import VehicleState
 from rollhorizon.travel import EuclideanTravel
 
@@ -39,19 +39,19 @@ def fresh_state(vid, x=0.0, y=0.0, t=0):
 def test_rv_pair_requires_reachability():
     near = mk(0, 1, 0, 2, 0, 120)
     far = mk(1, 30, 0, 31, 0, 120)  # 30 minutes away, wait cap 10 minutes
-    rv, _rr = build_rv_edges([near, far], [fresh_state(0)], TRAVEL, cfg())
-    assert (0, 0) in rv
-    assert (1, 0) not in rv
+    graph = build_rtv_graph([near, far], [fresh_state(0)], TRAVEL, cfg())
+    rv = {(graph.trip_requests(e.trip_id), e.vehicle_id) for e in graph.edges}
+    assert ((0,), 0) in rv
+    assert ((1,), 0) not in rv
 
 
 def test_rr_pair_screens_joint_service():
     a = mk(0, 1, 1, 3, 3, 60)
     b = mk(1, 1.5, 1, 3.5, 3, 120)  # almost the same ride
     c = mk(2, 28, 28, 29, 29, 60)  # same time, other end of town
-    _rv, rr = build_rv_edges([a, b, c], [fresh_state(0)], TRAVEL, cfg())
-    assert frozenset((0, 1)) in rr
-    assert frozenset((0, 2)) not in rr
-    assert frozenset((1, 2)) not in rr
+    assert pair_feasible(a, b, TRAVEL, cfg())
+    assert not pair_feasible(a, c, TRAVEL, cfg())
+    assert not pair_feasible(b, c, TRAVEL, cfg())
 
 
 def test_graph_trips_and_edges_small_instance():
