@@ -111,7 +111,6 @@ def _fallback_incumbent(graph, must, penalty, solution_key):
 def solve_assignment(
     graph: RtvGraph,
     must_serve: Iterable[int] = (),
-    penalty_policy: float | str = "auto",
     budget: int = 2_000_000,
 ) -> IlpSolution:
     """Find the cost-minimal valid assignment of vehicles to trips.
@@ -123,7 +122,7 @@ def solve_assignment(
     optimal. Ties are broken toward the lexicographically smallest chosen
     edge set, so results are reproducible.
     """
-    penalty = compute_penalty(graph) if penalty_policy == "auto" else float(penalty_policy)
+    penalty = compute_penalty(graph)
     universe = graph.request_universe
     must = frozenset(must_serve) & universe
 

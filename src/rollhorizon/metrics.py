@@ -80,15 +80,6 @@ def total_vmt(
     return total
 
 
-def per_vehicle_vmt(
-    routes: Sequence[Route], vehicles: Sequence[Vehicle], travel
-) -> dict[int, float]:
-    out = {}
-    for route in routes:
-        out[route.vehicle_id] = total_vmt([route], vehicles, travel)
-    return out
-
-
 def summarize(
     records: Sequence[ServiceRecord],
     routes: Sequence[Route],

@@ -88,7 +88,6 @@ class SolverConfig:
     dwell: int = 0
     fleet_size: int = 1
     capacity: int = 1
-    unserved_penalty: float | str = "auto"
     exhaustive_route_limit: int = 4
     trip_size_limit: Optional[int] = None
 
@@ -126,8 +125,6 @@ def validate_config(config: SolverConfig) -> list[str]:
         out.append("exhaustive_route_limit must be >= 1")
     if config.trip_size_limit is not None and config.trip_size_limit < 1:
         out.append("trip_size_limit must be >= 1 when set")
-    if not isinstance(config.unserved_penalty, str) and config.unserved_penalty <= 0:
-        out.append("unserved_penalty must be > 0 when numeric")
     return out
 
 

@@ -46,23 +46,11 @@ def _stop_key(kind: str, request_id: int) -> tuple[int, int]:
     return (request_id, 0 if kind == PICKUP else 1)
 
 
-def _advance(loc, free, load, kind, req, travel, config, legs=None):
-    """Time one stop from the previous departure state.
-
-    legs, when given, memoizes (distance, travel_time) per location pair;
-    route searches revisit the same handful of legs constantly.
-    """
+def _advance(loc, free, load, kind, req, travel, config):
+    """Time one stop from the previous departure state."""
     target = req.pickup if kind == PICKUP else req.dropoff
-    if legs is None:
-        arrival = free + travel.travel_time(loc, target)
-        dist = travel.distance(loc, target)
-    else:
-        leg = legs.get((loc, target))
-        if leg is None:
-            leg = (travel.distance(loc, target), travel.travel_time(loc, target))
-            legs[(loc, target)] = leg
-        dist, tt = leg
-        arrival = free + tt
+    arrival = free + travel.travel_time(loc, target)
+    dist = travel.distance(loc, target)
     if kind == PICKUP:
         # vehicle waits at the stop when early; waiting cost is passenger-side only
         service = max(arrival, req.desired_pickup_time)
@@ -77,8 +65,7 @@ def _advance(loc, free, load, kind, req, travel, config, legs=None):
 
 
 def schedule_route(
-    start, sequence: Sequence[tuple[str, Request]], travel, config: SolverConfig,
-    _legs=None,
+    start, sequence: Sequence[tuple[str, Request]], travel, config: SolverConfig
 ) -> CandidateRoute:
     """Time the given stop sequence from the vehicle's plan origin.
 
@@ -117,7 +104,7 @@ def schedule_route(
         feasible = False
     for kind, req in sequence:
         ok, loc, arrival, service, depart, load, dist = _advance(
-            loc, free, load, kind, req, travel, config, _legs
+            loc, free, load, kind, req, travel, config
         )
         feasible = feasible and ok
         total += dist
@@ -143,6 +130,13 @@ def _resolve_onboard(start, requests_by_id) -> list[Request]:
     return out
 
 
+# the in-arc bound and the route cost it is held against are float sums
+# taken in different orders, so a bound that is exact in real arithmetic can
+# exceed a tied route's cost in the last bits; pruning only past this
+# relative margin never cuts a route that ties or beats the incumbent
+_BOUND_SLACK = 1e-9
+
+
 def best_route_exhaustive(
     start,
     request_set: Iterable[Request],
@@ -164,150 +158,151 @@ def best_route_exhaustive(
             f"{config.exhaustive_route_limit}"
         )
     onboard_reqs = _resolve_onboard(start, requests_by_id) if start.onboard else []
-    by_id = {r.id: r for r in new}
-    by_id.update({r.id: r for r in onboard_reqs})
-
     start_load = sum(r.load for r in onboard_reqs)
     if start_load > config.capacity:
         return None
-    n_stops = 2 * len(new) + len(onboard_reqs)
-    legs: dict = {}
 
-    points = {_stop_key(DROPOFF, r.id): r.dropoff for r in onboard_reqs}
-    for r in new:
-        points[_stop_key(PICKUP, r.id)] = r.pickup
-        points[_stop_key(DROPOFF, r.id)] = r.dropoff
-    keys_pending = sorted(points)
-    keys_done: set = set()
-    # every stop target not yet visited must still be entered from the
-    # current position or from another pending target, so summing each
-    # pending target's cheapest incoming arc never overshoots the distance
-    # left; pairwise arcs are filled in on first use, once an incumbent
-    # exists, so searches that die early never pay for the table
-    arc_in: dict = {}
+    # number the required stops once, in stop-key order, so comparing
+    # tuples of positions compares stop-key sequences; the search below
+    # touches only these small integers, and the vehicle's origin is n.
+    # Each rider's first stop is ready at the start; a pickup at i releases
+    # its own dropoff at i + 1
+    riders = [(r.id, PICKUP, r) for r in new]
+    for rid, _kind, _r in riders:
+        if rid in start.onboard:
+            raise ValueError(f"request {rid} is already onboard")
+    riders += [(r.id, DROPOFF, r) for r in onboard_reqs]
+    riders.sort(key=lambda t: t[0])
+    order: list[tuple[str, Request]] = []
+    points, opens, limits, deltas, release, ready = [], [], [], [], [], []
+    for _rid, first, r in riders:
+        ready.append(len(order))
+        if first == PICKUP:
+            order.append((PICKUP, r))
+            points.append(r.pickup)
+            opens.append(r.desired_pickup_time)
+            limits.append(config.max_wait)
+            deltas.append(r.load)
+            release.append(len(order))
+        order.append((DROPOFF, r))
+        points.append(r.dropoff)
+        opens.append(r.earliest_dropoff_time)
+        limits.append(config.max_delay)
+        deltas.append(-r.load)
+        release.append(-1)
+    n = len(order)
+    points.append(start.plan_location)
 
-    best: Optional[tuple[float, tuple, list, list, list]] = None
+    # leg i -> j at width * i + j, filled on first use
+    width = n + 1
+    dists: list = [None] * (width * width)
+    times: list = [None] * (width * width)
+
+    done = [False] * n
+    path: list[tuple[int, int, int, int, int]] = []  # pos, arrival, service, depart, load
+    best: Optional[tuple[float, tuple, list]] = None
     late_kill = getattr(travel, "obeys_triangle", False)
-    max_wait = config.max_wait
-    max_delay = config.max_delay
     dwell = config.dwell
     cap = config.capacity
     dist_of = travel.distance
     time_of = travel.travel_time
 
-    def dfs(loc, free, load, onboard, unpicked, seq, stops, sched, cost, keys):
+    def dfs(here, free, load, cost):
         nonlocal best
-        if len(seq) == n_stops:
-            key = tuple(keys)
+        if len(path) == n:
+            key = tuple([step[0] for step in path])
             if best is None or (cost, key) < (best[0], best[1]):
-                best = (cost, key, list(seq), list(stops), list(sched))
+                best = (cost, key, path[:])
             return
-        # stop timing is _advance spelled out; this loop runs millions of
-        # times on a dense instance and the call overhead was showing
+        # stop timing is _advance spelled out over positions: this runs at
+        # every node of every search, and a call per stop plus a leg memo
+        # keyed by Location pairs cost more than the arithmetic
+        row = width * here
         timed = []
-        for rid in unpicked:
-            req = by_id[rid]
-            target = req.pickup
-            leg = legs.get((loc, target))
-            if leg is None:
-                leg = (dist_of(loc, target), time_of(loc, target))
-                legs[(loc, target)] = leg
-            arrival = free + leg[1]
-            desired = req.desired_pickup_time
-            service = arrival if arrival > desired else desired
-            if service - desired > max_wait:
+        for pos in ready:
+            leg = row + pos
+            tt = times[leg]
+            if tt is None:
+                tt = times[leg] = time_of(points[here], points[pos])
+                if dists[leg] is None:
+                    dists[leg] = dist_of(points[here], points[pos])
+            arrival = free + tt
+            earliest = opens[pos]
+            service = arrival if arrival > earliest else earliest
+            if service - earliest > limits[pos]:
                 if late_kill:
-                    # this pickup still has to happen, and detour-free
+                    # this stop still has to happen, and detour-free
                     # travel means no ordering reaches it sooner: node dead
                     return
                 continue
-            load2 = load + req.load
+            load2 = load + deltas[pos]
             if load2 <= cap:
-                timed.append((leg[0], (rid, 0), PICKUP, req, target,
-                              arrival, service, service + dwell, load2))
-        for rid in onboard:
-            req = by_id[rid]
-            target = req.dropoff
-            leg = legs.get((loc, target))
-            if leg is None:
-                leg = (dist_of(loc, target), time_of(loc, target))
-                legs[(loc, target)] = leg
-            arrival = free + leg[1]
-            earliest = req.earliest_dropoff_time
-            service = arrival if arrival > earliest else earliest
-            if service - earliest > max_delay:
-                if late_kill:
-                    return
-                continue
-            timed.append((leg[0], (rid, 1), DROPOFF, req, target,
-                          arrival, service, service + dwell, load - req.load))
+                timed.append((dists[leg], pos, arrival, service, service + dwell, load2))
         # cheapest feasible hop first: a tight incumbent early makes the
-        # in-arc bound below bite; the leaf tie-break fixes the final order
-        timed.sort(key=lambda t: (t[0], t[1]))
+        # in-arc bound below bite; the leaf tie-break fixes the final order.
+        # Positions are unique, so the sort never looks past them
+        timed.sort()
+        # every stop not yet visited must still be entered from the current
+        # position or from another pending stop, so summing each pending
+        # stop's cheapest incoming arc never overshoots the distance left;
+        # arcs between pending stops are looked up only once an incumbent
+        # exists, so searches that die early never pay for them
         t_static = None
-        static_in = {}
-        for dist, step_key, kind, req, loc2, arrival, service, depart, load2 in timed:
+        static_in = None
+        for dist, pos, arrival, service, depart, load2 in timed:
             if best is not None:
                 if t_static is None:  # incumbent may appear mid-loop
-                    if not arc_in:
-                        for ka, pa in points.items():
-                            for kb, pb in points.items():
-                                if ka != kb:
-                                    arc_in[(ka, kb)] = dist_of(pa, pb)
-                    pending = [k for k in keys_pending if k not in keys_done]
+                    pending = [i for i in range(n) if not done[i]]
                     t_static = 0.0
-                    for kb in pending:
+                    static_in = {}
+                    for b in pending:
                         cheapest = None
-                        for ka in pending:
-                            if ka != kb:
-                                d = arc_in[(ka, kb)]
+                        for a in pending:
+                            if a != b:
+                                d = dists[width * a + b]
+                                if d is None:
+                                    d = dists[width * a + b] = dist_of(points[a], points[b])
                                 if cheapest is None or d < cheapest:
                                     cheapest = d
                         cheapest = 0.0 if cheapest is None else cheapest
-                        static_in[kb] = cheapest
+                        static_in[b] = cheapest
                         t_static += cheapest
-                if cost + dist + t_static - static_in[step_key] > best[0]:
+                bound = cost + dist + t_static - static_in[pos]
+                if bound - best[0] > (best[0] + t_static) * _BOUND_SLACK:
                     continue
-            if kind == PICKUP:
-                nb = onboard | {req.id}
-                up = unpicked - {req.id}
+            i = ready.index(pos)
+            rel = release[pos]
+            if rel < 0:
+                del ready[i]
             else:
-                nb = onboard - {req.id}
-                up = unpicked
-            seq.append((kind, req))
-            stops.append(Stop(kind, req.id, loc2, service, load2))
-            sched.append((arrival, service, depart))
-            keys.append(step_key)
-            keys_done.add(step_key)
-            dfs(loc2, depart, load2, nb, up, seq, stops, sched, cost + dist, keys)
-            seq.pop()
-            stops.pop()
-            sched.pop()
-            keys.pop()
-            keys_done.discard(step_key)
+                ready[i] = rel
+            done[pos] = True
+            path.append((pos, arrival, service, depart, load2))
+            dfs(pos, depart, load2, cost + dist)
+            path.pop()
+            done[pos] = False
+            if rel < 0:
+                ready.insert(i, pos)
+            else:
+                ready[i] = pos
 
-    dfs(
-        start.plan_location,
-        start.plan_time,
-        start_load,
-        frozenset(r.id for r in onboard_reqs),
-        frozenset(r.id for r in new),
-        [],
-        [],
-        [],
-        0.0,
-        [],
-    )
+    dfs(n, start.plan_time, start_load, 0.0)
     if best is None:
         return None
-    cost, _key, seq, stops, sched = best
+    cost, _key, steps = best
+    stops = []
+    sched = []
+    for pos, arrival, service, depart, load in steps:
+        kind, req = order[pos]
+        stops.append(Stop(kind, req.id, points[pos], service, load))
+        sched.append((arrival, service, depart))
     return CandidateRoute(
         getattr(start, "vehicle_id", None),
         tuple(stops),
         cost,
         tuple(sched),
         True,
-        tuple(seq),
+        tuple(order[step[0]] for step in steps),
     )
 
 

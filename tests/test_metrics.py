@@ -3,7 +3,6 @@ import pytest
 from rollhorizon.metrics import (
     avg_delay,
     avg_wait,
-    per_vehicle_vmt,
     service_rate,
     summarize,
     total_vmt,
@@ -61,10 +60,6 @@ def test_total_vmt_counts_depot_leg_but_no_return():
     routes = [Route(0, stops, 2), Route(1, (), 0)]
     vehicles = [Vehicle(0, 2, Location(0, 0)), Vehicle(1, 2, Location(9, 9))]
     assert total_vmt(routes, vehicles, TRAVEL) == pytest.approx(9.0)
-    per = per_vehicle_vmt(routes, vehicles, TRAVEL)
-    assert per[0] == pytest.approx(9.0)
-    assert per[1] == 0.0
-    assert sum(per.values()) == pytest.approx(total_vmt(routes, vehicles, TRAVEL))
 
 
 def test_summarize_wires_everything():

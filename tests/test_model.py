@@ -44,7 +44,6 @@ def test_valid_config_passes():
     (dict(capacity=0), "capacity"),
     (dict(exhaustive_route_limit=0), "exhaustive_route_limit"),
     (dict(trip_size_limit=0), "trip_size_limit"),
-    (dict(unserved_penalty=0.0), "unserved_penalty"),
 ])
 def test_invalid_config_flagged(kw, frag):
     problems = validate_config(good_config(**kw))

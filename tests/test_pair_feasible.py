@@ -14,32 +14,14 @@ from hypothesis import strategies as st
 from oracles import brute_force_best_route
 from rollhorizon.model import Location, Request, SolverConfig, derive_earliest_dropoff
 from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
-from rollhorizon.travel import EuclideanTravel, MatrixTravel
-
-MINUTE = 60
-
-
-@st.composite
-def euclidean_case(draw):
-    coord = st.integers(0, 8).map(float)
-    points = [Location(draw(coord), draw(coord)) for _ in range(4)]
-    return EuclideanTravel(1.0), points
-
-
-@st.composite
-def matrix_case(draw):
-    # nodes 0-3 are a's pickup and dropoff, then b's; independent entries
-    # make the table asymmetric and routinely break the triangle inequality
-    leg = st.integers(0, 15 * MINUTE)
-    times = [[0 if i == j else draw(leg) for j in range(4)] for i in range(4)]
-    dists = [[t / MINUTE for t in row] for row in times]
-    points = [Location(float(i), 0.0, node_id=i) for i in range(4)]
-    return MatrixTravel(times, dists), points
+from rollhorizon.travel import EuclideanTravel
+from strategies import MINUTE, travel_case
 
 
 @st.composite
 def pair_case(draw):
-    travel, points = draw(st.one_of(euclidean_case(), matrix_case()))
+    # points 0-3 are a's pickup and dropoff, then b's
+    travel, points = draw(travel_case(4))
     # co-located pickup and dropoff for either request
     for p, d in ((0, 1), (2, 3)):
         if draw(st.booleans()):

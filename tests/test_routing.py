@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from instgen import random_plan_start, random_request
 from oracles import brute_force_best_route, naive_schedule, stop_sort_key
@@ -21,6 +23,7 @@ from rollhorizon.routing import (
     schedule_route,
 )
 from rollhorizon.travel import EuclideanTravel
+from strategies import MINUTE, travel_case
 
 TRAVEL = EuclideanTravel(1.0)
 
@@ -115,11 +118,84 @@ def test_exhaustive_matches_brute_force():
         assert tuple((k, r.id) for k, r in got.sequence) == tuple(want[1])
 
 
+@st.composite
+def route_case(draw):
+    # a few points shared by every stop and the origin, so stops coincide
+    # and many orders cost exactly the same
+    travel, points = draw(travel_case(draw(st.integers(1, 5))))
+    point = st.sampled_from(points)
+    n_new = draw(st.integers(1, 3))
+    n_onboard = draw(st.integers(0, 2))
+    # onboard ids interleave with new ones, so their dropoffs sort between
+    ids = draw(st.permutations(range(n_new + n_onboard)))
+    reqs = {}
+    for rid in ids:
+        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
+                      0, draw(st.integers(1, 2)))
+        reqs[rid] = derive_earliest_dropoff(req, travel)
+    config = SolverConfig(
+        horizon=3600, step=600, max_wait=draw(st.integers(0, 30)) * MINUTE,
+        max_delay=draw(st.integers(0, 40)) * MINUTE,
+        dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
+        capacity=draw(st.integers(1, 3)),
+    )
+    start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE,
+                      frozenset(ids[n_new:]))
+    return travel, config, start, [reqs[rid] for rid in ids[:n_new]], reqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(route_case())
+def test_exhaustive_equals_brute_force_on_hostile_inputs(case):
+    travel, config, start, new, by_id = case
+    got = best_route_exhaustive(start, new, travel, config, by_id)
+    want = brute_force_best_route(
+        start.plan_location, start.plan_time, [r.id for r in new],
+        sorted(start.onboard), by_id, travel, config,
+    )
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    cost, seq, stops = want
+    assert got.total_distance == cost
+    assert tuple((k, r.id) for k, r in got.sequence) == tuple(seq)
+    assert got.stops == tuple(stops)
+    again = schedule_route(start, got.sequence, travel, config)
+    assert again.feasible
+    assert got.schedule == again.schedule
+
+
+def test_exhaustive_keeps_a_tie_its_bound_overshoots_by_rounding():
+    # riders 0 and 3 are aboard; P1 D0 P2 D3 D1 D2 and P1 D1 D0 P2 D3 D2
+    # drive the same legs in another order and cost the same float, but at
+    # the first order's last branch the in-arc bound rounds one ulp above it
+    a0 = derive_earliest_dropoff(Request(0, Location(0, 5), Location(0, 7), 0, 0), TRAVEL)
+    a3 = derive_earliest_dropoff(Request(3, Location(0, 5), Location(0, 7), 0, 0), TRAVEL)
+    r1 = derive_earliest_dropoff(Request(1, Location(1, 0), Location(0, 5), 0, 0), TRAVEL)
+    r2 = derive_earliest_dropoff(Request(2, Location(0, 7), Location(1, 0), 0, 0), TRAVEL)
+    by_id = {r.id: r for r in (a0, a3, r1, r2)}
+    start = PlanStart(Location(1, 0), 0, onboard=frozenset([0, 3]))
+    config = cfg(max_wait=480, max_delay=480, dwell=0)
+    got = best_route_exhaustive(start, [r1, r2], TRAVEL, config, by_id)
+    want = brute_force_best_route(start.plan_location, 0, [1, 2], [0, 3], by_id,
+                                  TRAVEL, config)
+    assert got.total_distance == want[0]
+    assert [(k, r.id) for k, r in got.sequence] == list(want[1]) == [
+        (PICKUP, 1), (DROPOFF, 0), (PICKUP, 2), (DROPOFF, 3), (DROPOFF, 1), (DROPOFF, 2)]
+
+
 def test_exhaustive_rejects_oversized_input():
     reqs = [mk(i, i, 0, i + 1, 0, 0) for i in range(5)]
     start = PlanStart(Location(0, 0), 0)
     with pytest.raises(ValueError):
         best_route_exhaustive(start, reqs, TRAVEL, cfg(exhaustive_route_limit=4))
+
+
+def test_exhaustive_rejects_request_already_onboard():
+    a = mk(0, 1, 0, 5, 0, 0)
+    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
+    with pytest.raises(ValueError):
+        best_route_exhaustive(start, [a], TRAVEL, cfg(), {0: a})
 
 
 def test_exhaustive_tie_breaks_to_smallest_stop_keys():
