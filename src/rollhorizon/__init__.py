@@ -26,7 +26,6 @@ from .instance_io import (
     load_lilim,
     make_fleet,
     report_violations,
-    write_lilim,
     write_report,
 )
 from .metrics import MetricsSummary, summarize, total_vmt
@@ -121,6 +120,5 @@ __all__ = [
     "validate_record",
     "validate_route",
     "window_processing",
-    "write_lilim",
     "write_report",
 ]

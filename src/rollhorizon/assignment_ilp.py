@@ -41,10 +41,6 @@ class IlpSolution:
     proven_optimal: bool
     nodes_explored: int
 
-    @property
-    def chosen_pairs(self) -> tuple[tuple[Optional[int], int], ...]:
-        return tuple((e.trip_id, e.vehicle_id) for e in self.chosen_edges)
-
 
 def compute_penalty(graph: RtvGraph) -> float:
     """Per-request cost of leaving it unserved.
@@ -79,7 +75,7 @@ def _fallback_incumbent(graph, must, penalty, solution_key):
     Returns a (objective, key, chosen, ignored) incumbent, or None when the
     graph carries no valid fallback.
     """
-    positions = getattr(graph, "fallback_assignment", ())
+    positions = graph.fallback_assignment
     if not positions:
         if graph.vehicles_requiring_route or must:
             return None

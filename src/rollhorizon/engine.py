@@ -84,9 +84,7 @@ def run(
         )
 
     states: dict[int, VehicleState] = {
-        v.id: VehicleState(
-            vehicle_id=v.id, plan_location=v.depot, plan_time=0, clock=0
-        )
+        v.id: VehicleState(vehicle_id=v.id, plan_location=v.depot, plan_time=0)
         for v in sorted(instance.vehicles, key=lambda v: v.id)
     }
     active: dict[int, Request] = {}  # revealed, not yet picked up or finalized

@@ -53,7 +53,6 @@ class Instance:
     travel: object
     config_overrides: Mapping[str, object] = field(default_factory=dict)
     native_horizon: Optional[int] = None  # seconds; benchmark files only
-    raw_nodes: tuple[LilimNode, ...] = ()
     name: str = ""
 
 
@@ -173,28 +172,8 @@ def load_lilim(path, fleet_size: Optional[int] = None) -> Instance:
         travel=travel,
         config_overrides={"capacity": capacity, "fleet_size": n_vehicles},
         native_horizon=depot.latest * 60,
-        raw_nodes=tuple(nodes[n] for n in sorted(nodes)),
         name=path.stem,
     )
-
-
-def write_lilim(instance: Instance, path) -> None:
-    """Re-emit a loaded benchmark file (debugging round-trip aid)."""
-    if not instance.raw_nodes:
-        raise ValueError("instance has no raw node table to serialize")
-    fleet = len(instance.vehicles)
-    capacity = instance.vehicles[0].capacity if instance.vehicles else 0
-    speed = getattr(instance.travel, "speed", 1.0)
-    speed_txt = str(int(speed)) if float(speed).is_integer() else str(speed)
-    lines = [f"{fleet}\t{capacity}\t{speed_txt}"]
-    for n in instance.raw_nodes:
-        x = int(n.x) if float(n.x).is_integer() else n.x
-        y = int(n.y) if float(n.y).is_integer() else n.y
-        lines.append(
-            f"{n.id}\t{x}\t{y}\t{n.demand}\t{n.earliest}\t{n.latest}"
-            f"\t{n.service}\t{n.pickup_idx}\t{n.delivery_idx}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def adapt_benchmark(instance: Instance, horizon_reference: int = REFERENCE_DAY_S) -> Instance:

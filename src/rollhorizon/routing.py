@@ -1,15 +1,20 @@
 """Single-vehicle route construction and timing.
 
-schedule_route times a fixed stop sequence. best_route_exhaustive searches
-every precedence-valid ordering and is exact for small request sets.
+schedule_route times a fixed stop sequence; it is the one stop-timing
+kernel over Request objects. best_route_exhaustive searches every
+precedence-valid ordering and is exact for small request sets.
 best_route_insertion slots one new request into an existing order and is
-the fallback once exhaustive search would be too wide. pair_feasible only
-asks whether two requests can share a vehicle at all.
+the fallback once exhaustive search would be too wide; it and the greedy
+delivery-only route share one placement routine that re-times every
+candidate through schedule_route. pair_feasible only asks whether two
+requests can share a vehicle at all. The exhaustive search and the pair
+screen time stops inline over integer positions, for speed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import DROPOFF, PICKUP, Location, Request, SolverConfig, Stop
@@ -37,31 +42,10 @@ class CandidateRoute:
     feasible: bool
     sequence: tuple[tuple[str, Request], ...] = field(default=(), repr=False)
 
-    @property
-    def request_ids(self) -> frozenset[int]:
-        return frozenset(s.request_id for s in self.stops if s.kind == PICKUP)
 
-
-def _stop_key(kind: str, request_id: int) -> tuple[int, int]:
-    return (request_id, 0 if kind == PICKUP else 1)
-
-
-def _advance(loc, free, load, kind, req, travel, config):
-    """Time one stop from the previous departure state."""
-    target = req.pickup if kind == PICKUP else req.dropoff
-    arrival = free + travel.travel_time(loc, target)
-    dist = travel.distance(loc, target)
-    if kind == PICKUP:
-        # vehicle waits at the stop when early; waiting cost is passenger-side only
-        service = max(arrival, req.desired_pickup_time)
-        ok = service - req.desired_pickup_time <= config.max_wait
-        load += req.load
-        ok = ok and load <= config.capacity
-    else:
-        service = max(arrival, req.earliest_dropoff_time)
-        ok = service - req.earliest_dropoff_time <= config.max_delay
-        load -= req.load
-    return ok, target, arrival, service, service + config.dwell, load, dist
+def _sequence_key(sequence: Iterable[tuple[str, Request]]) -> tuple[tuple[int, int], ...]:
+    """Stop keys (request id, 0 for pickup / 1 for dropoff): the route tie-break."""
+    return tuple((req.id, 0 if kind == PICKUP else 1) for kind, req in sequence)
 
 
 def schedule_route(
@@ -103,14 +87,22 @@ def schedule_route(
     if load > config.capacity:
         feasible = False
     for kind, req in sequence:
-        ok, loc, arrival, service, depart, load, dist = _advance(
-            loc, free, load, kind, req, travel, config
-        )
-        feasible = feasible and ok
-        total += dist
-        stops.append(Stop(kind, req.id, loc, service, load))
-        sched.append((arrival, service, depart))
-        free = depart
+        if kind == PICKUP:
+            target, earliest, limit = req.pickup, req.desired_pickup_time, config.max_wait
+            load += req.load
+        else:
+            target, earliest, limit = req.dropoff, req.earliest_dropoff_time, config.max_delay
+            load -= req.load
+        arrival = free + travel.travel_time(loc, target)
+        total += travel.distance(loc, target)
+        # vehicle waits at the stop when early; waiting cost is passenger-side
+        # only. A dropoff lowers the load, so its capacity check never fails first
+        service = max(arrival, earliest)
+        feasible = feasible and service - earliest <= limit and load <= config.capacity
+        free = service + config.dwell
+        loc = target
+        stops.append(Stop(kind, req.id, target, service, load))
+        sched.append((arrival, service, free))
     return CandidateRoute(
         getattr(start, "vehicle_id", None),
         tuple(stops),
@@ -214,8 +206,8 @@ def best_route_exhaustive(
             if best is None or (cost, key) < (best[0], best[1]):
                 best = (cost, key, path[:])
             return
-        # stop timing is _advance spelled out over positions: this runs at
-        # every node of every search, and a call per stop plus a leg memo
+        # stop timing is schedule_route spelled out over positions: this runs
+        # at every node of every search, and a call per stop plus a leg memo
         # keyed by Location pairs cost more than the arithmetic
         row = width * here
         timed = []
@@ -340,7 +332,7 @@ def pair_feasible(a: Request, b: Request, travel, config: SolverConfig) -> bool:
     for first in (0, 2):
         t0 = opens[first]
         for order in _PAIR_ORDERS_FROM[first]:
-            # stop timing is _advance spelled out over positions: this runs
+            # stop timing is schedule_route spelled out over positions: this runs
             # for every pair of requests a run reveals, and per-stop calls
             # with a Location-keyed leg memo cost more than the arithmetic
             loc = first
@@ -381,22 +373,37 @@ def best_route_insertion(
     """
     if not base_route.feasible:
         raise ValueError("base route must be feasible")
+    return _insert_stops(
+        start, base_route, ((PICKUP, new_request), (DROPOFF, new_request)), travel, config
+    )
+
+
+def _insert_stops(
+    start,
+    base_route: CandidateRoute,
+    new_stops: Sequence[tuple[str, Request]],
+    travel,
+    config: SolverConfig,
+) -> Optional[CandidateRoute]:
+    """Cheapest feasible placement of new_stops, kept in their given order.
+
+    Tries every placement that keeps the base order, re-times each candidate
+    through schedule_route and keeps the lowest (distance, stop keys).
+    Returns None when no placement is feasible.
+    """
     base = list(base_route.sequence)
-    n = len(base)
-    best: Optional[tuple[float, tuple, CandidateRoute]] = None
-    for i in range(n + 1):
-        for j in range(i, n + 1):
-            seq = (
-                base[:i]
-                + [(PICKUP, new_request)]
-                + base[i:j]
-                + [(DROPOFF, new_request)]
-                + base[j:]
-            )
-            cand = schedule_route(start, seq, travel, config)
-            if not cand.feasible:
-                continue
-            key = tuple(_stop_key(k, r.id) for k, r in seq)
-            if best is None or (cand.total_distance, key) < (best[0], best[1]):
-                best = (cand.total_distance, key, cand)
-    return None if best is None else best[2]
+    best: Optional[tuple[tuple, CandidateRoute]] = None
+    for slots in combinations_with_replacement(range(len(base) + 1), len(new_stops)):
+        seq = []
+        prev = 0
+        for at, stop in zip(slots, new_stops):
+            seq += base[prev:at]
+            seq.append(stop)
+            prev = at
+        seq += base[prev:]
+        cand = schedule_route(start, seq, travel, config)
+        if cand.feasible:
+            key = (cand.total_distance, _sequence_key(seq))
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return None if best is None else best[1]

@@ -14,6 +14,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .model import DROPOFF, PICKUP, Request, SolverConfig
 from .routing import (
     CandidateRoute,
+    _insert_stops,
+    _sequence_key,
     best_route_exhaustive,
     best_route_insertion,
     pair_feasible,
@@ -61,33 +63,10 @@ class RtvGraph:
         return self.trips[trip_id].request_ids
 
 
-def _trip_sort_key(edge_trip: Optional[tuple[int, ...]]) -> tuple:
-    return () if edge_trip is None else edge_trip
-
-
-def _seq_key(route: CandidateRoute) -> tuple:
-    return tuple((r.id, 0 if k == PICKUP else 1) for k, r in route.sequence)
-
-
 def _relabel(cand: CandidateRoute, vid: int) -> CandidateRoute:
     if cand.vehicle_id == vid:
         return cand
     return replace(cand, vehicle_id=vid)
-
-
-def _insert_dropoff_only(start, base: CandidateRoute, req: Request, travel, config):
-    """Best single-position insertion of one dropoff stop."""
-    base_seq = list(base.sequence)
-    best = None
-    for i in range(len(base_seq) + 1):
-        seq = base_seq[:i] + [(DROPOFF, req)] + base_seq[i:]
-        cand = schedule_route(start, seq, travel, config)
-        if not cand.feasible:
-            continue
-        key = _seq_key(cand)
-        if best is None or (cand.total_distance, key) < (best[0], best[1]):
-            best = (cand.total_distance, key, cand)
-    return None if best is None else best[2]
 
 
 def _dropoff_only_route(state, travel, config, requests_by_id):
@@ -100,7 +79,7 @@ def _dropoff_only_route(state, travel, config, requests_by_id):
     # too many aboard for exact search: place each dropoff greedily
     cand = schedule_route(state, (), travel, config)
     for rid in onboard:
-        cand = _insert_dropoff_only(state, cand, requests_by_id[rid], travel, config)
+        cand = _insert_stops(state, cand, ((DROPOFF, requests_by_id[rid]),), travel, config)
         if cand is None:
             return None
     return cand
@@ -159,8 +138,8 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             return
         key = (trip_key, vid)
         old = routes.get(key)
-        if old is None or (cand.total_distance, _seq_key(cand)) < (
-            old.total_distance, _seq_key(old)
+        if old is None or (cand.total_distance, _sequence_key(cand.sequence)) < (
+            old.total_distance, _sequence_key(old.sequence)
         ):
             routes[key] = cand
 
@@ -296,10 +275,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         elif trip_key in trip_id_of:
             edges.append(Edge(trip_id_of[trip_key], vid, cand.total_distance, cand))
     edges.sort(
-        key=lambda e: (
-            _trip_sort_key(None if e.trip_id is None else trips[e.trip_id].request_ids),
-            e.vehicle_id,
-        )
+        key=lambda e: (() if e.trip_id is None else trips[e.trip_id].request_ids, e.vehicle_id)
     )
 
     position_of = {(e.trip_id, e.vehicle_id): i for i, e in enumerate(edges)}

@@ -37,8 +37,7 @@ class VehicleState:
 
     plan_location/plan_time give where and when the next plan may begin:
     the current node once the vehicle is free there, or the end of the leg
-    in flight. position is the display location at the clock time and is
-    never used for planning.
+    in flight.
     """
 
     vehicle_id: int
@@ -47,19 +46,7 @@ class VehicleState:
     onboard: frozenset[int] = frozenset()
     committed: tuple[Stop, ...] = ()
     planned_suffix: tuple[tuple[str, Request], ...] = ()
-    clock: int = 0
-    position: Location = None  # type: ignore[assignment]
     pickup_times: Mapping[int, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.position is None:
-            object.__setattr__(self, "position", self.plan_location)
-
-
-def _interpolate(travel, a: Location, b: Location, frac: float) -> Location:
-    if hasattr(travel, "speed"):  # planar mode: show progress along the segment
-        return Location(a.x + (b.x - a.x) * frac, a.y + (b.y - a.y) * frac)
-    return a  # matrix mode has no geometry; hold at the last node
 
 
 def _check_route(state: VehicleState, route: CandidateRoute, travel,
@@ -106,11 +93,7 @@ def simulate_step(
             # nothing assigned: stand at the plan origin until the window ends
             new_states.append(
                 dataclasses.replace(
-                    state,
-                    planned_suffix=(),
-                    clock=t_to,
-                    plan_time=max(state.plan_time, t_to),
-                    position=state.plan_location,
+                    state, planned_suffix=(), plan_time=max(state.plan_time, t_to)
                 )
             )
             continue
@@ -157,7 +140,6 @@ def simulate_step(
         if not remaining:
             plan_loc = prev_loc
             plan_time = max(prev_depart, t_to)
-            position = prev_loc
         else:
             next_stop = route.stops[executed]
             next_arrival = route.schedule[executed][0]
@@ -165,18 +147,14 @@ def simulate_step(
                 # still dwelling (or not yet free) at the node: replannable here
                 plan_loc = prev_loc
                 plan_time = prev_depart
-                position = prev_loc
             elif next_arrival > t_to:
                 # in flight: must finish the leg before any new plan
                 plan_loc = next_stop.location
                 plan_time = next_arrival
-                frac = (t_to - prev_depart) / (next_arrival - prev_depart)
-                position = _interpolate(travel, prev_loc, next_stop.location, frac)
             else:
                 # arrived early and is waiting for the service time
                 plan_loc = next_stop.location
                 plan_time = t_to
-                position = next_stop.location
 
         new_states.append(
             VehicleState(
@@ -186,8 +164,6 @@ def simulate_step(
                 frozenset(onboard),
                 tuple(committed),
                 tuple(remaining),
-                t_to,
-                position,
                 pickup_times,
             )
         )

@@ -37,7 +37,7 @@ class EuclideanTravel:
         return math.hypot(a.x - b.x, a.y - b.y)
 
     def travel_time(self, a: Location, b: Location) -> int:
-        return math.ceil(self.distance(a, b) * 60.0 / self.speed)
+        return math.ceil(math.hypot(a.x - b.x, a.y - b.y) * 60.0 / self.speed)
 
 
 class MatrixTravel:

@@ -14,7 +14,6 @@ from rollhorizon.instance_io import (
     load_lilim,
     load_report_dict,
     report_violations,
-    write_lilim,
     write_report,
 )
 from rollhorizon.travel import EuclideanTravel
@@ -41,7 +40,9 @@ def test_load_lilim_fixture():
     direct = inst.travel.travel_time(by_id[2].pickup, by_id[2].dropoff)
     assert by_id[2].earliest_dropoff_time == 1500 + direct
     assert all(v.depot.x == 5.0 and v.depot.y == 5.0 for v in inst.vehicles)
-    assert len(inst.raw_nodes) == 7
+    # each of the six non-depot rows is one end of exactly one request
+    assert [(r.pickup.x, r.pickup.y, r.dropoff.x, r.dropoff.y, r.load)
+            for r in inst.requests] == [(1, 2, 2, 3, 10), (8, 8, 9, 9, 20), (4, 4, 3, 7, 15)]
 
 
 def test_load_lilim_fleet_override():
@@ -89,16 +90,6 @@ def test_load_lilim_rejects_malformed_rows(tmp_path):
         load_lilim(write_variant(
             tmp_path, ["1\t10\t1", "1\t1\t2\t10\t10\t120\t5\t0\t2",
                        "2\t2\t3\t-10\t0\t120\t5\t1\t0"]))
-
-
-def test_write_lilim_round_trip(tmp_path):
-    inst = load_lilim(FIXTURE)
-    out = tmp_path / "again.txt"
-    write_lilim(inst, out)
-    again = load_lilim(out)
-    assert again.requests == inst.requests
-    assert again.native_horizon == inst.native_horizon
-    assert again.raw_nodes == inst.raw_nodes
 
 
 def test_adapt_benchmark_scales_by_native_day():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instgen import random_plan_start, random_request
-from oracles import brute_force_best_route, naive_schedule, stop_sort_key
+from oracles import all_stop_orders, brute_force_best_route, naive_schedule, stop_sort_key
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -232,6 +232,61 @@ def test_insertion_preserves_base_order_and_never_beats_exact():
         assert ins.total_distance >= full.total_distance - 1e-12
         compared += 1
     assert compared > 30
+
+
+@st.composite
+def insertion_case(draw):
+    # few shared points, so stops coincide and placements tie on distance
+    travel, points = draw(travel_case(draw(st.integers(1, 5))))
+    point = st.sampled_from(points)
+    n_onboard = draw(st.integers(0, 2))
+    n_base = draw(st.integers(0, 3 - n_onboard))
+    # ids interleave, so the inserted request's keys sort anywhere in the route
+    ids = draw(st.permutations(range(n_base + n_onboard + 1)))
+    reqs = {}
+    for rid in ids:
+        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
+                      0, draw(st.integers(1, 2)))
+        reqs[rid] = derive_earliest_dropoff(req, travel)
+    config = SolverConfig(
+        horizon=3600, step=600, max_wait=draw(st.integers(0, 30)) * MINUTE,
+        max_delay=draw(st.integers(0, 40)) * MINUTE,
+        dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
+        capacity=draw(st.integers(1, 3)),
+    )
+    new_id, base_ids, onboard = ids[0], ids[1:n_base + 1], ids[n_base + 1:]
+    start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE, frozenset(onboard))
+    base_order = draw(st.sampled_from(list(all_stop_orders(base_ids, onboard))))
+    return travel, config, start, base_order, reqs[new_id], reqs
+
+
+@settings(max_examples=300, deadline=None)
+@given(insertion_case())
+def test_insertion_equals_brute_force_over_order_keeping_placements(case):
+    travel, config, start, base_order, new, by_id = case
+    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], travel, config)
+    if not base.feasible:
+        with pytest.raises(ValueError):
+            best_route_insertion(start, base, new, travel, config)
+        return
+    want = None
+    for seq in all_stop_orders(sorted(by_id.keys() - start.onboard), sorted(start.onboard)):
+        if tuple(s for s in seq if s[1] != new.id) != base_order:
+            continue
+        feasible, cost, stops = naive_schedule(
+            start.plan_location, start.plan_time, seq, by_id, travel, config, start.onboard
+        )
+        key = tuple(stop_sort_key(k, r) for k, r in seq)
+        if feasible and (want is None or (cost, key) < (want[0], want[1])):
+            want = (cost, key, seq, stops)
+    got = best_route_insertion(start, base, new, travel, config)
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    cost, _key, seq, stops = want
+    assert got.total_distance == cost
+    assert tuple((k, r.id) for k, r in got.sequence) == seq
+    assert got.stops == tuple(stops)
 
 
 def test_insertion_requires_feasible_base():

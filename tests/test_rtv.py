@@ -121,6 +121,35 @@ def test_onboard_vehicle_gets_delivery_only_edge():
     )
 
 
+def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
+    # three riders aboard, boarded at the vehicle's spot at time 0; their
+    # dropoffs lie at x = 1, -1 and 5, and the carried-over plan drives the
+    # worst order D2 D1 D0 (distance 13)
+    riders = [mk(0, 0, 0, 1, 0, 0), mk(1, 0, 0, -1, 0, 0), mk(2, 0, 0, 5, 0, 0)]
+    state = VehicleState(
+        vehicle_id=0,
+        plan_location=Location(0, 0),
+        plan_time=0,
+        onboard=frozenset([0, 1, 2]),
+        planned_suffix=tuple((DROPOFF, riders[i]) for i in (2, 1, 0)),
+    )
+    config = cfg(exhaustive_route_limit=2)
+    graph = build_rtv_graph([], [state], TRAVEL, config)
+    (edge,) = [e for e in graph.edges if e.trip_id is None]
+    # D0 first; D1 ties before or after it at distance 3, and the smaller
+    # stop keys put it after; D2 then goes last
+    assert [(k, r.id) for k, r in edge.route.sequence] == [
+        (DROPOFF, 0), (DROPOFF, 1), (DROPOFF, 2)]
+    assert edge.route.schedule == ((60, 60, 90), (210, 210, 240), (600, 600, 630))
+    assert [s.onboard_after for s in edge.route.stops] == [2, 1, 0]
+    assert edge.cost == edge.route.total_distance == 9.0
+    # exact search over the same riders finds D1 D0 D2 at distance 7
+    exact = build_rtv_graph([], [state], TRAVEL, cfg(exhaustive_route_limit=3))
+    (best,) = [e for e in exact.edges if e.trip_id is None]
+    assert [r.id for _k, r in best.route.sequence] == [1, 0, 2]
+    assert best.cost == 7.0
+
+
 def test_previous_plan_is_rebuilt_as_an_edge():
     a = mk(0, 2, 0, 6, 0, 300)
     b = mk(1, 3, 0, 7, 0, 400)

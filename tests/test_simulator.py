@@ -83,7 +83,6 @@ def test_plan_origin_still_dwelling():
     st = new[0]
     assert st.plan_location == req.pickup
     assert st.plan_time == 670
-    assert st.position == req.pickup
 
 
 def test_plan_origin_in_flight_interpolates():
@@ -96,9 +95,6 @@ def test_plan_origin_in_flight_interpolates():
     st = new[0]
     assert st.plan_location == req.pickup
     assert st.plan_time == 600
-    assert st.position is not None
-    assert st.position.x == pytest.approx(5.0)
-    assert st.position.y == pytest.approx(0.0)
 
 
 def test_plan_origin_arrived_and_waiting_is_replannable_now():
@@ -128,8 +124,7 @@ def test_matrix_mode_holds_position_at_last_node():
     route = best_route_exhaustive(state, [req], mt, config)
     assert route is not None
     new, _b, _r = simulate_step([state], {0: route}, 0, 300, mt, config)
-    # no geometry mid-leg: stay displayed at the origin node
-    assert new[0].position == a
+    # mid-leg the next plan can only begin at the leg's end node
     assert new[0].plan_location == b
 
 
@@ -143,7 +138,6 @@ def test_no_route_stands_still():
     assert st.planned_suffix == ()
     assert st.plan_location == Location(2, 2)
     assert st.plan_time == 600
-    assert st.clock == 600
 
 
 def test_rejects_invalid_route():
