@@ -17,13 +17,13 @@ from .engine import ConfigError, EngineError, run
 from .instance_io import (
     Instance,
     ParseError,
-    REFERENCE_DAY_S,
     adapt_benchmark,
     load_csv_requests,
     load_lilim,
     load_report_dict,
     make_fleet,
     report_violations,
+    scale_to_native_day,
     write_report,
 )
 from .model import Location, SolverConfig, validate_config
@@ -47,11 +47,6 @@ SWEEP_COLUMNS = [
     "instance", "fleet_size", "rh_factor", "status",
     "service_rate", "avg_delay_min", "vmt", "sec_per_request",
 ]
-
-
-def _scale_min(native_horizon_s: int, minutes: float) -> int:
-    """Minutes quoted against the 12-hour reference day, in native seconds."""
-    return round(native_horizon_s * minutes * 60 / REFERENCE_DAY_S)
 
 
 def _step_minutes(opt: dict) -> float:
@@ -94,18 +89,18 @@ def _build_config(inst: Instance, fmt: str, opt: dict) -> tuple[Instance, Solver
         h = inst.native_horizon or 0
         if h <= 0:
             raise ParseError(f"{inst.name}: benchmark file has no horizon")
-        step = _scale_min(h, _step_minutes(opt))
+        step = scale_to_native_day(h, _step_minutes(opt))
         horizon = max(step, math.ceil(h / step) * step) if step > 0 else 0
         max_wait = (
-            _scale_min(h, opt["max_wait_min"]) if opt.get("max_wait_min") is not None
+            scale_to_native_day(h, opt["max_wait_min"]) if opt.get("max_wait_min") is not None
             else ov["max_wait"]
         )
         max_delay = (
-            _scale_min(h, opt["max_delay_min"]) if opt.get("max_delay_min") is not None
+            scale_to_native_day(h, opt["max_delay_min"]) if opt.get("max_delay_min") is not None
             else ov["max_delay"]
         )
         dwell = (
-            _scale_min(h, opt["dwell_min"]) if opt.get("dwell_min") is not None
+            scale_to_native_day(h, opt["dwell_min"]) if opt.get("dwell_min") is not None
             else ov["dwell"]
         )
         capacity = opt.get("capacity") or ov["capacity"]

@@ -176,7 +176,12 @@ def load_lilim(path, fleet_size: Optional[int] = None) -> Instance:
     )
 
 
-def adapt_benchmark(instance: Instance, horizon_reference: int = REFERENCE_DAY_S) -> Instance:
+def scale_to_native_day(native_horizon_s: int, minutes: float) -> int:
+    """Minutes quoted against the 12-hour reference day, in native seconds."""
+    return round(native_horizon_s * minutes * 60 / REFERENCE_DAY_S)
+
+
+def adapt_benchmark(instance: Instance) -> Instance:
     """Derive waiting, delay, and dwell limits scaled to the native horizon.
 
     The standard allowances (30 minutes waiting/delay, 5 minutes dwell on a
@@ -185,13 +190,11 @@ def adapt_benchmark(instance: Instance, horizon_reference: int = REFERENCE_DAY_S
     the file stay untouched and unused: service quality is governed by the
     waiting/delay allowances anchored at each request's desired pickup.
     """
-    if horizon_reference <= 0:
-        raise ValueError("horizon_reference must be positive")
     h = instance.native_horizon
     if not h:
         raise ValueError("instance has no native horizon to adapt from")
-    max_wait = round(h * WAIT_REF_MIN * 60 / horizon_reference)
-    dwell = round(h * DWELL_REF_MIN * 60 / horizon_reference)
+    max_wait = scale_to_native_day(h, WAIT_REF_MIN)
+    dwell = scale_to_native_day(h, DWELL_REF_MIN)
     overrides = dict(instance.config_overrides)
     overrides.update({"max_wait": max_wait, "max_delay": max_wait, "dwell": dwell})
     return dataclasses.replace(instance, config_overrides=overrides)

@@ -33,7 +33,6 @@ class PlanStart:
 class CandidateRoute:
     """A timed stop sequence for one vehicle with its feasibility verdict."""
 
-    vehicle_id: Optional[int]
     stops: tuple[Stop, ...]
     total_distance: float
     # (arrival, service_start, departure) per stop; service may lag arrival
@@ -103,14 +102,7 @@ def schedule_route(
         loc = target
         stops.append(Stop(kind, req.id, target, service, load))
         sched.append((arrival, service, free))
-    return CandidateRoute(
-        getattr(start, "vehicle_id", None),
-        tuple(stops),
-        total,
-        tuple(sched),
-        feasible,
-        tuple(sequence),
-    )
+    return CandidateRoute(tuple(stops), total, tuple(sched), feasible, tuple(sequence))
 
 
 def _resolve_onboard(start, requests_by_id) -> list[Request]:
@@ -289,12 +281,7 @@ def best_route_exhaustive(
         stops.append(Stop(kind, req.id, points[pos], service, load))
         sched.append((arrival, service, depart))
     return CandidateRoute(
-        getattr(start, "vehicle_id", None),
-        tuple(stops),
-        cost,
-        tuple(sched),
-        True,
-        tuple(order[step[0]] for step in steps),
+        tuple(stops), cost, tuple(sched), True, tuple(order[step[0]] for step in steps)
     )
 
 

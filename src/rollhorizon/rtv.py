@@ -2,14 +2,17 @@
 
 Trips are request subsets a single vehicle could serve together. The graph
 holds every feasible trip-vehicle pairing with its route cost, grown size
-by size: a subset is only considered once all of its smaller subsets
-survived, and kept only when at least one vehicle can actually drive it.
+by size from the empty trip: a subset is only considered once all of its
+one-smaller subsets are trips, and kept only when at least one vehicle can
+actually drive it. The groups vehicles' previous plans carry over are trips
+from the start and are routed for every vehicle like any other subset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 from .model import DROPOFF, PICKUP, Request, SolverConfig
 from .routing import (
@@ -49,7 +52,6 @@ class Edge:
 class RtvGraph:
     trips: tuple[Trip, ...]
     edges: tuple[Edge, ...]
-    request_index: Mapping[int, tuple[int, ...]]
     request_universe: frozenset[int]
     vehicles_requiring_route: frozenset[int]
     # edge positions forming one known-valid assignment (each vehicle's
@@ -61,12 +63,6 @@ class RtvGraph:
         if trip_id is None:
             return ()
         return self.trips[trip_id].request_ids
-
-
-def _relabel(cand: CandidateRoute, vid: int) -> CandidateRoute:
-    if cand.vehicle_id == vid:
-        return cand
-    return replace(cand, vehicle_id=vid)
 
 
 def _dropoff_only_route(state, travel, config, requests_by_id):
@@ -110,19 +106,18 @@ def _rr_screen(requests, travel, config) -> set[frozenset]:
     return rr_pairs
 
 
-def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig,
-                    size_limit: Optional[int] = None) -> RtvGraph:
+def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig) -> RtvGraph:
     """Assemble the full trip-vehicle graph for one sub-problem.
 
-    Sizes grow one request at a time: a size-k set is a candidate only when
-    every size-(k-1) subset is already a trip (and for pairs, the two
-    requests passed the shareability screen); it becomes a trip when some
-    vehicle has a feasible route. Each vehicle's previously planned stops
-    are rebuilt into an edge as well, so commitments stay representable,
-    and vehicles with passengers get a delivery-only edge.
+    Each vehicle's previously planned stops are rebuilt into an edge, so
+    commitments stay representable, and the requests the plan still picks up
+    are a trip from the start; vehicles with passengers get a delivery-only
+    edge. Trips then grow one request at a time from the empty trip: a set is
+    a candidate once every one-smaller subset is a trip (and for pairs, the
+    two requests passed the shareability screen), and it becomes a trip when
+    some vehicle has a feasible route. Carried-over groups are candidates
+    like any other set, so every vehicle is offered them.
     """
-    if size_limit is None:
-        size_limit = config.effective_trip_size_limit
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
     requests_by_id = {r.id: r for r in requests}
@@ -130,10 +125,11 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         for kind, req in getattr(state, "planned_suffix", ()):
             requests_by_id.setdefault(req.id, req)
 
-    # (trip ids frozenset | None, vehicle_id) -> best CandidateRoute
-    routes: dict[tuple[Optional[frozenset], int], CandidateRoute] = {}
+    # (trip ids, vehicle_id) -> best CandidateRoute; the empty trip is the
+    # delivery-only edge
+    routes: dict[tuple[frozenset, int], CandidateRoute] = {}
 
-    def offer(trip_key: Optional[frozenset], vid: int, cand: Optional[CandidateRoute]):
+    def offer(trip_key: frozenset, vid: int, cand: Optional[CandidateRoute]):
         if cand is None or not cand.feasible:
             return
         key = (trip_key, vid)
@@ -145,7 +141,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
 
     # route feasibility reads only position, free time and passengers, so
     # vehicles agreeing on those (idle twins at a depot, typically) share
-    # every search; one representative is routed and the result relabeled
+    # every search; one representative is routed and its route offered to all
     class_index: dict[tuple, int] = {}
     classes: list[tuple[object, list[int]]] = []
     for state in states:
@@ -157,75 +153,46 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         else:
             classes[at][1].append(state.vehicle_id)
 
-    dropoff_base: dict[int, Optional[CandidateRoute]] = {}
+    dropoff_base: list[Optional[CandidateRoute]] = []
     for rep, vids in classes:
         cand = _dropoff_only_route(rep, travel, config, requests_by_id)
+        dropoff_base.append(cand)
         for vid in vids:
-            dropoff_base[vid] = None if cand is None else _relabel(cand, vid)
-            offer(None, vid, dropoff_base[vid])
+            offer(frozenset(), vid, cand)
 
-    forced_sets: list[frozenset] = []
-    preferred_keys: list[tuple[Optional[frozenset], int]] = []
+    # the empty trip and every feasible carried-over plan's pickups are trips
+    # from the start; a plan was never routed per class, so it passes every
+    # class's subset check
+    given: set[frozenset] = {frozenset()}
+    preferred_keys: list[tuple[frozenset, int]] = []
     for state in states:
         vid = state.vehicle_id
         # rebuild the previous plan so the assignment can always keep it
         suffix = tuple(getattr(state, "planned_suffix", ()))
-        plan_ok = False
-        pending: frozenset = frozenset()
         if suffix:
-            cand = schedule_route(state, suffix, travel, config)
             pending = frozenset(r.id for k, r in suffix if k == PICKUP)
-            if cand.feasible and pending:
-                forced_sets.append(pending)
-            plan_ok = cand.feasible
-            offer(pending if pending else None, vid, cand)
-        if plan_ok:
-            preferred_keys.append((pending if pending else None, vid))
-        elif state.onboard:
-            preferred_keys.append((None, vid))
+            cand = schedule_route(state, suffix, travel, config)
+            offer(pending, vid, cand)
+            if cand.feasible:
+                given.add(pending)
+                preferred_keys.append((pending, vid))
+                continue
+        if state.onboard:
+            preferred_keys.append((frozenset(), vid))
 
     rr_pairs = _rr_screen(requests, travel, config)
-
-    # size 1; previously planned trips are feasible by construction
-    trip_sets: list[frozenset] = []
-    known: set[frozenset] = set()
-    forced_known = set(forced_sets)
-    for s in forced_sets:
-        if s not in known:
-            trip_sets.append(s)
-            known.add(s)
-    class_known: list[set[frozenset]] = [set() for _ in classes]
-    for r in requests:
-        key = frozenset((r.id,))
-        found = False
-        for ci, (rep, vids) in enumerate(classes):
-            cand = _route_for(
-                rep, [r], dropoff_base[vids[0]], travel, config, requests_by_id
-            )
-            if cand is None:
-                continue
-            found = True
-            class_known[ci].add(key)
-            for vid in vids:
-                offer(key, vid, _relabel(cand, vid))
-        if found and key not in known:
-            trip_sets.append(key)
-            known.add(key)
-
-    # larger sizes via subset closure
-    by_size: dict[int, list[frozenset]] = {}
-    for s in trip_sets:
-        by_size.setdefault(len(s), []).append(s)
-    k = 2
-    while k <= size_limit and by_size.get(k - 1):
+    known = set(given)
+    class_known = [set(given) for _ in classes]
+    level = [frozenset()]
+    for k in range(1, config.effective_trip_size_limit + 1):
         candidates = set()
-        for base_set in by_size[k - 1]:
-            top = max(base_set)
+        for base_set in level:
+            top = max(base_set, default=-math.inf)
             for r in requests:
                 if r.id <= top:
                     continue
                 grown = base_set | {r.id}
-                if grown in candidates or grown in known:
+                if grown in candidates:
                     continue
                 if k == 2 and grown not in rr_pairs:
                     continue
@@ -238,70 +205,50 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             for ci, (rep, vids) in enumerate(classes):
                 ck = class_known[ci]
                 # dropping any rider from a feasible route keeps it feasible,
-                # so this vehicle needs every smaller subset too; rebuilt
-                # plans were never tried per vehicle and get a pass
-                shy = False
-                for m in grown:
-                    sub = grown - {m}
-                    if sub not in ck and sub not in forced_known:
-                        shy = True
-                        break
-                if shy:
+                # so this class needs every smaller subset too
+                if any(grown - {m} not in ck for m in grown):
                     continue
-                base = routes.get((grown - {max(grown)}, vids[0]))
+                if k == 1:
+                    base = dropoff_base[ci]
+                else:
+                    base = routes.get((grown - {max(grown)}, vids[0]))
                 cand = _route_for(rep, trip_reqs, base, travel, config, requests_by_id)
                 if cand is None:
                     continue
                 found = True
                 ck.add(grown)
                 for vid in vids:
-                    offer(grown, vid, _relabel(cand, vid))
+                    offer(grown, vid, cand)
             if found:
-                trip_sets.append(grown)
                 known.add(grown)
-                by_size.setdefault(k, []).append(grown)
-        k += 1
+        level = [s for s in known if len(s) == k]
+        if not level:
+            break
 
-    # number trips deterministically by (size, ids)
-    ordered = sorted(trip_sets, key=lambda s: (len(s), tuple(sorted(s))))
-    trip_id_of = {s: i for i, s in enumerate(ordered)}
-    trips = tuple(
-        Trip(i, tuple(sorted(s))) for i, s in enumerate(ordered)
-    )
-    edges = []
-    for (trip_key, vid), cand in routes.items():
-        if trip_key is None:
-            edges.append(Edge(None, vid, cand.total_distance, cand))
-        elif trip_key in trip_id_of:
-            edges.append(Edge(trip_id_of[trip_key], vid, cand.total_distance, cand))
+    # number trips deterministically by (size, ids); the empty trip is the
+    # delivery-only edge's None
+    ordered = sorted((s for s in known if s), key=lambda s: (len(s), tuple(sorted(s))))
+    trip_id_of: dict[frozenset, Optional[int]] = {s: i for i, s in enumerate(ordered)}
+    trip_id_of[frozenset()] = None
+    trips = tuple(Trip(i, tuple(sorted(s))) for i, s in enumerate(ordered))
+    edges = [
+        Edge(trip_id_of[trip_key], vid, cand.total_distance, cand)
+        for (trip_key, vid), cand in routes.items()
+    ]
     edges.sort(
         key=lambda e: (() if e.trip_id is None else trips[e.trip_id].request_ids, e.vehicle_id)
     )
 
     position_of = {(e.trip_id, e.vehicle_id): i for i, e in enumerate(edges)}
-    fallback_positions = []
+    fallback = []
     for key, vid in preferred_keys:
-        if key is None:
-            lookup = (None, vid)
-        elif key in trip_id_of:
-            lookup = (trip_id_of[key], vid)
-        else:
-            continue
-        if lookup in position_of:
-            fallback_positions.append(position_of[lookup])
-    fallback = tuple(sorted(fallback_positions))
-
-    index: dict[int, list[int]] = {}
-    for t in trips:
-        for rid in t.request_ids:
-            index.setdefault(rid, []).append(t.id)
-    request_index = {rid: tuple(ids) for rid, ids in sorted(index.items())}
-    requiring = frozenset(s.vehicle_id for s in states if s.onboard)
+        at = position_of.get((trip_id_of[key], vid))
+        if at is not None:
+            fallback.append(at)
     return RtvGraph(
         trips,
         tuple(edges),
-        request_index,
         frozenset(r.id for r in requests),
-        requiring,
-        fallback,
+        frozenset(s.vehicle_id for s in states if s.onboard),
+        tuple(sorted(fallback)),
     )

@@ -167,10 +167,6 @@ def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> tuple[RtvGraph,
         for tid, vid in sorted(chosen, key=lambda c: (() if c[0] is None
                                                       else trips[c[0]].request_ids, c[1]))
     )
-    index: dict[int, list[int]] = {rid: [] for rid in universe}
-    for t in trips:
-        for rid in t.request_ids:
-            index[rid].append(t.id)
     requiring = frozenset(
         v for v in range(n_veh)
         if any(e.vehicle_id == v for e in edges) and rng.random() < 0.25
@@ -178,7 +174,6 @@ def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> tuple[RtvGraph,
     graph = RtvGraph(
         trips=trips,
         edges=edges,
-        request_index={r: tuple(ix) for r, ix in index.items()},
         request_universe=frozenset(universe),
         vehicles_requiring_route=requiring,
     )

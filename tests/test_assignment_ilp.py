@@ -20,14 +20,9 @@ def graph_of(trip_sets, edge_specs, n_req, requiring=()):
         Edge(None if s is None else tid_of[frozenset(s)], vid, cost, None)
         for s, vid, cost in edge_specs
     )
-    index = {}
-    for t in trips:
-        for rid in t.request_ids:
-            index.setdefault(rid, []).append(t.id)
     return RtvGraph(
         trips=trips,
         edges=edges,
-        request_index={r: tuple(v) for r, v in index.items()},
         request_universe=frozenset(range(n_req)),
         vehicles_requiring_route=frozenset(requiring),
     )

@@ -110,8 +110,6 @@ def test_adapt_benchmark_requires_horizon():
     no_h = dataclasses.replace(inst, native_horizon=None)
     with pytest.raises(ValueError, match="horizon"):
         adapt_benchmark(no_h)
-    with pytest.raises(ValueError):
-        adapt_benchmark(inst, horizon_reference=0)
 
 
 CSV_GOOD = """id,pickup_x,pickup_y,dropoff_x,dropoff_y,desired_pickup_min

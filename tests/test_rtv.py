@@ -65,12 +65,9 @@ def test_graph_trips_and_edges_small_instance():
     assert frozenset((0, 1)) in sets
     assert graph.request_universe == frozenset((0, 1))
     assert graph.vehicles_requiring_route == frozenset()
-    # ids are positional and the index inverts the trips
+    # ids are positional
     for i, t in enumerate(graph.trips):
         assert t.id == i
-    for rid, tids in graph.request_index.items():
-        for tid in tids:
-            assert rid in graph.trips[tid].request_ids
 
 
 def test_graph_subset_closure():
@@ -175,6 +172,27 @@ def test_previous_plan_is_rebuilt_as_an_edge():
     assert best.route.stops == plan.stops
 
 
+def test_carried_over_group_is_offered_to_every_vehicle():
+    a = mk(0, 2, 0, 6, 0, 300)
+    b = mk(1, 3, 0, 7, 0, 400)
+    config = cfg(capacity=2)
+    plan = best_route_exhaustive(PlanStart(Location(0, 0), 0), [a, b], TRAVEL, config)
+    planner = VehicleState(
+        vehicle_id=0,
+        plan_location=Location(0, 0),
+        plan_time=0,
+        planned_suffix=plan.sequence,
+    )
+    graph = build_rtv_graph([a, b], [planner, fresh_state(1, 1, 0)], TRAVEL, config)
+    pair_costs = {
+        e.vehicle_id: e.cost
+        for e in graph.edges
+        if graph.trip_requests(e.trip_id) == (0, 1)
+    }
+    # the idle vehicle one unit closer drives the planner's group for less
+    assert pair_costs == {0: 7.0, 1: 6.0}
+
+
 def test_edge_costs_match_independent_walk():
     rng = random.Random(3131)
     config = cfg()
@@ -206,11 +224,22 @@ def test_edges_sorted_and_build_deterministic():
     config = cfg()
     reqs = [random_request(rng, rid, 7.0, 500, TRAVEL) for rid in range(5)]
     states = [fresh_state(0, 1, 1), fresh_state(1, 5, 5)]
-    g1 = build_rtv_graph(reqs, states, TRAVEL, config)
-    g2 = build_rtv_graph(list(reversed(reqs)), list(reversed(states)), TRAVEL, config)
-    assert g1 == g2
-    keys = [
-        ((() if e.trip_id is None else g1.trips[e.trip_id].request_ids), e.vehicle_id)
-        for e in g1.edges
-    ]
-    assert keys == sorted(keys)
+    # a third vehicle carries a plan over, so the carried-over sets that seed
+    # the enumeration are part of the input too
+    plan_start = PlanStart(Location(3, 3), 0)
+    for pair in itertools.combinations(reqs, 2):
+        plan = best_route_exhaustive(plan_start, pair, TRAVEL, config)
+        if plan is not None:
+            break
+    assert plan is not None
+    carrier = VehicleState(vehicle_id=2, plan_location=Location(3, 3), plan_time=0,
+                           planned_suffix=plan.sequence)
+    for fleet in (states, states + [carrier]):
+        g1 = build_rtv_graph(reqs, fleet, TRAVEL, config)
+        g2 = build_rtv_graph(list(reversed(reqs)), list(reversed(fleet)), TRAVEL, config)
+        assert g1 == g2
+        keys = [
+            ((() if e.trip_id is None else g1.trips[e.trip_id].request_ids), e.vehicle_id)
+            for e in g1.edges
+        ]
+        assert keys == sorted(keys)
