@@ -15,8 +15,8 @@ from .assignment_ilp import (
     compute_penalty,
     solve_assignment,
 )
-from .corpus import CORPUS_SEEDS, corpus_config, corpus_instances, make_instance
-from .engine import ConfigError, EngineError, run, run_baseline
+from .corpus import CORPUS_SEEDS, corpus_config, make_instance
+from .engine import ConfigError, EngineError, run
 from .instance_io import (
     Instance,
     ParseError,
@@ -99,7 +99,6 @@ __all__ = [
     "canonical_objective",
     "compute_penalty",
     "corpus_config",
-    "corpus_instances",
     "coverage_end",
     "derive_earliest_dropoff",
     "load_csv_requests",
@@ -110,7 +109,6 @@ __all__ = [
     "pair_feasible",
     "report_violations",
     "run",
-    "run_baseline",
     "schedule_route",
     "simulate_step",
     "solve_assignment",

@@ -115,8 +115,15 @@ def solve_assignment(
     passengers already aboard; their delivery is enforced through the
     exactly-one-route rule for their vehicle rather than a variable here.
     Exceeding the node budget returns the incumbent flagged not proven
-    optimal. Ties are broken toward the lexicographically smallest chosen
-    edge set, so results are reproducible.
+    optimal. Ties are broken deterministically, so results are
+    reproducible. Vehicles with identical menus (same trips, costs and stop
+    orders) are twins, and the search keeps one labeling of them: twins in
+    id order take options in increasing menu position (cost, then trip
+    request ids), and idle twins come after busy ones. Among the
+    assignments so kept, the lexicographically smallest (trip request ids,
+    vehicle id) edge set wins. A tie between two labelings of twins
+    therefore goes to the one whose lower-id twin drives the cheaper trip,
+    which need not be the smaller edge set.
     """
     penalty = compute_penalty(graph)
     universe = graph.request_universe
@@ -141,8 +148,10 @@ def solve_assignment(
 
     # vehicles with identical menus (same trips, costs and stop orders, e.g.
     # an idle fleet parked at one depot) are interchangeable; the search
-    # keeps only the representative where they take options in increasing
-    # menu position, which is also the tie-break-minimal labeling
+    # keeps only the labeling where they take options in increasing menu
+    # position. That is not always the labeling with the smallest solution
+    # key: with menu (64,) before (51,), twins 0 and 1 get (64,) and (51,)
+    # although ((51,), 0), ((64,), 1) ties it with a smaller key
     def menu_signature(v):
         rows = []
         for e in edges_of[v]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .instance_io import Instance
 from .model import Location, Request, SolverConfig, Vehicle, derive_earliest_dropoff
@@ -98,9 +97,3 @@ def make_instance(
         },
         name=f"corpus-{seed}",
     )
-
-
-def corpus_instances(
-    seeds=CORPUS_SEEDS, n_requests: int = 100, n_vehicles: int = FLEET_SIZE
-) -> tuple[Instance, ...]:
-    return tuple(make_instance(s, n_requests, n_vehicles) for s in seeds)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import time
 import warnings
 from typing import Callable, Mapping, Optional, Sequence
@@ -193,8 +192,3 @@ def run(
         travel_info=_travel_info(travel),
         seed=seed,
     )
-
-
-def run_baseline(instance: Instance, config: SolverConfig, **kwargs) -> RunReport:
-    """Same run with no look-back: every batch is matched as it lands."""
-    return run(instance, dataclasses.replace(config, rh_factor=0), **kwargs)

@@ -2,19 +2,25 @@
 
 schedule_route times a fixed stop sequence; it is the one stop-timing
 kernel over Request objects. best_route_exhaustive searches every
-precedence-valid ordering and is exact for small request sets.
-best_route_insertion slots one new request into an existing order and is
-the fallback once exhaustive search would be too wide; it and the greedy
-delivery-only route share one placement routine that re-times every
-candidate through schedule_route. pair_feasible only asks whether two
-requests can share a vehicle at all. The exhaustive search and the pair
-screen time stops inline over integer positions, for speed.
+precedence-valid ordering and is exact for small request sets; it runs
+over the slots of a StopTable, which numbers each rider's two stops and
+keeps every leg once it has been timed, so the searches of one re-solve
+share their legs. best_route_insertion slots one new request into an
+existing order and is the fallback once exhaustive search would be too
+wide; it and the greedy delivery-only route share one placement routine,
+which times each placement from the base route's own schedule and
+re-times only the winner through schedule_route. pair_feasible only asks
+whether two requests can share a vehicle at all. The exhaustive search
+and the pair screen time stops inline over integer positions, for speed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations_with_replacement
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .model import DROPOFF, PICKUP, Location, Request, SolverConfig, Stop
@@ -33,13 +39,28 @@ class PlanStart:
 class CandidateRoute:
     """A timed stop sequence for one vehicle with its feasibility verdict."""
 
-    stops: tuple[Stop, ...]
     total_distance: float
     # (arrival, service_start, departure) per stop; service may lag arrival
     # when the vehicle reaches a pickup before the desired time
     schedule: tuple[tuple[int, int, int], ...]
     feasible: bool
-    sequence: tuple[tuple[str, Request], ...] = field(default=(), repr=False)
+    sequence: tuple[tuple[str, Request], ...] = field(repr=False)
+    start_load: int = field(repr=False)  # seats the passengers aboard take
+
+    @cached_property
+    def stops(self) -> tuple[Stop, ...]:
+        """The sequence as Stop records; built on first read, since only
+        the few routes an assignment picks are ever read this way."""
+        load = self.start_load
+        out = []
+        for (kind, req), (_arrival, service, _depart) in zip(self.sequence, self.schedule):
+            if kind == PICKUP:
+                load += req.load
+                out.append(Stop(kind, req.id, req.pickup, service, load))
+            else:
+                load -= req.load
+                out.append(Stop(kind, req.id, req.dropoff, service, load))
+        return tuple(out)
 
 
 def _sequence_key(sequence: Iterable[tuple[str, Request]]) -> tuple[tuple[int, int], ...]:
@@ -77,12 +98,12 @@ def schedule_route(
     load = 0
     feasible = True
     total = 0.0
-    stops: list[Stop] = []
     sched: list[tuple[int, int, int]] = []
     # passengers already aboard occupy seats from the start
     for rid in start.onboard:
         req = by_id.get(rid)
         load += req.load if req is not None else 1
+    start_load = load
     if load > config.capacity:
         feasible = False
     for kind, req in sequence:
@@ -100,9 +121,11 @@ def schedule_route(
         feasible = feasible and service - earliest <= limit and load <= config.capacity
         free = service + config.dwell
         loc = target
-        stops.append(Stop(kind, req.id, target, service, load))
         sched.append((arrival, service, free))
-    return CandidateRoute(tuple(stops), total, tuple(sched), feasible, tuple(sequence))
+    return CandidateRoute(total, tuple(sched), feasible, tuple(sequence), start_load)
+
+
+_request_id = attrgetter("id")
 
 
 def _resolve_onboard(start, requests_by_id) -> list[Request]:
@@ -121,12 +144,65 @@ def _resolve_onboard(start, requests_by_id) -> list[Request]:
 _BOUND_SLACK = 1e-9
 
 
+class StopTable:
+    """Numbered stops and lazily timed legs shared by route searches.
+
+    Rider i, counted in id order, has its pickup at slot 2i and its dropoff
+    at slot 2i + 1, so comparing tuples of slots compares the stop-key
+    sequences they spell. Each distinct origin location gets one slot after
+    the riders'. Legs between slots are timed on first use and kept, so
+    every search handed the same table pays for each leg once.
+    """
+
+    def __init__(self, riders: Iterable[Request], origins: Iterable[Location],
+                 travel, config: SolverConfig):
+        self.riders = sorted(riders, key=_request_id)
+        self.travel = travel
+        self.config = config
+        self.slot_of = {r.id: 2 * i for i, r in enumerate(self.riders)}
+        if len(self.slot_of) != len(self.riders):
+            raise ValueError("stop table riders must have distinct ids")
+        self.points: list[Location] = []
+        self.opens: list[int] = []
+        self.limits: list[int] = []
+        self.deltas: list[int] = []
+        for r in self.riders:
+            self.points += (r.pickup, r.dropoff)
+            self.opens += (r.desired_pickup_time, r.earliest_dropoff_time)
+            self.limits += (config.max_wait, config.max_delay)
+            self.deltas += (r.load, -r.load)
+        self.origin_slot: dict[Location, int] = {}
+        for loc in origins:
+            if loc not in self.origin_slot:
+                self.origin_slot[loc] = len(self.points)
+                self.points.append(loc)
+        # leg a -> b at width * a + b
+        self.width = len(self.points)
+        self.times: list[Optional[int]] = [None] * (self.width * self.width)
+        self.dists: list[Optional[float]] = [None] * (self.width * self.width)
+
+    def first_slots(self, new: Sequence[Request], onboard: Sequence[Request]) -> list[int]:
+        """Sorted slots of each new rider's pickup and each passenger's dropoff."""
+        slots = []
+        for reqs, first in ((new, 0), (onboard, 1)):
+            for req in reqs:
+                slot = self.slot_of.get(req.id)
+                if slot is None or (self.riders[slot >> 1] is not req
+                                    and self.riders[slot >> 1] != req):
+                    raise ValueError(f"request {req.id} is not a rider of this stop table")
+                slots.append(slot + first)
+        slots.sort()
+        return slots
+
+
 def best_route_exhaustive(
     start,
     request_set: Iterable[Request],
     travel,
     config: SolverConfig,
     requests_by_id: Optional[Mapping[int, Request]] = None,
+    *,
+    table: Optional[StopTable] = None,
 ) -> Optional[CandidateRoute]:
     """Exact search over every valid ordering of the required stops.
 
@@ -134,57 +210,46 @@ def best_route_exhaustive(
     plus a dropoff for each passenger already onboard. Returns the feasible
     route with minimum total distance (ties: lexicographically smallest
     stop-key sequence), or None when every ordering fails a constraint.
+    `table` shares numbered stops and timed legs between searches; it must
+    hold every rider of the search and the start's location, and have been
+    built for the same travel model and config. Without one, the search
+    builds a table of its own.
     """
-    new = sorted(request_set, key=lambda r: r.id)
+    new = sorted(request_set, key=_request_id)
     if len(new) > config.exhaustive_route_limit:
         raise ValueError(
             f"{len(new)} requests exceeds exhaustive_route_limit "
             f"{config.exhaustive_route_limit}"
         )
-    onboard_reqs = _resolve_onboard(start, requests_by_id) if start.onboard else []
-    start_load = sum(r.load for r in onboard_reqs)
-    if start_load > config.capacity:
-        return None
+    onboard_reqs: list[Request] = []
+    start_load = 0
+    if start.onboard:
+        onboard_reqs = _resolve_onboard(start, requests_by_id)
+        for r in new:
+            if r.id in start.onboard:
+                raise ValueError(f"request {r.id} is already onboard")
+        start_load = sum(r.load for r in onboard_reqs)
+        if start_load > config.capacity:
+            return None
+    if table is None:
+        table = StopTable(new + onboard_reqs, (start.plan_location,), travel, config)
+    elif table.travel is not travel or (table.config is not config
+                                        and table.config != config):
+        raise ValueError("stop table was built for another travel model or config")
+    origin = table.origin_slot.get(start.plan_location)
+    if origin is None:
+        raise ValueError("the start's location has no origin slot in the stop table")
 
-    # number the required stops once, in stop-key order, so comparing
-    # tuples of positions compares stop-key sequences; the search below
-    # touches only these small integers, and the vehicle's origin is n.
-    # Each rider's first stop is ready at the start; a pickup at i releases
-    # its own dropoff at i + 1
-    riders = [(r.id, PICKUP, r) for r in new]
-    for rid, _kind, _r in riders:
-        if rid in start.onboard:
-            raise ValueError(f"request {rid} is already onboard")
-    riders += [(r.id, DROPOFF, r) for r in onboard_reqs]
-    riders.sort(key=lambda t: t[0])
-    order: list[tuple[str, Request]] = []
-    points, opens, limits, deltas, release, ready = [], [], [], [], [], []
-    for _rid, first, r in riders:
-        ready.append(len(order))
-        if first == PICKUP:
-            order.append((PICKUP, r))
-            points.append(r.pickup)
-            opens.append(r.desired_pickup_time)
-            limits.append(config.max_wait)
-            deltas.append(r.load)
-            release.append(len(order))
-        order.append((DROPOFF, r))
-        points.append(r.dropoff)
-        opens.append(r.earliest_dropoff_time)
-        limits.append(config.max_delay)
-        deltas.append(-r.load)
-        release.append(-1)
-    n = len(order)
-    points.append(start.plan_location)
+    # the search touches only slots: each rider's first stop is ready at the
+    # start, a pickup at slot p releases its dropoff at p + 1, and slots
+    # order like stop keys, so every list below runs in stop-key order
+    ready = table.first_slots(new, onboard_reqs)
+    n = 2 * len(new) + len(onboard_reqs)
+    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
+    width, times, dists = table.width, table.times, table.dists
 
-    # leg i -> j at width * i + j, filled on first use
-    width = n + 1
-    dists: list = [None] * (width * width)
-    times: list = [None] * (width * width)
-
-    done = [False] * n
-    path: list[tuple[int, int, int, int, int]] = []  # pos, arrival, service, depart, load
-    best: Optional[tuple[float, tuple, list]] = None
+    path: list[int] = []  # slots visited so far
+    best: Optional[tuple[float, tuple[int, ...]]] = None  # cost, slots
     late_kill = getattr(travel, "obeys_triangle", False)
     dwell = config.dwell
     cap = config.capacity
@@ -193,17 +258,34 @@ def best_route_exhaustive(
 
     def dfs(here, free, load, cost):
         nonlocal best
-        if len(path) == n:
-            key = tuple([step[0] for step in path])
-            if best is None or (cost, key) < (best[0], best[1]):
-                best = (cost, key, path[:])
-            return
-        # stop timing is schedule_route spelled out over positions: this runs
+        # stop timing is schedule_route spelled out over slots: this runs
         # at every node of every search, and a call per stop plus a leg memo
         # keyed by Location pairs cost more than the arithmetic
         row = width * here
+        if len(path) == n - 1:
+            # the one stop left completes the route; the in-arc bound is
+            # then just the route's own cost, which the leaf test below
+            # rejects whenever the bound would
+            pos = ready[0]
+            leg = row + pos
+            tt = times[leg]
+            if tt is None:
+                tt = times[leg] = time_of(points[here], points[pos])
+                if dists[leg] is None:
+                    dists[leg] = dist_of(points[here], points[pos])
+            arrival = free + tt
+            earliest = opens[pos]
+            service = arrival if arrival > earliest else earliest
+            if service - earliest > limits[pos] or load + deltas[pos] > cap:
+                return
+            total = cost + dists[leg]
+            if best is None or total <= best[0]:
+                leaf = (total, (*path, pos))
+                if best is None or leaf < best:
+                    best = leaf
+            return
         timed = []
-        for pos in ready:
+        for i, pos in enumerate(ready):
             leg = row + pos
             tt = times[leg]
             if tt is None:
@@ -221,10 +303,10 @@ def best_route_exhaustive(
                 continue
             load2 = load + deltas[pos]
             if load2 <= cap:
-                timed.append((dists[leg], pos, arrival, service, service + dwell, load2))
+                timed.append((dists[leg], pos, i, service + dwell, load2))
         # cheapest feasible hop first: a tight incumbent early makes the
         # in-arc bound below bite; the leaf tie-break fixes the final order.
-        # Positions are unique, so the sort never looks past them
+        # Slots are unique, so the sort never looks past them
         timed.sort()
         # every stop not yet visited must still be entered from the current
         # position or from another pending stop, so summing each pending
@@ -233,10 +315,11 @@ def best_route_exhaustive(
         # exists, so searches that die early never pay for them
         t_static = None
         static_in = None
-        for dist, pos, arrival, service, depart, load2 in timed:
+        for dist, pos, i, depart, load2 in timed:
             if best is not None:
                 if t_static is None:  # incumbent may appear mid-loop
-                    pending = [i for i in range(n) if not done[i]]
+                    # each ready pickup still owes its dropoff too
+                    pending = [s for r in ready for s in ((r,) if r & 1 else (r, r + 1))]
                     t_static = 0.0
                     static_in = {}
                     for b in pending:
@@ -254,34 +337,41 @@ def best_route_exhaustive(
                 bound = cost + dist + t_static - static_in[pos]
                 if bound - best[0] > (best[0] + t_static) * _BOUND_SLACK:
                     continue
-            i = ready.index(pos)
-            rel = release[pos]
-            if rel < 0:
+            if pos & 1:
                 del ready[i]
             else:
-                ready[i] = rel
-            done[pos] = True
-            path.append((pos, arrival, service, depart, load2))
+                ready[i] = pos + 1
+            path.append(pos)
             dfs(pos, depart, load2, cost + dist)
             path.pop()
-            done[pos] = False
-            if rel < 0:
+            if pos & 1:
                 ready.insert(i, pos)
             else:
                 ready[i] = pos
 
-    dfs(n, start.plan_time, start_load, 0.0)
+    if n:
+        dfs(origin, start.plan_time, start_load, 0.0)
+    else:
+        best = (0.0, ())
     if best is None:
         return None
-    cost, _key, steps = best
-    stops = []
+    # time the winner once more over legs the search already filled
+    cost, slots = best
+    riders = table.riders
     sched = []
-    for pos, arrival, service, depart, load in steps:
-        kind, req = order[pos]
-        stops.append(Stop(kind, req.id, points[pos], service, load))
-        sched.append((arrival, service, depart))
+    here, free = origin, start.plan_time
+    for pos in slots:
+        arrival = free + times[width * here + pos]
+        service = max(arrival, opens[pos])
+        free = service + dwell
+        sched.append((arrival, service, free))
+        here = pos
     return CandidateRoute(
-        tuple(stops), cost, tuple(sched), True, tuple(order[step[0]] for step in steps)
+        cost,
+        tuple(sched),
+        True,
+        tuple([(DROPOFF if pos & 1 else PICKUP, riders[pos >> 1]) for pos in slots]),
+        start_load,
     )
 
 
@@ -374,23 +464,136 @@ def _insert_stops(
 ) -> Optional[CandidateRoute]:
     """Cheapest feasible placement of new_stops, kept in their given order.
 
-    Tries every placement that keeps the base order, re-times each candidate
-    through schedule_route and keeps the lowest (distance, stop keys).
-    Returns None when no placement is feasible.
+    Tries every placement that keeps the base order and keeps the lowest
+    (distance, stop keys). base_route must have been timed from start, and
+    be feasible unless it is empty. Each placement is timed from the base
+    route's own schedule: the stops before the first new stop keep their
+    times, and once every new stop is placed and a base stop's service
+    start is back at its old value, the push is absorbed and every later
+    stop keeps its time too (forward time slack, Savelsbergh 1992). Leg
+    distances are still added one by one in route order, as schedule_route
+    adds them, so the (distance, stop keys) key is bit-identical to the
+    kernel's; only the winner is re-timed through schedule_route. Returns
+    None when no placement is feasible.
     """
-    base = list(base_route.sequence)
-    best: Optional[tuple[tuple, CandidateRoute]] = None
-    for slots in combinations_with_replacement(range(len(base) + 1), len(new_stops)):
-        seq = []
-        prev = 0
-        for at, stop in zip(slots, new_stops):
-            seq += base[prev:at]
-            seq.append(stop)
-            prev = at
-        seq += base[prev:]
-        cand = schedule_route(start, seq, travel, config)
-        if cand.feasible:
-            key = (cand.total_distance, _sequence_key(seq))
-            if best is None or key < best[0]:
-                best = (key, cand)
-    return None if best is None else best[1]
+    base = base_route.sequence
+    in_base = {req.id for _kind, req in base}
+    picked = set(start.onboard)
+    for kind, req in new_stops:
+        if req.id in in_base or (req.id in picked) != (kind == DROPOFF):
+            raise ValueError(f"{kind} of request {req.id} cannot join this route")
+        picked.add(req.id)
+    n = len(base)
+    m = len(new_stops)
+    cap = config.capacity
+    dwell = config.dwell
+    # onboard passengers count as schedule_route counts them on the
+    # candidate: by load when the candidate carries their request, else 1
+    by_id = {req.id: req for _kind, req in (*base, *new_stops)}
+    start_load = sum(by_id[rid].load if rid in by_id else 1 for rid in start.onboard)
+    if start_load > cap:
+        return None
+
+    # stops 0..n-1 are the base's, n..n+m-1 the new ones, n+m the origin
+    points, opens, limits, deltas = [], [], [], []
+    for kind, req in (*base, *new_stops):
+        if kind == PICKUP:
+            points.append(req.pickup)
+            opens.append(req.desired_pickup_time)
+            limits.append(config.max_wait)
+            deltas.append(req.load)
+        else:
+            points.append(req.dropoff)
+            opens.append(req.earliest_dropoff_time)
+            limits.append(config.max_delay)
+            deltas.append(-req.load)
+    origin = n + m
+    points.append(start.plan_location)
+
+    # per base stop: the running distance before its leg, the load after
+    # it, and the largest load from it on; base legs come from the schedule
+    sched = base_route.schedule
+    legs: dict[tuple[int, int], tuple[int, float]] = {}
+    dist_before = [0.0]
+    load_after = []
+    prev, free, load = origin, start.plan_time, start_load
+    for j in range(n):
+        d = travel.distance(points[prev], points[j])
+        legs[prev, j] = (sched[j][0] - free, d)
+        dist_before.append(dist_before[j] + d)
+        load += deltas[j]
+        load_after.append(load)
+        prev, free = j, sched[j][2]
+    max_from = load_after + [-math.inf]
+    for j in range(n - 1, -1, -1):
+        max_from[j] = max(max_from[j], max_from[j + 1])
+    # the unchanged prefix must keep its loads within capacity
+    last_first = next((j for j in range(n) if load_after[j] > cap), n)
+
+    best: Optional[tuple[float, tuple[int, ...]]] = None
+    best_key = None
+    for slots in combinations_with_replacement(range(n + 1), m):
+        first = slots[0]
+        if first > last_first:
+            break
+        if first:
+            prev, free, load = first - 1, sched[first - 1][2], load_after[first - 1]
+        else:
+            prev, free, load = origin, start.plan_time, start_load
+        total = dist_before[first]
+        j, t = first, 0
+        feasible = True
+        while j < n or t < m:
+            if t < m and slots[t] == j:
+                cur = n + t
+                t += 1
+            else:
+                cur = j
+                j += 1
+            leg = legs.get((prev, cur))
+            if leg is None:
+                leg = legs[prev, cur] = (travel.travel_time(points[prev], points[cur]),
+                                         travel.distance(points[prev], points[cur]))
+            total += leg[1]
+            arrival = free + leg[0]
+            earliest = opens[cur]
+            service = arrival if arrival > earliest else earliest
+            load += deltas[cur]
+            if service - earliest > limits[cur] or load > cap:
+                feasible = False
+                break
+            free = service + dwell
+            prev = cur
+            if t == m and cur < n and service == sched[cur][1]:
+                # absorbed: the rest runs on the base schedule
+                if max_from[j] + load - load_after[cur] > cap:
+                    feasible = False
+                    break
+                for k in range(j, n):
+                    total += legs[k - 1, k][1]
+                break
+        if not feasible:
+            continue
+        if best is None or total < best[0]:
+            best, best_key = (total, slots), None
+        elif total == best[0]:
+            if best_key is None:
+                best_key = _sequence_key(_placed(base, new_stops, best[1]))
+            key = _sequence_key(_placed(base, new_stops, slots))
+            if key < best_key:
+                best, best_key = (total, slots), key
+    if best is None:
+        return None
+    return schedule_route(start, _placed(base, new_stops, best[1]), travel, config)
+
+
+def _placed(base, new_stops, slots) -> list[tuple[str, Request]]:
+    """base with new_stops[i] placed before base stop slots[i]."""
+    seq = []
+    prev = 0
+    for at, stop in zip(slots, new_stops):
+        seq += base[prev:at]
+        seq.append(stop)
+        prev = at
+    seq += base[prev:]
+    return seq

@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 from .model import DROPOFF, PICKUP, Request, SolverConfig
 from .routing import (
     CandidateRoute,
+    StopTable,
     _insert_stops,
     _sequence_key,
     best_route_exhaustive,
@@ -65,13 +66,13 @@ class RtvGraph:
         return self.trips[trip_id].request_ids
 
 
-def _dropoff_only_route(state, travel, config, requests_by_id):
+def _dropoff_only_route(state, travel, config, requests_by_id, table):
     """Route that only delivers the vehicle's current passengers."""
     onboard = sorted(state.onboard)
     if not onboard:
         return None
     if len(onboard) <= config.exhaustive_route_limit:
-        return best_route_exhaustive(state, [], travel, config, requests_by_id)
+        return best_route_exhaustive(state, [], travel, config, requests_by_id, table=table)
     # too many aboard for exact search: place each dropoff greedily
     cand = schedule_route(state, (), travel, config)
     for rid in onboard:
@@ -82,7 +83,7 @@ def _dropoff_only_route(state, travel, config, requests_by_id):
 
 
 def _route_for(state, trip_reqs: Sequence[Request], base: Optional[CandidateRoute],
-               travel, config, requests_by_id):
+               travel, config, requests_by_id, table):
     """Route serving trip_reqs plus the vehicle's passengers.
 
     Exact search while the request count on the route stays within
@@ -91,7 +92,9 @@ def _route_for(state, trip_reqs: Sequence[Request], base: Optional[CandidateRout
     """
     total = len(trip_reqs) + len(state.onboard)
     if total <= config.exhaustive_route_limit:
-        return best_route_exhaustive(state, trip_reqs, travel, config, requests_by_id)
+        return best_route_exhaustive(
+            state, trip_reqs, travel, config, requests_by_id, table=table
+        )
     if base is None:
         return None
     return best_route_insertion(state, base, trip_reqs[-1], travel, config)
@@ -153,9 +156,13 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         else:
             classes[at][1].append(state.vehicle_id)
 
+    # every exact search of this re-solve numbers its stops and reads its
+    # legs from one table
+    table = StopTable(requests_by_id.values(), (rep.plan_location for rep, _ in classes),
+                      travel, config)
     dropoff_base: list[Optional[CandidateRoute]] = []
     for rep, vids in classes:
-        cand = _dropoff_only_route(rep, travel, config, requests_by_id)
+        cand = _dropoff_only_route(rep, travel, config, requests_by_id, table)
         dropoff_base.append(cand)
         for vid in vids:
             offer(frozenset(), vid, cand)
@@ -199,20 +206,22 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 if any(grown - {m} not in known for m in grown):
                     continue
                 candidates.add(grown)
-        for grown in sorted(candidates, key=lambda s: tuple(sorted(s))):
-            trip_reqs = [requests_by_id[i] for i in sorted(grown)]
+        for ids in sorted(tuple(sorted(s)) for s in candidates):
+            grown = frozenset(ids)
+            trip_reqs = [requests_by_id[i] for i in ids]
+            smaller = [grown - {m} for m in ids]  # the last drops the top id
             found = False
             for ci, (rep, vids) in enumerate(classes):
                 ck = class_known[ci]
                 # dropping any rider from a feasible route keeps it feasible,
                 # so this class needs every smaller subset too
-                if any(grown - {m} not in ck for m in grown):
+                if any(sub not in ck for sub in smaller):
                     continue
                 if k == 1:
                     base = dropoff_base[ci]
                 else:
-                    base = routes.get((grown - {max(grown)}, vids[0]))
-                cand = _route_for(rep, trip_reqs, base, travel, config, requests_by_id)
+                    base = routes.get((smaller[-1], vids[0]))
+                cand = _route_for(rep, trip_reqs, base, travel, config, requests_by_id, table)
                 if cand is None:
                     continue
                 found = True

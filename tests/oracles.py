@@ -121,6 +121,24 @@ def brute_force_best_route(
     return best[0], best[1], best[2]
 
 
+def order_keeping_placements(base: Sequence, new_stops: Sequence):
+    """Yield base with one or two new stops placed anywhere, in their order.
+
+    The base stops keep their relative order and the new stops theirs; a
+    second new stop never goes before the first.
+    """
+    n = len(base)
+    if len(new_stops) == 1:
+        for i in range(n + 1):
+            yield tuple(base[:i]) + (new_stops[0],) + tuple(base[i:])
+        return
+    first, second = new_stops
+    for i in range(n + 1):
+        for j in range(i, n + 1):
+            yield (tuple(base[:i]) + (first,) + tuple(base[i:j]) + (second,)
+                   + tuple(base[j:]))
+
+
 def canonical_objective(
     chosen: Iterable[tuple[frozenset, int, float]],
     ignored: Iterable[int],

@@ -167,6 +167,32 @@ def test_deterministic_tie_break():
     assert a.chosen_edges[0].vehicle_id == 0  # smallest (trip, vehicle) pair
 
 
+def test_twin_tie_goes_to_menu_order_not_smallest_key():
+    # vehicles 0 and 1 have identical menus, {1} before {0} by cost, so the
+    # search keeps only the labeling where vehicle 0 takes {1}; the tied
+    # relabeling ({0} on 0, {1} on 1) has the smaller key and is not chosen
+    g = graph_of(
+        [{0}, {1}],
+        [({0}, 0, 5.0), ({1}, 0, 3.0), ({0}, 1, 5.0), ({1}, 1, 3.0)],
+        n_req=2,
+    )
+    sol = solve_assignment(g)
+    assert sol.proven_optimal
+    assert sol.objective_value == 8.0
+    got = [(g.trip_requests(e.trip_id), e.vehicle_id) for e in sol.chosen_edges]
+    assert got == [((0,), 1), ((1,), 0)]
+    # with one more edge on vehicle 1 the menus differ, there are no twins,
+    # and the smallest key wins the same tie
+    g = graph_of(
+        [{0}, {1}, {2}],
+        [({0}, 0, 5.0), ({1}, 0, 3.0), ({0}, 1, 5.0), ({1}, 1, 3.0), ({2}, 1, 9.0)],
+        n_req=3,
+    )
+    sol = solve_assignment(g)
+    got = [(g.trip_requests(e.trip_id), e.vehicle_id) for e in sol.chosen_edges]
+    assert got == [((0,), 0), ((1,), 1)]
+
+
 def test_budget_exhaustion_not_claimed_optimal():
     # reaching the first leaf costs 3 budget units (two tree levels plus
     # one option scan) and leaves an incumbent ({0} served, 1 ignored);

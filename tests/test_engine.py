@@ -8,7 +8,7 @@ import pytest
 from instgen import random_instance
 from rollhorizon import engine
 from rollhorizon.assignment_ilp import AssignmentBudgetError, UnprovenAssignmentWarning
-from rollhorizon.engine import ConfigError, run, run_baseline
+from rollhorizon.engine import ConfigError, run
 from rollhorizon.instance_io import Instance, make_fleet
 from rollhorizon.model import (
     Location,
@@ -140,15 +140,6 @@ def test_same_input_same_report():
     assert a.records == b.records
     assert a.routes == b.routes
     assert a.summary.total_vmt == b.summary.total_vmt
-
-
-def test_run_baseline_is_rh_zero():
-    inst, cfg = two_request_instance()
-    base = run_baseline(inst, cfg)
-    assert base.config.rh_factor == 0
-    assert base.config.step == cfg.step
-    via_replace = run(inst, dataclasses.replace(cfg, rh_factor=0))
-    assert base.records == via_replace.records
 
 
 def _starved_assignment(monkeypatch, budget, *, keep_fallback=True, full_calls=0):

@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from instgen import random_plan_start, random_request
-from oracles import all_stop_orders, brute_force_best_route, naive_schedule, stop_sort_key
+from oracles import (
+    brute_force_best_route,
+    naive_schedule,
+    order_keeping_placements,
+    stop_sort_key,
+)
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -18,6 +23,8 @@ from rollhorizon.model import (
 from rollhorizon.model import Route
 from rollhorizon.routing import (
     PlanStart,
+    StopTable,
+    _insert_stops,
     best_route_exhaustive,
     best_route_insertion,
     schedule_route,
@@ -165,6 +172,71 @@ def test_exhaustive_equals_brute_force_on_hostile_inputs(case):
     assert got.schedule == again.schedule
 
 
+@st.composite
+def shared_table_case(draw):
+    # one set of riders and several starts, searched in random order on
+    # one table, as every search of a re-solve is
+    travel, points = draw(travel_case(draw(st.integers(1, 5))))
+    point = st.sampled_from(points)
+    reqs = {}
+    for rid in range(draw(st.integers(1, 5))):
+        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
+                      0, draw(st.integers(1, 2)))
+        reqs[rid] = derive_earliest_dropoff(req, travel)
+    config = SolverConfig(
+        horizon=3600, step=600, max_wait=draw(st.integers(0, 30)) * MINUTE,
+        max_delay=draw(st.integers(0, 40)) * MINUTE,
+        dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
+        capacity=draw(st.integers(1, 3)),
+    )
+    rider = st.sampled_from(sorted(reqs))
+    starts = draw(st.lists(
+        st.builds(PlanStart, point, st.integers(0, 10).map(lambda m: m * MINUTE),
+                  st.frozensets(rider, max_size=2)),
+        min_size=1, max_size=3,
+    ))
+    searches = []
+    for _ in range(draw(st.integers(1, 6))):
+        start = draw(st.sampled_from(starts))
+        free = sorted(reqs.keys() - start.onboard)
+        trip = draw(st.lists(st.sampled_from(free), unique=True,
+                             max_size=min(len(free), 3 - len(start.onboard)))
+                    if free else st.just([]))
+        searches.append((start, [reqs[r] for r in trip]))
+    return travel, config, reqs, starts, searches
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_table_case())
+def test_searches_sharing_a_table_equal_one_off_searches(case):
+    travel, config, by_id, starts, searches = case
+    table = StopTable(by_id.values(), [s.plan_location for s in starts], travel, config)
+    for start, trip in searches:
+        got = best_route_exhaustive(start, trip, travel, config, by_id, table=table)
+        assert got == best_route_exhaustive(start, trip, travel, config, by_id)
+        want = brute_force_best_route(
+            start.plan_location, start.plan_time, [r.id for r in trip],
+            sorted(start.onboard), by_id, travel, config,
+        )
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.total_distance == want[0]
+            assert tuple((k, r.id) for k, r in got.sequence) == tuple(want[1])
+            assert got.stops == tuple(want[2])
+
+
+def test_exhaustive_rejects_a_table_missing_its_rider_or_origin():
+    a, b = mk(0, 1, 0, 5, 0, 0), mk(1, 2, 0, 6, 0, 0)
+    start = PlanStart(Location(0, 0), 0)
+    table = StopTable([a], [start.plan_location], TRAVEL, cfg())
+    with pytest.raises(ValueError):
+        best_route_exhaustive(start, [b], TRAVEL, cfg(), table=table)
+    with pytest.raises(ValueError):
+        best_route_exhaustive(PlanStart(Location(9, 9), 0), [a], TRAVEL, cfg(), table=table)
+    with pytest.raises(ValueError):
+        best_route_exhaustive(start, [a], TRAVEL, cfg(dwell=0), table=table)
+
+
 def test_exhaustive_keeps_a_tie_its_bound_overshoots_by_rounding():
     # riders 0 and 3 are aboard; P1 D0 P2 D3 D1 D2 and P1 D1 D0 P2 D3 D2
     # drive the same legs in another order and cost the same float, but at
@@ -236,50 +308,83 @@ def test_insertion_preserves_base_order_and_never_beats_exact():
 
 @st.composite
 def insertion_case(draw):
-    # few shared points, so stops coincide and placements tie on distance
+    # few shared points, so stops coincide and placements tie on distance.
+    # The base serves up to 5 requests, where the engine inserts (past
+    # exhaustive_route_limit 4); the new stops are a pickup and dropoff, or
+    # one passenger's dropoff as when a vehicle only delivers its riders
     travel, points = draw(travel_case(draw(st.integers(1, 5))))
     point = st.sampled_from(points)
-    n_onboard = draw(st.integers(0, 2))
-    n_base = draw(st.integers(0, 3 - n_onboard))
+    lone_dropoff = draw(st.booleans())
+    n_onboard = draw(st.integers(int(lone_dropoff), 2))
+    n_base = draw(st.integers(0, 5 - n_onboard))
     # ids interleave, so the inserted request's keys sort anywhere in the route
-    ids = draw(st.permutations(range(n_base + n_onboard + 1)))
+    ids = draw(st.permutations(range(n_base + n_onboard + (not lone_dropoff))))
     reqs = {}
     for rid in ids:
-        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
+        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 40)) * MINUTE,
                       0, draw(st.integers(1, 2)))
         reqs[rid] = derive_earliest_dropoff(req, travel)
+    # loose limits too, or a random order of five requests is rarely feasible
     config = SolverConfig(
-        horizon=3600, step=600, max_wait=draw(st.integers(0, 30)) * MINUTE,
-        max_delay=draw(st.integers(0, 40)) * MINUTE,
+        horizon=3600, step=600,
+        max_wait=draw(st.integers(0, 30) | st.integers(30, 300)) * MINUTE,
+        max_delay=draw(st.integers(0, 40) | st.integers(40, 300)) * MINUTE,
         dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
-        capacity=draw(st.integers(1, 3)),
+        capacity=draw(st.integers(1, 3) | st.integers(4, 10)),
     )
-    new_id, base_ids, onboard = ids[0], ids[1:n_base + 1], ids[n_base + 1:]
+    new_id = ids[0]
+    if lone_dropoff:
+        onboard, base_ids = ids[:n_onboard], ids[n_onboard:]
+        new_stops = ((DROPOFF, new_id),)
+    else:
+        base_ids, onboard = ids[1:n_base + 1], ids[n_base + 1:]
+        new_stops = ((PICKUP, new_id), (DROPOFF, new_id))
+    # a random precedence-valid base order: shuffle every stop, then let
+    # each rider's earlier stop be its pickup. Every other passenger's
+    # dropoff is on it, as on every base the engine builds but the
+    # intermediate ones of its greedy delivery chain: schedule_route counts
+    # a passenger with no stop on the route as one seat
+    stops = [(PICKUP, r) for r in base_ids] + [(DROPOFF, r) for r in base_ids]
+    stops += [(DROPOFF, r) for r in onboard if r != new_id]
+    order = list(draw(st.permutations(stops)))
+    seen = set()
+    for i, (kind, rid) in enumerate(order):
+        if rid in base_ids:
+            order[i] = (DROPOFF if rid in seen else PICKUP, rid)
+            seen.add(rid)
+    if draw(st.booleans()):
+        # or visit the stops as they open, which is often feasible; a
+        # pickup opens no later than its dropoff, and the sort is stable
+        order.sort(key=lambda s: reqs[s[1]].desired_pickup_time if s[0] == PICKUP
+                   else reqs[s[1]].earliest_dropoff_time)
     start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE, frozenset(onboard))
-    base_order = draw(st.sampled_from(list(all_stop_orders(base_ids, onboard))))
-    return travel, config, start, base_order, reqs[new_id], reqs
+    return travel, config, start, tuple(order), new_stops, reqs
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(insertion_case())
 def test_insertion_equals_brute_force_over_order_keeping_placements(case):
-    travel, config, start, base_order, new, by_id = case
+    travel, config, start, base_order, new_stops, by_id = case
     base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], travel, config)
-    if not base.feasible:
-        with pytest.raises(ValueError):
-            best_route_insertion(start, base, new, travel, config)
-        return
+    new = [(k, by_id[r]) for k, r in new_stops]
+    if len(new_stops) == 2:
+        if not base.feasible:
+            with pytest.raises(ValueError):
+                best_route_insertion(start, base, new[0][1], travel, config)
+            return
+        got = best_route_insertion(start, base, new[0][1], travel, config)
+    else:
+        if base_order and not base.feasible:
+            return  # only an empty base may be infeasible here
+        got = _insert_stops(start, base, new, travel, config)
     want = None
-    for seq in all_stop_orders(sorted(by_id.keys() - start.onboard), sorted(start.onboard)):
-        if tuple(s for s in seq if s[1] != new.id) != base_order:
-            continue
+    for seq in order_keeping_placements(base_order, new_stops):
         feasible, cost, stops = naive_schedule(
             start.plan_location, start.plan_time, seq, by_id, travel, config, start.onboard
         )
         key = tuple(stop_sort_key(k, r) for k, r in seq)
         if feasible and (want is None or (cost, key) < (want[0], want[1])):
             want = (cost, key, seq, stops)
-    got = best_route_insertion(start, base, new, travel, config)
     assert (got is None) == (want is None)
     if got is None:
         return
@@ -287,6 +392,26 @@ def test_insertion_equals_brute_force_over_order_keeping_placements(case):
     assert got.total_distance == cost
     assert tuple((k, r.id) for k, r in got.sequence) == seq
     assert got.stops == tuple(stops)
+    assert got == schedule_route(start, got.sequence, travel, config)
+
+
+def test_dropoff_insertion_counts_the_passenger_it_drops():
+    # rider 0 (two seats) is aboard but not yet on the base, which counts
+    # it as one seat; dropping it first frees the seats the base needs
+    r0 = Request(0, Location(0, 0), Location(0, 0), 0, 0, load=2)
+    r1 = mk(1, 1, 0, 2, 0, 600)
+    r2 = mk(2, 1, 0, 2, 0, 600)
+    by_id = {0: r0, 1: r1, 2: r2}
+    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
+    config = cfg(dwell=0, capacity=3)
+    base_order = ((PICKUP, 1), (PICKUP, 2), (DROPOFF, 1), (DROPOFF, 2))
+    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], TRAVEL, config)
+    assert base.feasible
+    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config)
+    assert [(k, r.id) for k, r in got.sequence] == [(DROPOFF, 0), *base_order]
+    assert [s.onboard_after for s in got.stops] == [0, 1, 2, 1, 0]
+    assert got.schedule[1:] == base.schedule
+    assert got.total_distance == base.total_distance
 
 
 def test_insertion_requires_feasible_base():
