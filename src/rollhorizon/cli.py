@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import corpus as corpus_mod
+from .assignment_ilp import AssignmentBudgetError, StrandedRequestError
 from .engine import ConfigError, EngineError, run
 from .instance_io import (
     Instance,
@@ -27,12 +28,16 @@ from .instance_io import (
     write_report,
 )
 from .model import Location, SolverConfig, validate_config
+from .simulator import SimulationError
 from .travel import EuclideanTravel
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_PARSE = 2
 EXIT_CONFIG = 3
+EXIT_ASSIGNMENT_BUDGET = 4
+EXIT_STRANDED = 5
+EXIT_SIMULATION = 6
 
 # Standard service settings; the nyc profile only tightens the step.
 DEFAULT_STEP_MIN = 15.0
@@ -178,6 +183,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VIOLATIONS
+    except AssignmentBudgetError as e:
+        print(f"assignment error: {e}", file=sys.stderr)
+        return EXIT_ASSIGNMENT_BUDGET
+    except StrandedRequestError as e:
+        print(f"assignment error: {e}", file=sys.stderr)
+        return EXIT_STRANDED
+    except SimulationError as e:
+        print(f"simulation error: {e}", file=sys.stderr)
+        return EXIT_SIMULATION
     out = args.output or f"{Path(args.instance).stem}.report.{args.output_format}"
     write_report(report, out, format=args.output_format, include_timing=args.timings)
     print(f"{_summary_line(report)} report={out}")

@@ -7,12 +7,10 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .metrics import MetricsSummary
 from .model import (
-    DROPOFF,
-    PICKUP,
     Location,
     Request,
     Route,

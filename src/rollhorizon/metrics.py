@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
-from .model import PICKUP, Request, Route, ServiceRecord, Vehicle
+from .model import Request, Route, ServiceRecord, Vehicle
 
 
 @dataclass(frozen=True)

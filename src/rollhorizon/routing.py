@@ -1,17 +1,15 @@
 """Single-vehicle route construction and timing.
 
-schedule_route times a fixed stop sequence; it is the one stop-timing
-kernel over Request objects. best_route_exhaustive searches every
-precedence-valid ordering and is exact for small request sets; it runs
-over the slots of a StopTable, which numbers each rider's two stops and
-keeps every leg once it has been timed, so the searches of one re-solve
-share their legs. best_route_insertion slots one new request into an
-existing order and is the fallback once exhaustive search would be too
-wide; it and the greedy delivery-only route share one placement routine,
-which times each placement from the base route's own schedule and
-re-times only the winner through schedule_route. pair_feasible only asks
-whether two requests can share a vehicle at all. The exhaustive search
-and the pair screen time stops inline over integer positions, for speed.
+One StopTable numbers the stops, reads their attributes off the Requests
+and keeps every timed leg; the routines of a re-solve share one, and a
+routine called without one builds its own. One kernel, _timed_route, times
+every route returned here. schedule_route times a fixed stop sequence.
+best_route_exhaustive searches every precedence-valid ordering, exact for
+small request sets. best_route_insertion slots one new request into an
+existing order once exhaustive search would be too wide; it and the greedy
+delivery-only route share one placement routine. pair_feasible only asks
+whether two requests can share a vehicle. Those three hot loops time stops
+inline over slots, for speed.
 """
 
 from __future__ import annotations
@@ -63,95 +61,18 @@ class CandidateRoute:
         return tuple(out)
 
 
-def _sequence_key(sequence: Iterable[tuple[str, Request]]) -> tuple[tuple[int, int], ...]:
-    """Stop keys (request id, 0 for pickup / 1 for dropoff): the route tie-break."""
-    return tuple((req.id, 0 if kind == PICKUP else 1) for kind, req in sequence)
-
-
-def schedule_route(
-    start, sequence: Sequence[tuple[str, Request]], travel, config: SolverConfig
-) -> CandidateRoute:
-    """Time the given stop sequence from the vehicle's plan origin.
-
-    `start` needs plan_location, plan_time and onboard attributes (any
-    vehicle state or PlanStart works). Each dropoff must follow its pickup
-    or belong to a passenger already onboard; violating that is a usage
-    error, while timing or capacity trouble just yields feasible=False.
-    """
-    onboard = set(start.onboard)
-    by_id: dict[int, Request] = {}
-    for kind, req in sequence:
-        by_id[req.id] = req
-        if kind == PICKUP:
-            if req.id in onboard:
-                raise ValueError(f"request {req.id} picked up while already onboard")
-            onboard.add(req.id)
-        elif kind == DROPOFF:
-            if req.id not in onboard:
-                raise ValueError(f"dropoff of request {req.id} before its pickup")
-            onboard.discard(req.id)
-        else:
-            raise ValueError(f"unknown stop kind {kind!r}")
-
-    loc = start.plan_location
-    free = start.plan_time
-    load = 0
-    feasible = True
-    total = 0.0
-    sched: list[tuple[int, int, int]] = []
-    # passengers already aboard occupy seats from the start
-    for rid in start.onboard:
-        req = by_id.get(rid)
-        load += req.load if req is not None else 1
-    start_load = load
-    if load > config.capacity:
-        feasible = False
-    for kind, req in sequence:
-        if kind == PICKUP:
-            target, earliest, limit = req.pickup, req.desired_pickup_time, config.max_wait
-            load += req.load
-        else:
-            target, earliest, limit = req.dropoff, req.earliest_dropoff_time, config.max_delay
-            load -= req.load
-        arrival = free + travel.travel_time(loc, target)
-        total += travel.distance(loc, target)
-        # vehicle waits at the stop when early; waiting cost is passenger-side
-        # only. A dropoff lowers the load, so its capacity check never fails first
-        service = max(arrival, earliest)
-        feasible = feasible and service - earliest <= limit and load <= config.capacity
-        free = service + config.dwell
-        loc = target
-        sched.append((arrival, service, free))
-    return CandidateRoute(total, tuple(sched), feasible, tuple(sequence), start_load)
-
-
 _request_id = attrgetter("id")
 
 
-def _resolve_onboard(start, requests_by_id) -> list[Request]:
-    out = []
-    for rid in sorted(start.onboard):
-        if requests_by_id is None or rid not in requests_by_id:
-            raise ValueError(f"onboard request {rid} needs requests_by_id to resolve")
-        out.append(requests_by_id[rid])
-    return out
-
-
-# the in-arc bound and the route cost it is held against are float sums
-# taken in different orders, so a bound that is exact in real arithmetic can
-# exceed a tied route's cost in the last bits; pruning only past this
-# relative margin never cuts a route that ties or beats the incumbent
-_BOUND_SLACK = 1e-9
-
-
 class StopTable:
-    """Numbered stops and lazily timed legs shared by route searches.
+    """Numbered stops and lazily timed legs shared by route routines.
 
     Rider i, counted in id order, has its pickup at slot 2i and its dropoff
     at slot 2i + 1, so comparing tuples of slots compares the stop-key
     sequences they spell. Each distinct origin location gets one slot after
-    the riders'. Legs between slots are timed on first use and kept, so
-    every search handed the same table pays for each leg once.
+    the riders'. A leg's time and its distance are each filled on first
+    use and kept, so every routine handed the same table pays for each leg
+    once.
     """
 
     def __init__(self, riders: Iterable[Request], origins: Iterable[Location],
@@ -181,36 +102,138 @@ class StopTable:
         self.times: list[Optional[int]] = [None] * (self.width * self.width)
         self.dists: list[Optional[float]] = [None] * (self.width * self.width)
 
-    def first_slots(self, new: Sequence[Request], onboard: Sequence[Request]) -> list[int]:
-        """Sorted slots of each new rider's pickup and each passenger's dropoff."""
-        slots = []
-        for reqs, first in ((new, 0), (onboard, 1)):
-            for req in reqs:
-                slot = self.slot_of.get(req.id)
-                if slot is None or (self.riders[slot >> 1] is not req
-                                    and self.riders[slot >> 1] != req):
-                    raise ValueError(f"request {req.id} is not a rider of this stop table")
-                slots.append(slot + first)
-        slots.sort()
-        return slots
+    def seats(self, onboard: Iterable[int]) -> int:
+        """Seats taken by the passengers with these request ids, read from
+        their rider loads; a passenger who is no rider is a ValueError."""
+        seats = 0
+        for rid in onboard:
+            slot = self.slot_of.get(rid)
+            if slot is None:
+                raise ValueError(f"passenger {rid} aboard is not a rider of this stop table")
+            seats += self.deltas[slot]
+        return seats
+
+    def leg(self, a: int, b: int) -> int:
+        """Index of leg a -> b in times and dists, with both filled."""
+        leg = self.width * a + b
+        if self.times[leg] is None:
+            self.times[leg] = self.travel.travel_time(self.points[a], self.points[b])
+        if self.dists[leg] is None:
+            self.dists[leg] = self.travel.distance(self.points[a], self.points[b])
+        return leg
 
 
-def best_route_exhaustive(
-    start,
-    request_set: Iterable[Request],
-    travel,
-    config: SolverConfig,
-    requests_by_id: Optional[Mapping[int, Request]] = None,
-    *,
-    table: Optional[StopTable] = None,
-) -> Optional[CandidateRoute]:
+def _on_table(table: Optional[StopTable], stops: Sequence[tuple[str, Request]],
+              location: Optional[Location], travel, config: SolverConfig
+              ) -> tuple[StopTable, Optional[int], list[int]]:
+    """The table a routine runs over, location's origin slot, and the slot
+    of each stop.
+
+    `table` must have been built for the same travel model and config, hold
+    every stop's rider and give location (unless None) an origin slot.
+    Without one, a table of just those riders and that location is built.
+    """
+    if table is None:
+        riders = {req.id: req for _kind, req in stops}.values()
+        table = StopTable(riders, () if location is None else (location,), travel, config)
+    elif table.travel is not travel or (table.config is not config
+                                        and table.config != config):
+        raise ValueError("stop table was built for another travel model or config")
+    origin = None
+    if location is not None:
+        origin = table.origin_slot.get(location)
+        if origin is None:
+            raise ValueError("the start's location has no origin slot in the stop table")
+    slot_of, riders = table.slot_of, table.riders
+    slots = []
+    for kind, req in stops:
+        slot = slot_of.get(req.id)
+        if slot is None or (riders[slot >> 1] is not req and riders[slot >> 1] != req):
+            raise ValueError(f"request {req.id} is not a rider of this stop table")
+        slots.append(slot + 1 if kind == DROPOFF else slot)
+    return table, origin, slots
+
+
+def _timed_route(table: StopTable, origin: int, start, slots: Sequence[int]) -> CandidateRoute:
+    """Time the stops at slots from the start, at origin slot origin: the one
+    kernel behind every returned route. Passengers aboard take their riders' seats."""
+    opens, limits, deltas = table.opens, table.limits, table.deltas
+    width, times, dists = table.width, table.times, table.dists
+    cap, dwell = table.config.capacity, table.config.dwell
+    start_load = load = table.seats(start.onboard)
+    feasible = load <= cap
+    total = 0.0
+    sched = []
+    here, free = origin, start.plan_time
+    for pos in slots:
+        leg = width * here + pos
+        if times[leg] is None or dists[leg] is None:
+            table.leg(here, pos)
+        arrival = free + times[leg]
+        total += dists[leg]
+        # vehicle waits at the stop when early; waiting cost is passenger-side
+        # only. A dropoff lowers the load, so its capacity check never fails first
+        earliest = opens[pos]
+        service = arrival if arrival > earliest else earliest
+        load += deltas[pos]
+        if service - earliest > limits[pos] or load > cap:
+            feasible = False
+        free = service + dwell
+        sched.append((arrival, service, free))
+        here = pos
+    riders = table.riders
+    sequence = tuple([(DROPOFF if pos & 1 else PICKUP, riders[pos >> 1]) for pos in slots])
+    return CandidateRoute(total, tuple(sched), feasible, sequence, start_load)
+
+
+def schedule_route(start, sequence: Sequence[tuple[str, Request]], travel,
+                   config: SolverConfig, *, table: Optional[StopTable] = None) -> CandidateRoute:
+    """Time the given stop sequence from the vehicle's plan origin.
+
+    `start` needs plan_location, plan_time and onboard attributes (any
+    vehicle state or PlanStart works). Each dropoff must follow its pickup
+    or belong to a passenger already onboard; violating that is a usage
+    error, while timing or capacity trouble just yields feasible=False.
+    Passengers aboard take the seats their requests load, so each must be a
+    rider of `table` (ValueError otherwise), as must every stop's request;
+    the table must also hold the start's location and have been built for
+    the same travel model and config. Without a table, one of the
+    sequence's riders is built, so a passenger aboard with no stop on the
+    sequence is a ValueError.
+    """
+    onboard = set(start.onboard)
+    for kind, req in sequence:
+        if kind == PICKUP:
+            if req.id in onboard:
+                raise ValueError(f"request {req.id} picked up while already onboard")
+            onboard.add(req.id)
+        elif kind == DROPOFF:
+            if req.id not in onboard:
+                raise ValueError(f"dropoff of request {req.id} before its pickup")
+            onboard.discard(req.id)
+        else:
+            raise ValueError(f"unknown stop kind {kind!r}")
+    table, origin, slots = _on_table(table, sequence, start.plan_location, travel, config)
+    return _timed_route(table, origin, start, slots)
+
+
+# the in-arc bound and the route cost it is held against are float sums
+# taken in different orders, so a bound that is exact in real arithmetic can
+# exceed a tied route's cost in the last bits; pruning only past this
+# relative margin never cuts a route that ties or beats the incumbent
+_BOUND_SLACK = 1e-9
+
+
+def best_route_exhaustive(start, request_set: Iterable[Request], travel, config: SolverConfig,
+                          requests_by_id: Optional[Mapping[int, Request]] = None, *,
+                          table: Optional[StopTable] = None) -> Optional[CandidateRoute]:
     """Exact search over every valid ordering of the required stops.
 
     Required stops are pickup and dropoff for each request in request_set
     plus a dropoff for each passenger already onboard. Returns the feasible
     route with minimum total distance (ties: lexicographically smallest
     stop-key sequence), or None when every ordering fails a constraint.
-    `table` shares numbered stops and timed legs between searches; it must
+    `table` shares numbered stops and timed legs between routines; it must
     hold every rider of the search and the start's location, and have been
     built for the same travel model and config. Without one, the search
     builds a table of its own.
@@ -221,30 +244,24 @@ def best_route_exhaustive(
             f"{len(new)} requests exceeds exhaustive_route_limit "
             f"{config.exhaustive_route_limit}"
         )
-    onboard_reqs: list[Request] = []
-    start_load = 0
+    first_stops = [(PICKUP, r) for r in new]
     if start.onboard:
-        onboard_reqs = _resolve_onboard(start, requests_by_id)
+        for rid in sorted(start.onboard):
+            if requests_by_id is None or rid not in requests_by_id:
+                raise ValueError(f"onboard request {rid} needs requests_by_id to resolve")
+            first_stops.append((DROPOFF, requests_by_id[rid]))
         for r in new:
             if r.id in start.onboard:
                 raise ValueError(f"request {r.id} is already onboard")
-        start_load = sum(r.load for r in onboard_reqs)
-        if start_load > config.capacity:
-            return None
-    if table is None:
-        table = StopTable(new + onboard_reqs, (start.plan_location,), travel, config)
-    elif table.travel is not travel or (table.config is not config
-                                        and table.config != config):
-        raise ValueError("stop table was built for another travel model or config")
-    origin = table.origin_slot.get(start.plan_location)
-    if origin is None:
-        raise ValueError("the start's location has no origin slot in the stop table")
-
     # the search touches only slots: each rider's first stop is ready at the
     # start, a pickup at slot p releases its dropoff at p + 1, and slots
     # order like stop keys, so every list below runs in stop-key order
-    ready = table.first_slots(new, onboard_reqs)
-    n = 2 * len(new) + len(onboard_reqs)
+    table, origin, ready = _on_table(table, first_stops, start.plan_location, travel, config)
+    ready.sort()
+    start_load = table.seats(start.onboard)
+    if start_load > config.capacity:
+        return None
+    n = len(new) + len(first_stops)
     points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
     width, times, dists = table.width, table.times, table.dists
 
@@ -258,9 +275,10 @@ def best_route_exhaustive(
 
     def dfs(here, free, load, cost):
         nonlocal best
-        # stop timing is schedule_route spelled out over slots: this runs
-        # at every node of every search, and a call per stop plus a leg memo
-        # keyed by Location pairs cost more than the arithmetic
+        # stop timing is _timed_route spelled out over slots: this runs at
+        # every node of every search, and a call per stop costs more than
+        # the arithmetic. The pair screen times legs without their distance,
+        # so a leg's distance is filled apart from its time
         row = width * here
         if len(path) == n - 1:
             # the one stop left completes the route; the in-arc bound is
@@ -271,14 +289,15 @@ def best_route_exhaustive(
             tt = times[leg]
             if tt is None:
                 tt = times[leg] = time_of(points[here], points[pos])
-                if dists[leg] is None:
-                    dists[leg] = dist_of(points[here], points[pos])
             arrival = free + tt
             earliest = opens[pos]
             service = arrival if arrival > earliest else earliest
             if service - earliest > limits[pos] or load + deltas[pos] > cap:
                 return
-            total = cost + dists[leg]
+            dist = dists[leg]
+            if dist is None:
+                dist = dists[leg] = dist_of(points[here], points[pos])
+            total = cost + dist
             if best is None or total <= best[0]:
                 leaf = (total, (*path, pos))
                 if best is None or leaf < best:
@@ -290,8 +309,6 @@ def best_route_exhaustive(
             tt = times[leg]
             if tt is None:
                 tt = times[leg] = time_of(points[here], points[pos])
-                if dists[leg] is None:
-                    dists[leg] = dist_of(points[here], points[pos])
             arrival = free + tt
             earliest = opens[pos]
             service = arrival if arrival > earliest else earliest
@@ -303,7 +320,10 @@ def best_route_exhaustive(
                 continue
             load2 = load + deltas[pos]
             if load2 <= cap:
-                timed.append((dists[leg], pos, i, service + dwell, load2))
+                dist = dists[leg]
+                if dist is None:
+                    dist = dists[leg] = dist_of(points[here], points[pos])
+                timed.append((dist, pos, i, service + dwell, load2))
         # cheapest feasible hop first: a tight incumbent early makes the
         # in-arc bound below bite; the leaf tie-break fixes the final order.
         # Slots are unique, so the sort never looks past them
@@ -355,24 +375,7 @@ def best_route_exhaustive(
         best = (0.0, ())
     if best is None:
         return None
-    # time the winner once more over legs the search already filled
-    cost, slots = best
-    riders = table.riders
-    sched = []
-    here, free = origin, start.plan_time
-    for pos in slots:
-        arrival = free + times[width * here + pos]
-        service = max(arrival, opens[pos])
-        free = service + dwell
-        sched.append((arrival, service, free))
-        here = pos
-    return CandidateRoute(
-        cost,
-        tuple(sched),
-        True,
-        tuple([(DROPOFF if pos & 1 else PICKUP, riders[pos >> 1]) for pos in slots]),
-        start_load,
-    )
+    return _timed_route(table, origin, start, best[1])
 
 
 # all 6 precedence-valid orders of stops 0-3 = (pickup a, dropoff a, pickup b,
@@ -386,7 +389,8 @@ _PAIR_ORDERS_FROM = {
 }
 
 
-def pair_feasible(a: Request, b: Request, travel, config: SolverConfig) -> bool:
+def pair_feasible(a: Request, b: Request, travel, config: SolverConfig, *,
+                  table: Optional[StopTable] = None) -> bool:
     """Could any vehicle serve both requests? Checked from each pickup.
 
     A vehicle standing at either request's pickup at its desired time, with
@@ -396,85 +400,85 @@ def pair_feasible(a: Request, b: Request, travel, config: SolverConfig) -> bool:
     is feasible from that route's first pickup at its desired time, so the
     screen never discards a truly shareable pair. Same verdict as
     best_route_exhaustive from both starts, without optimising distance.
+    `table` shares timed legs between routines; it must hold both requests
+    and have been built for the same travel model and config. Without one,
+    the screen builds a table of its own.
     """
-    points = (a.pickup, a.dropoff, b.pickup, b.dropoff)
-    opens = (a.desired_pickup_time, a.earliest_dropoff_time,
-             b.desired_pickup_time, b.earliest_dropoff_time)
-    limits = (config.max_wait, config.max_delay, config.max_wait, config.max_delay)
-    loads = (a.load, -a.load, b.load, -b.load)
+    table, _, (pa, pb) = _on_table(table, ((PICKUP, a), (PICKUP, b)), None, travel, config)
+    slots = (pa, pa + 1, pb, pb + 1)
+    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
+    width, times = table.width, table.times
     cap = config.capacity
     dwell = config.dwell
     time_of = travel.travel_time
-    times: list[Optional[int]] = [None] * 16  # leg i -> j at 4 * i + j, on first use
     for first in (0, 2):
-        t0 = opens[first]
+        t0 = opens[slots[first]]
         for order in _PAIR_ORDERS_FROM[first]:
-            # stop timing is schedule_route spelled out over positions: this runs
-            # for every pair of requests a run reveals, and per-stop calls
-            # with a Location-keyed leg memo cost more than the arithmetic
-            loc = first
+            # stop timing is _timed_route spelled out over slots: this runs
+            # for every pair of requests a run reveals, and a call per stop
+            # costs more than the arithmetic. Only the legs' times are read
+            here = slots[first]
             free = t0
             load = 0
             for i in order:
-                leg = 4 * loc + i
+                pos = slots[i]
+                leg = width * here + pos
                 tt = times[leg]
                 if tt is None:
-                    tt = times[leg] = time_of(points[loc], points[i])
+                    tt = times[leg] = time_of(points[here], points[pos])
                 arrival = free + tt
-                earliest = opens[i]
+                earliest = opens[pos]
                 service = arrival if arrival > earliest else earliest
-                if service - earliest > limits[i]:
+                if service - earliest > limits[pos]:
                     break
-                load += loads[i]
+                load += deltas[pos]
                 if load > cap:
                     break
                 free = service + dwell
-                loc = i
+                here = pos
             else:
                 return True
     return False
 
 
-def best_route_insertion(
-    start,
-    base_route: CandidateRoute,
-    new_request: Request,
-    travel,
-    config: SolverConfig,
-) -> Optional[CandidateRoute]:
+def best_route_insertion(start, base_route: CandidateRoute, new_request: Request, travel,
+                         config: SolverConfig, *, table: Optional[StopTable] = None
+                         ) -> Optional[CandidateRoute]:
     """Cheapest feasible insertion of one request into an existing order.
 
     Tries every pickup/dropoff position pair that keeps the base order
     intact and the pickup before the dropoff. Returns None when no
-    placement is feasible.
+    placement is feasible. `table` must hold the start's location and every
+    rider of the route and of the passengers aboard, and have been built
+    for the same travel model and config. Without one, a table of the
+    route's riders is built.
     """
     if not base_route.feasible:
         raise ValueError("base route must be feasible")
     return _insert_stops(
-        start, base_route, ((PICKUP, new_request), (DROPOFF, new_request)), travel, config
+        start, base_route, ((PICKUP, new_request), (DROPOFF, new_request)), travel, config,
+        table=table,
     )
 
 
-def _insert_stops(
-    start,
-    base_route: CandidateRoute,
-    new_stops: Sequence[tuple[str, Request]],
-    travel,
-    config: SolverConfig,
-) -> Optional[CandidateRoute]:
+def _insert_stops(start, base_route: CandidateRoute, new_stops: Sequence[tuple[str, Request]],
+                  travel, config: SolverConfig, *, table: Optional[StopTable] = None
+                  ) -> Optional[CandidateRoute]:
     """Cheapest feasible placement of new_stops, kept in their given order.
 
     Tries every placement that keeps the base order and keeps the lowest
-    (distance, stop keys). base_route must have been timed from start, and
-    be feasible unless it is empty. Each placement is timed from the base
+    (distance, stop keys). base_route must have been timed from start and
+    keep every wait and delay limit; its loads may break capacity, since
+    every load is checked here. Each placement is timed from the base
     route's own schedule: the stops before the first new stop keep their
     times, and once every new stop is placed and a base stop's service
     start is back at its old value, the push is absorbed and every later
     stop keeps its time too (forward time slack, Savelsbergh 1992). Leg
-    distances are still added one by one in route order, as schedule_route
+    distances are still added one by one in route order, as the kernel
     adds them, so the (distance, stop keys) key is bit-identical to the
-    kernel's; only the winner is re-timed through schedule_route. Returns
-    None when no placement is feasible.
+    kernel's. Returns None when no placement is feasible. `table` (see
+    _on_table) must hold the start's location and every rider of the route
+    and of the passengers aboard; a one-off table holds only the route's.
     """
     base = base_route.sequence
     in_base = {req.id for _kind, req in base}
@@ -485,115 +489,108 @@ def _insert_stops(
         picked.add(req.id)
     n = len(base)
     m = len(new_stops)
+    table, origin, slots = _on_table(table, (*base, *new_stops), start.plan_location, travel,
+                                     config)
+    base_slots, new_slots = slots[:n], slots[n:]
     cap = config.capacity
     dwell = config.dwell
-    # onboard passengers count as schedule_route counts them on the
-    # candidate: by load when the candidate carries their request, else 1
-    by_id = {req.id: req for _kind, req in (*base, *new_stops)}
-    start_load = sum(by_id[rid].load if rid in by_id else 1 for rid in start.onboard)
+    start_load = table.seats(start.onboard)
     if start_load > cap:
         return None
-
-    # stops 0..n-1 are the base's, n..n+m-1 the new ones, n+m the origin
-    points, opens, limits, deltas = [], [], [], []
-    for kind, req in (*base, *new_stops):
-        if kind == PICKUP:
-            points.append(req.pickup)
-            opens.append(req.desired_pickup_time)
-            limits.append(config.max_wait)
-            deltas.append(req.load)
-        else:
-            points.append(req.dropoff)
-            opens.append(req.earliest_dropoff_time)
-            limits.append(config.max_delay)
-            deltas.append(-req.load)
-    origin = n + m
-    points.append(start.plan_location)
+    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
+    width, times, dists = table.width, table.times, table.dists
+    dist_of = travel.distance
+    time_of = travel.travel_time
 
     # per base stop: the running distance before its leg, the load after
-    # it, and the largest load from it on; base legs come from the schedule
+    # it, and the largest load from it on
     sched = base_route.schedule
-    legs: dict[tuple[int, int], tuple[int, float]] = {}
     dist_before = [0.0]
     load_after = []
-    prev, free, load = origin, start.plan_time, start_load
-    for j in range(n):
-        d = travel.distance(points[prev], points[j])
-        legs[prev, j] = (sched[j][0] - free, d)
-        dist_before.append(dist_before[j] + d)
-        load += deltas[j]
+    prev, load = origin, start_load
+    for j, pos in enumerate(base_slots):
+        dist_before.append(dist_before[j] + dists[table.leg(prev, pos)])
+        load += deltas[pos]
         load_after.append(load)
-        prev, free = j, sched[j][2]
+        prev = pos
     max_from = load_after + [-math.inf]
     for j in range(n - 1, -1, -1):
         max_from[j] = max(max_from[j], max_from[j + 1])
     # the unchanged prefix must keep its loads within capacity
     last_first = next((j for j in range(n) if load_after[j] > cap), n)
 
-    best: Optional[tuple[float, tuple[int, ...]]] = None
-    best_key = None
-    for slots in combinations_with_replacement(range(n + 1), m):
-        first = slots[0]
+    best: Optional[tuple[float, tuple[int, ...]]] = None  # distance, new stops' places
+    best_slots = None
+    for at in combinations_with_replacement(range(n + 1), m):
+        first = at[0]
         if first > last_first:
             break
         if first:
-            prev, free, load = first - 1, sched[first - 1][2], load_after[first - 1]
+            prev, free, load = base_slots[first - 1], sched[first - 1][2], load_after[first - 1]
         else:
             prev, free, load = origin, start.plan_time, start_load
         total = dist_before[first]
         j, t = first, 0
         feasible = True
         while j < n or t < m:
-            if t < m and slots[t] == j:
-                cur = n + t
+            # stop timing is _timed_route spelled out over slots, as in the
+            # exhaustive search
+            if t < m and at[t] == j:
+                pos = new_slots[t]
                 t += 1
+                absorbable = False
             else:
-                cur = j
+                pos = base_slots[j]
                 j += 1
-            leg = legs.get((prev, cur))
-            if leg is None:
-                leg = legs[prev, cur] = (travel.travel_time(points[prev], points[cur]),
-                                         travel.distance(points[prev], points[cur]))
-            total += leg[1]
-            arrival = free + leg[0]
-            earliest = opens[cur]
+                absorbable = t == m
+            leg = width * prev + pos
+            tt = times[leg]
+            if tt is None:
+                tt = times[leg] = time_of(points[prev], points[pos])
+            arrival = free + tt
+            earliest = opens[pos]
             service = arrival if arrival > earliest else earliest
-            load += deltas[cur]
-            if service - earliest > limits[cur] or load > cap:
+            load += deltas[pos]
+            if service - earliest > limits[pos] or load > cap:
                 feasible = False
                 break
+            dist = dists[leg]
+            if dist is None:
+                dist = dists[leg] = dist_of(points[prev], points[pos])
+            total += dist
             free = service + dwell
-            prev = cur
-            if t == m and cur < n and service == sched[cur][1]:
+            prev = pos
+            if absorbable and service == sched[j - 1][1]:
                 # absorbed: the rest runs on the base schedule
-                if max_from[j] + load - load_after[cur] > cap:
+                if max_from[j] + load - load_after[j - 1] > cap:
                     feasible = False
                     break
                 for k in range(j, n):
-                    total += legs[k - 1, k][1]
+                    total += dists[width * base_slots[k - 1] + base_slots[k]]
                 break
         if not feasible:
             continue
+        # slots order like stop keys, so placed slot tuples break ties
         if best is None or total < best[0]:
-            best, best_key = (total, slots), None
+            best, best_slots = (total, at), None
         elif total == best[0]:
-            if best_key is None:
-                best_key = _sequence_key(_placed(base, new_stops, best[1]))
-            key = _sequence_key(_placed(base, new_stops, slots))
-            if key < best_key:
-                best, best_key = (total, slots), key
+            if best_slots is None:
+                best_slots = _placed(base_slots, new_slots, best[1])
+            placed = _placed(base_slots, new_slots, at)
+            if placed < best_slots:
+                best, best_slots = (total, at), placed
     if best is None:
         return None
-    return schedule_route(start, _placed(base, new_stops, best[1]), travel, config)
+    return _timed_route(table, origin, start, _placed(base_slots, new_slots, best[1]))
 
 
-def _placed(base, new_stops, slots) -> list[tuple[str, Request]]:
-    """base with new_stops[i] placed before base stop slots[i]."""
-    seq = []
+def _placed(base: list[int], new: list[int], at: tuple[int, ...]) -> tuple[int, ...]:
+    """base with new[i] placed before base[at[i]]."""
+    out = []
     prev = 0
-    for at, stop in zip(slots, new_stops):
-        seq += base[prev:at]
-        seq.append(stop)
-        prev = at
-    seq += base[prev:]
-    return seq
+    for i, slot in zip(at, new):
+        out += base[prev:i]
+        out.append(slot)
+        prev = i
+    out += base[prev:]
+    return tuple(out)

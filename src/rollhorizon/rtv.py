@@ -19,7 +19,7 @@ from .routing import (
     CandidateRoute,
     StopTable,
     _insert_stops,
-    _sequence_key,
+    _timed_route,
     best_route_exhaustive,
     best_route_insertion,
     pair_feasible,
@@ -74,9 +74,10 @@ def _dropoff_only_route(state, travel, config, requests_by_id, table):
     if len(onboard) <= config.exhaustive_route_limit:
         return best_route_exhaustive(state, [], travel, config, requests_by_id, table=table)
     # too many aboard for exact search: place each dropoff greedily
-    cand = schedule_route(state, (), travel, config)
+    cand = _timed_route(table, table.origin_slot[state.plan_location], state, ())
     for rid in onboard:
-        cand = _insert_stops(state, cand, ((DROPOFF, requests_by_id[rid]),), travel, config)
+        cand = _insert_stops(state, cand, ((DROPOFF, requests_by_id[rid]),), travel, config,
+                             table=table)
         if cand is None:
             return None
     return cand
@@ -97,16 +98,12 @@ def _route_for(state, trip_reqs: Sequence[Request], base: Optional[CandidateRout
         )
     if base is None:
         return None
-    return best_route_insertion(state, base, trip_reqs[-1], travel, config)
+    return best_route_insertion(state, base, trip_reqs[-1], travel, config, table=table)
 
 
-def _rr_screen(requests, travel, config) -> set[frozenset]:
-    rr_pairs = set()
-    for i, a in enumerate(requests):
-        for b in requests[i + 1:]:
-            if pair_feasible(a, b, travel, config):
-                rr_pairs.add(frozenset((a.id, b.id)))
-    return rr_pairs
+def _sequence_key(sequence) -> tuple[tuple[int, int], ...]:
+    """Stop keys (request id, 0 for pickup / 1 for dropoff): the route tie-break."""
+    return tuple((req.id, 0 if kind == PICKUP else 1) for kind, req in sequence)
 
 
 def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig) -> RtvGraph:
@@ -156,7 +153,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         else:
             classes[at][1].append(state.vehicle_id)
 
-    # every exact search of this re-solve numbers its stops and reads its
+    # every route routine of this re-solve numbers its stops and reads its
     # legs from one table
     table = StopTable(requests_by_id.values(), (rep.plan_location for rep, _ in classes),
                       travel, config)
@@ -178,7 +175,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         suffix = tuple(getattr(state, "planned_suffix", ()))
         if suffix:
             pending = frozenset(r.id for k, r in suffix if k == PICKUP)
-            cand = schedule_route(state, suffix, travel, config)
+            cand = schedule_route(state, suffix, travel, config, table=table)
             offer(pending, vid, cand)
             if cand.feasible:
                 given.add(pending)
@@ -187,7 +184,8 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         if state.onboard:
             preferred_keys.append((frozenset(), vid))
 
-    rr_pairs = _rr_screen(requests, travel, config)
+    rr_pairs = {frozenset((a.id, b.id)) for i, a in enumerate(requests) for b in requests[i + 1:]
+                if pair_feasible(a, b, travel, config, table=table)}
     known = set(given)
     class_known = [set(given) for _ in classes]
     level = [frozenset()]

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 from .model import (
-    DROPOFF,
     PICKUP,
     Location,
     Request,

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from rollhorizon.assignment_ilp import AssignmentBudgetError, StrandedRequestError
 from rollhorizon.cli import SWEEP_COLUMNS, main
+from rollhorizon.simulator import SimulationError
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "synthetic_pd_small.txt"
@@ -139,3 +141,19 @@ def test_solve_csv_instance(tmp_path, capsys):
     assert out.exists()
     assert (tmp_path / "req.report.summary.csv").exists()
     assert len(out.read_text().splitlines()) == 3  # header + one row per request
+
+
+@pytest.mark.parametrize("error, code", [
+    (AssignmentBudgetError("no assignment within the node budget"), 4),
+    (StrandedRequestError([7]), 5),
+    (SimulationError("route failed validation"), 6),
+])
+def test_solve_maps_solver_failures_to_exit_codes(tmp_path, capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("rollhorizon.cli.run", fail)
+    out = tmp_path / "x.json"
+    assert main(["solve", "--instance", str(FIXTURE), "--output", str(out)]) == code
+    assert str(error) in capsys.readouterr().err
+    assert not out.exists()

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_best_route
 from rollhorizon.model import Location, Request, SolverConfig, derive_earliest_dropoff
-from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
+from rollhorizon.routing import PlanStart, StopTable, best_route_exhaustive, pair_feasible
 from rollhorizon.travel import EuclideanTravel
 from strategies import MINUTE, travel_case
 
@@ -32,18 +32,29 @@ def pair_case(draw):
         max_delay=draw(st.integers(0, 20)) * MINUTE,
         dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1, capacity=capacity,
     )
+    # ids interleave with the other riders', so the pair's table slots vary
+    ids = draw(st.permutations(range(5)))
     reqs = []
-    for rid in (0, 1):
-        req = Request(rid, points[2 * rid], points[2 * rid + 1],
+    for i in (0, 1):
+        req = Request(ids[i], points[2 * i], points[2 * i + 1],
                       draw(st.integers(0, 20)) * MINUTE, 0, draw(st.integers(1, 2)))
         reqs.append(derive_earliest_dropoff(req, travel))
-    return travel, config, reqs[0], reqs[1]
+    # a shared table also holds other riders and vehicle origins
+    point = st.sampled_from(points)
+    others = [
+        derive_earliest_dropoff(
+            Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE, 0),
+            travel)
+        for rid in ids[2:2 + draw(st.integers(0, 3))]
+    ]
+    origins = draw(st.lists(point, max_size=2))
+    return travel, config, reqs[0], reqs[1], others, origins
 
 
 @settings(max_examples=400, deadline=None)
 @given(pair_case())
 def test_pair_feasible_matches_brute_force_from_either_pickup(case):
-    travel, config, a, b = case
+    travel, config, a, b, others, origins = case
     by_id = {a.id: a, b.id: b}
     oracle = any(
         brute_force_best_route(first.pickup, first.desired_pickup_time, [a.id, b.id],
@@ -57,6 +68,12 @@ def test_pair_feasible_matches_brute_force_from_either_pickup(case):
     )
     assert pair_feasible(a, b, travel, config) == oracle == exact
     assert pair_feasible(b, a, travel, config) == oracle
+    # on a table shared with other screens, which fill some of its legs first
+    table = StopTable([a, b, *others], origins, travel, config)
+    for other in others:
+        pair_feasible(other, a, travel, config, table=table)
+    assert pair_feasible(a, b, travel, config, table=table) == oracle
+    assert pair_feasible(b, a, travel, config, table=table) == oracle
 
 
 def test_vehicle_early_at_second_pickup_waits_for_it():

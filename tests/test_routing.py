@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import random
 
 import pytest
@@ -27,6 +29,7 @@ from rollhorizon.routing import (
     _insert_stops,
     best_route_exhaustive,
     best_route_insertion,
+    pair_feasible,
     schedule_route,
 )
 from rollhorizon.travel import EuclideanTravel
@@ -85,6 +88,23 @@ def test_schedule_route_rejects_broken_precedence():
         schedule_route(start, ((DROPOFF, a), (PICKUP, a)), TRAVEL, cfg())
     with pytest.raises(ValueError):
         schedule_route(start, ((PICKUP, a), (PICKUP, a)), TRAVEL, cfg())
+
+
+def test_schedule_route_seats_passengers_aboard_by_their_load():
+    # rider 0 takes two seats and has no stop on the sequence
+    r0 = Request(0, Location(0, 0), Location(9, 0), 0, 0, load=2)
+    a = mk(1, 1, 0, 5, 0, 0)
+    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
+    seq = ((PICKUP, a), (DROPOFF, a))
+    with pytest.raises(ValueError):
+        schedule_route(start, seq, TRAVEL, cfg())
+    table = StopTable([r0, a], [start.plan_location], TRAVEL, cfg())
+    cand = schedule_route(start, seq, TRAVEL, cfg(), table=table)
+    assert cand.start_load == 2
+    assert [s.onboard_after for s in cand.stops] == [3, 2]
+    tight = cfg(capacity=2)
+    table = StopTable([r0, a], [start.plan_location], TRAVEL, tight)
+    assert not schedule_route(start, seq, TRAVEL, tight, table=table).feasible
 
 
 def test_schedule_route_delivers_current_passengers():
@@ -170,6 +190,9 @@ def test_exhaustive_equals_brute_force_on_hostile_inputs(case):
     again = schedule_route(start, got.sequence, travel, config)
     assert again.feasible
     assert got.schedule == again.schedule
+    # the same on a table that holds every rider, not only the route's
+    table = StopTable(by_id.values(), [start.plan_location], travel, config)
+    assert schedule_route(start, got.sequence, travel, config, table=table) == again
 
 
 @st.composite
@@ -203,14 +226,18 @@ def shared_table_case(draw):
                              max_size=min(len(free), 3 - len(start.onboard)))
                     if free else st.just([]))
         searches.append((start, [reqs[r] for r in trip]))
-    return travel, config, reqs, starts, searches
+    return travel, config, reqs, starts, searches, draw(st.booleans())
 
 
 @settings(max_examples=200, deadline=None)
 @given(shared_table_case())
 def test_searches_sharing_a_table_equal_one_off_searches(case):
-    travel, config, by_id, starts, searches = case
+    travel, config, by_id, starts, searches, screened = case
     table = StopTable(by_id.values(), [s.plan_location for s in starts], travel, config)
+    if screened:
+        # a re-solve screens its pairs first, timing legs without distances
+        for a, b in itertools.combinations(by_id.values(), 2):
+            pair_feasible(a, b, travel, config, table=table)
     for start, trip in searches:
         got = best_route_exhaustive(start, trip, travel, config, by_id, table=table)
         assert got == best_route_exhaustive(start, trip, travel, config, by_id)
@@ -340,12 +367,13 @@ def insertion_case(draw):
         base_ids, onboard = ids[1:n_base + 1], ids[n_base + 1:]
         new_stops = ((PICKUP, new_id), (DROPOFF, new_id))
     # a random precedence-valid base order: shuffle every stop, then let
-    # each rider's earlier stop be its pickup. Every other passenger's
-    # dropoff is on it, as on every base the engine builds but the
-    # intermediate ones of its greedy delivery chain: schedule_route counts
-    # a passenger with no stop on the route as one seat
+    # each rider's earlier stop be its pickup. Some other passengers'
+    # dropoffs may be missing, as on the intermediate bases of the engine's
+    # greedy delivery chain, where those passengers still take their seats
     stops = [(PICKUP, r) for r in base_ids] + [(DROPOFF, r) for r in base_ids]
-    stops += [(DROPOFF, r) for r in onboard if r != new_id]
+    others = [r for r in onboard if r != new_id]
+    skipped = draw(st.sets(st.sampled_from(others))) if others else set()
+    stops += [(DROPOFF, r) for r in others if r not in skipped]
     order = list(draw(st.permutations(stops)))
     seen = set()
     for i, (kind, rid) in enumerate(order):
@@ -365,18 +393,36 @@ def insertion_case(draw):
 @given(insertion_case())
 def test_insertion_equals_brute_force_over_order_keeping_placements(case):
     travel, config, start, base_order, new_stops, by_id = case
-    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], travel, config)
+    # every rider on one table, as in a re-solve; the base fills its legs
+    table = StopTable(by_id.values(), [start.plan_location], travel, config)
+    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], travel, config,
+                          table=table)
     new = [(k, by_id[r]) for k, r in new_stops]
     if len(new_stops) == 2:
         if not base.feasible:
             with pytest.raises(ValueError):
-                best_route_insertion(start, base, new[0][1], travel, config)
+                best_route_insertion(start, base, new[0][1], travel, config, table=table)
             return
-        got = best_route_insertion(start, base, new[0][1], travel, config)
+
+        def insert(**kw):
+            return best_route_insertion(start, base, new[0][1], travel, config, **kw)
     else:
-        if base_order and not base.feasible:
-            return  # only an empty base may be infeasible here
-        got = _insert_stops(start, base, new, travel, config)
+        # the scan checks every load itself, so only the base's times must hold
+        loose = dataclasses.replace(config, capacity=10**9)
+        if not naive_schedule(start.plan_location, start.plan_time, base_order, by_id,
+                              travel, loose, start.onboard)[0]:
+            return
+
+        def insert(**kw):
+            return _insert_stops(start, base, new, travel, config, **kw)
+    got = insert(table=table)
+    # a one-off table knows only the riders with a stop on the route, so it
+    # must refuse a passenger aboard without one
+    if start.onboard <= {r for _k, r in (*base_order, *new_stops)}:
+        assert insert() == got
+    else:
+        with pytest.raises(ValueError):
+            insert()
     want = None
     for seq in order_keeping_placements(base_order, new_stops):
         feasible, cost, stops = naive_schedule(
@@ -392,22 +438,24 @@ def test_insertion_equals_brute_force_over_order_keeping_placements(case):
     assert got.total_distance == cost
     assert tuple((k, r.id) for k, r in got.sequence) == seq
     assert got.stops == tuple(stops)
-    assert got == schedule_route(start, got.sequence, travel, config)
+    assert got == schedule_route(start, got.sequence, travel, config, table=table)
 
 
 def test_dropoff_insertion_counts_the_passenger_it_drops():
-    # rider 0 (two seats) is aboard but not yet on the base, which counts
-    # it as one seat; dropping it first frees the seats the base needs
+    # rider 0 (two seats) is aboard but not yet on the base, which is then
+    # over capacity; dropping it first frees the seats the base needs
     r0 = Request(0, Location(0, 0), Location(0, 0), 0, 0, load=2)
     r1 = mk(1, 1, 0, 2, 0, 600)
     r2 = mk(2, 1, 0, 2, 0, 600)
     by_id = {0: r0, 1: r1, 2: r2}
     start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
     config = cfg(dwell=0, capacity=3)
+    table = StopTable(by_id.values(), [start.plan_location], TRAVEL, config)
     base_order = ((PICKUP, 1), (PICKUP, 2), (DROPOFF, 1), (DROPOFF, 2))
-    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], TRAVEL, config)
-    assert base.feasible
-    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config)
+    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], TRAVEL, config,
+                          table=table)
+    assert not base.feasible and base.start_load == 2
+    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config, table=table)
     assert [(k, r.id) for k, r in got.sequence] == [(DROPOFF, 0), *base_order]
     assert [s.onboard_after for s in got.stops] == [0, 1, 2, 1, 0]
     assert got.schedule[1:] == base.schedule
