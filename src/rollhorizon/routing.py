@@ -3,13 +3,15 @@
 One StopTable numbers the stops, reads their attributes off the Requests
 and keeps every timed leg; the routines of a re-solve share one, and a
 routine called without one builds its own. One kernel, _timed_route, times
-every route returned here. schedule_route times a fixed stop sequence.
-best_route_exhaustive searches every precedence-valid ordering, exact for
-small request sets. best_route_insertion slots one new request into an
-existing order once exhaustive search would be too wide; it and the greedy
-delivery-only route share one placement routine. pair_feasible only asks
-whether two requests can share a vehicle. Those three hot loops time stops
-inline over slots, for speed.
+every route returned here. One exact search, _exact_routes, walks every
+feasible stop sequence from a vehicle's start once and keeps the best route
+of each set of riders it can serve, so the graph runs it once per vehicle
+class; best_route_exhaustive reads it for a single request set.
+schedule_route times a fixed stop sequence. best_route_insertion slots one
+new request into an existing order once exact search would be too wide; it
+and the greedy delivery-only route share one placement routine.
+pair_feasible only asks whether two requests can share a vehicle. Those
+three hot loops time stops inline over slots, for speed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -112,6 +114,13 @@ class StopTable:
                 raise ValueError(f"passenger {rid} aboard is not a rider of this stop table")
             seats += self.deltas[slot]
         return seats
+
+    def mask(self, ids: Iterable[int]) -> int:
+        """The riders with these request ids as a bit set: bit i is rider i."""
+        out = 0
+        for rid in ids:
+            out |= 1 << (self.slot_of[rid] >> 1)
+        return out
 
     def leg(self, a: int, b: int) -> int:
         """Index of leg a -> b in times and dists, with both filled."""
@@ -217,13 +226,6 @@ def schedule_route(start, sequence: Sequence[tuple[str, Request]], travel,
     return _timed_route(table, origin, start, slots)
 
 
-# the in-arc bound and the route cost it is held against are float sums
-# taken in different orders, so a bound that is exact in real arithmetic can
-# exceed a tied route's cost in the last bits; pruning only past this
-# relative margin never cuts a route that ties or beats the incumbent
-_BOUND_SLACK = 1e-9
-
-
 def best_route_exhaustive(start, request_set: Iterable[Request], travel, config: SolverConfig,
                           requests_by_id: Optional[Mapping[int, Request]] = None, *,
                           table: Optional[StopTable] = None) -> Optional[CandidateRoute]:
@@ -236,7 +238,8 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
     `table` shares numbered stops and timed legs between routines; it must
     hold every rider of the search and the start's location, and have been
     built for the same travel model and config. Without one, the search
-    builds a table of its own.
+    builds a table of its own. The search is _exact_routes over
+    request_set, read at the whole set.
     """
     new = sorted(request_set, key=_request_id)
     if len(new) > config.exhaustive_route_limit:
@@ -253,58 +256,65 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
         for r in new:
             if r.id in start.onboard:
                 raise ValueError(f"request {r.id} is already onboard")
-    # the search touches only slots: each rider's first stop is ready at the
-    # start, a pickup at slot p releases its dropoff at p + 1, and slots
-    # order like stop keys, so every list below runs in stop-key order
-    table, origin, ready = _on_table(table, first_stops, start.plan_location, travel, config)
-    ready.sort()
-    start_load = table.seats(start.onboard)
-    if start_load > config.capacity:
+    table, origin, _slots = _on_table(table, first_stops, start.plan_location, travel, config)
+    ids = [r.id for r in new]
+    best = _exact_routes(table, origin, start, new, len(new), combinations(ids, 2)).get(
+        table.mask(ids))
+    if best is None:
         return None
-    n = len(new) + len(first_stops)
+    return _timed_route(table, origin, start, best[1])
+
+
+def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request],
+                  max_new: int, pairs: Iterable[Iterable[int]]
+                  ) -> dict[int, tuple[float, tuple[int, ...]]]:
+    """The exact routes of every set of riders the start can serve, in one DFS.
+
+    Walks every feasible stop sequence from the start, at origin slot
+    origin, that drops off the passengers aboard and serves riders, none of
+    them aboard. A rider may join while fewer than max_new have, and only if
+    pairs holds its request id paired with that of every rider already
+    picked. Wherever nobody is left to drop off, the sequence so far is a
+    route for the riders it picked. Returns, per set of riders (a
+    StopTable.mask), the lowest (distance, slots) over its routes; slots
+    order like stop keys, so that is the stop-key tie-break. Distances are
+    added in route order from 0.0, as _timed_route adds them, so each
+    distance is bit-identical to the kernel's total. A set holding a pair
+    that may not share, or more than max_new riders, is never a key.
+    """
+    config, travel = table.config, table.travel
     points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
     width, times, dists = table.width, table.times, table.dists
-
-    path: list[int] = []  # slots visited so far
-    best: Optional[tuple[float, tuple[int, ...]]] = None  # cost, slots
+    cap, dwell = config.capacity, config.dwell
+    dist_of, time_of = travel.distance, travel.travel_time
+    # detour-free travel: a stop late from here is late after any detour
     late_kill = getattr(travel, "obeys_triangle", False)
-    dwell = config.dwell
-    cap = config.capacity
-    dist_of = travel.distance
-    time_of = travel.travel_time
+    start_load = table.seats(start.onboard)
+    if start_load > cap:
+        return {}
+    # may_share[i]: the riders rider i may share a route with, as a mask
+    everyone = table.mask(r.id for r in riders)
+    may_share = [0] * len(table.riders)
+    for a, b in pairs:
+        ia, ib = table.slot_of[a] >> 1, table.slot_of[b] >> 1
+        may_share[ia] |= 1 << ib
+        may_share[ib] |= 1 << ia
+    pending = sorted(table.slot_of[rid] + 1 for rid in start.onboard)  # dropoffs owed
+    path: list[int] = []
+    best: dict[int, tuple[float, tuple[int, ...]]] = {}
 
-    def dfs(here, free, load, cost):
-        nonlocal best
+    def dfs(here, free, load, cost, picked, joinable, n_new):
         # stop timing is _timed_route spelled out over slots: this runs at
-        # every node of every search, and a call per stop costs more than
-        # the arithmetic. The pair screen times legs without their distance,
-        # so a leg's distance is filled apart from its time
+        # every node, and a call per stop costs more than the arithmetic.
+        # The pair screen times legs without their distance, so a leg's
+        # distance is filled apart from its time
+        if not pending:
+            got = best.get(picked)
+            if got is None or cost < got[0] or (cost == got[0] and tuple(path) < got[1]):
+                best[picked] = (cost, tuple(path))
         row = width * here
-        if len(path) == n - 1:
-            # the one stop left completes the route; the in-arc bound is
-            # then just the route's own cost, which the leaf test below
-            # rejects whenever the bound would
-            pos = ready[0]
-            leg = row + pos
-            tt = times[leg]
-            if tt is None:
-                tt = times[leg] = time_of(points[here], points[pos])
-            arrival = free + tt
-            earliest = opens[pos]
-            service = arrival if arrival > earliest else earliest
-            if service - earliest > limits[pos] or load + deltas[pos] > cap:
-                return
-            dist = dists[leg]
-            if dist is None:
-                dist = dists[leg] = dist_of(points[here], points[pos])
-            total = cost + dist
-            if best is None or total <= best[0]:
-                leaf = (total, (*path, pos))
-                if best is None or leaf < best:
-                    best = leaf
-            return
-        timed = []
-        for i, pos in enumerate(ready):
+        steps = []  # (slot, its index in pending or its rider bit, departure, distance)
+        for i, pos in enumerate(pending):
             leg = row + pos
             tt = times[leg]
             if tt is None:
@@ -314,68 +324,50 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
             service = arrival if arrival > earliest else earliest
             if service - earliest > limits[pos]:
                 if late_kill:
-                    # this stop still has to happen, and detour-free
-                    # travel means no ordering reaches it sooner: node dead
-                    return
+                    return  # every extension still owes this dropoff
                 continue
-            load2 = load + deltas[pos]
-            if load2 <= cap:
+            dist = dists[leg]
+            if dist is None:
+                dist = dists[leg] = dist_of(points[here], points[pos])
+            steps.append((pos, i, service + dwell, dist))
+        if n_new < max_new:
+            rest = joinable
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                pos = (bit.bit_length() - 1) << 1
+                leg = row + pos
+                tt = times[leg]
+                if tt is None:
+                    tt = times[leg] = time_of(points[here], points[pos])
+                arrival = free + tt
+                earliest = opens[pos]
+                service = arrival if arrival > earliest else earliest
+                if service - earliest > limits[pos]:
+                    if late_kill:
+                        joinable ^= bit  # nor can it join further down
+                    continue
+                if load + deltas[pos] > cap:
+                    continue
                 dist = dists[leg]
                 if dist is None:
                     dist = dists[leg] = dist_of(points[here], points[pos])
-                timed.append((dist, pos, i, service + dwell, load2))
-        # cheapest feasible hop first: a tight incumbent early makes the
-        # in-arc bound below bite; the leaf tie-break fixes the final order.
-        # Slots are unique, so the sort never looks past them
-        timed.sort()
-        # every stop not yet visited must still be entered from the current
-        # position or from another pending stop, so summing each pending
-        # stop's cheapest incoming arc never overshoots the distance left;
-        # arcs between pending stops are looked up only once an incumbent
-        # exists, so searches that die early never pay for them
-        t_static = None
-        static_in = None
-        for dist, pos, i, depart, load2 in timed:
-            if best is not None:
-                if t_static is None:  # incumbent may appear mid-loop
-                    # each ready pickup still owes its dropoff too
-                    pending = [s for r in ready for s in ((r,) if r & 1 else (r, r + 1))]
-                    t_static = 0.0
-                    static_in = {}
-                    for b in pending:
-                        cheapest = None
-                        for a in pending:
-                            if a != b:
-                                d = dists[width * a + b]
-                                if d is None:
-                                    d = dists[width * a + b] = dist_of(points[a], points[b])
-                                if cheapest is None or d < cheapest:
-                                    cheapest = d
-                        cheapest = 0.0 if cheapest is None else cheapest
-                        static_in[b] = cheapest
-                        t_static += cheapest
-                bound = cost + dist + t_static - static_in[pos]
-                if bound - best[0] > (best[0] + t_static) * _BOUND_SLACK:
-                    continue
-            if pos & 1:
-                del ready[i]
-            else:
-                ready[i] = pos + 1
+                steps.append((pos, bit, service + dwell, dist))
+        for pos, key, depart, dist in steps:
             path.append(pos)
-            dfs(pos, depart, load2, cost + dist)
-            path.pop()
             if pos & 1:
-                ready.insert(i, pos)
+                del pending[key]
+                dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
+                pending.insert(key, pos)
             else:
-                ready[i] = pos
+                pending.append(pos + 1)
+                dfs(pos, depart, load + deltas[pos], cost + dist, picked | key,
+                    joinable & may_share[pos >> 1], n_new + 1)
+                pending.pop()
+            path.pop()
 
-    if n:
-        dfs(origin, start.plan_time, start_load, 0.0)
-    else:
-        best = (0.0, ())
-    if best is None:
-        return None
-    return _timed_route(table, origin, start, best[1])
+    dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
+    return best
 
 
 # all 6 precedence-valid orders of stops 0-3 = (pickup a, dropoff a, pickup b,

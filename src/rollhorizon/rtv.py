@@ -6,18 +6,22 @@ by size from the empty trip: a subset is only considered once all of its
 one-smaller subsets are trips, and kept only when at least one vehicle can
 actually drive it. The groups vehicles' previous plans carry over are trips
 from the start and are routed for every vehicle like any other subset.
+Exact routes come from one enumeration per vehicle class, which the growth
+only reads; trips past the exact caps are routed by insertion.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations
+from typing import Optional
 
-from .model import DROPOFF, PICKUP, Request, SolverConfig
+from .model import DROPOFF, PICKUP, SolverConfig
 from .routing import (
     CandidateRoute,
     StopTable,
+    _exact_routes,
     _insert_stops,
     _timed_route,
     best_route_exhaustive,
@@ -83,24 +87,6 @@ def _dropoff_only_route(state, travel, config, requests_by_id, table):
     return cand
 
 
-def _route_for(state, trip_reqs: Sequence[Request], base: Optional[CandidateRoute],
-               travel, config, requests_by_id, table):
-    """Route serving trip_reqs plus the vehicle's passengers.
-
-    Exact search while the request count on the route stays within
-    exhaustive_route_limit; beyond that, inserts the highest-id request
-    into the supplied base route (no base means no route).
-    """
-    total = len(trip_reqs) + len(state.onboard)
-    if total <= config.exhaustive_route_limit:
-        return best_route_exhaustive(
-            state, trip_reqs, travel, config, requests_by_id, table=table
-        )
-    if base is None:
-        return None
-    return best_route_insertion(state, base, trip_reqs[-1], travel, config, table=table)
-
-
 def _sequence_key(sequence) -> tuple[tuple[int, int], ...]:
     """Stop keys (request id, 0 for pickup / 1 for dropoff): the route tie-break."""
     return tuple((req.id, 0 if kind == PICKUP else 1) for kind, req in sequence)
@@ -116,7 +102,13 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     a candidate once every one-smaller subset is a trip (and for pairs, the
     two requests passed the shareability screen), and it becomes a trip when
     some vehicle has a feasible route. Carried-over groups are candidates
-    like any other set, so every vehicle is offered them.
+    like any other set, so every vehicle is offered them. Vehicles at one
+    place and time with the same passengers form a class and share routes.
+    Up to a class's cap of new riders (the trip-size limit, and
+    exhaustive_route_limit less its passengers), a trip's route is read from
+    the class's one exact enumeration, in which a rider joins only riders it
+    passed the screen with or shares a carried-over group with; past the
+    cap, the top request is inserted into the best route of the rest.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -186,6 +178,15 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
 
     rr_pairs = {frozenset((a.id, b.id)) for i, a in enumerate(requests) for b in requests[i + 1:]
                 if pair_feasible(a, b, travel, config, table=table)}
+    # a trip's riders pairwise passed the screen or share a carried-over group
+    # (a plan may serve a pair the screen rejects on triangle-breaking travel),
+    # so every trip a class routes exactly is in the class's one enumeration
+    shareable = rr_pairs.union(*(map(frozenset, combinations(g, 2)) for g in given))
+    origins = [table.origin_slot[rep.plan_location] for rep, _ in classes]
+    caps = [min(config.effective_trip_size_limit,
+                config.exhaustive_route_limit - len(rep.onboard)) for rep, _ in classes]
+    exact = [_exact_routes(table, origin, rep, requests, cap, shareable) if cap > 0 else {}
+             for (rep, _), origin, cap in zip(classes, origins, caps)]
     known = set(given)
     class_known = [set(given) for _ in classes]
     level = [frozenset()]
@@ -206,7 +207,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 candidates.add(grown)
         for ids in sorted(tuple(sorted(s)) for s in candidates):
             grown = frozenset(ids)
-            trip_reqs = [requests_by_id[i] for i in ids]
+            mask = table.mask(ids)
             smaller = [grown - {m} for m in ids]  # the last drops the top id
             found = False
             for ci, (rep, vids) in enumerate(classes):
@@ -215,13 +216,19 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 # so this class needs every smaller subset too
                 if any(sub not in ck for sub in smaller):
                     continue
-                if k == 1:
-                    base = dropoff_base[ci]
+                if k <= caps[ci]:
+                    best = exact[ci].get(mask)
+                    if best is None:
+                        continue
+                    cand = _timed_route(table, origins[ci], rep, best[1])
                 else:
-                    base = routes.get((smaller[-1], vids[0]))
-                cand = _route_for(rep, trip_reqs, base, travel, config, requests_by_id, table)
-                if cand is None:
-                    continue
+                    base = dropoff_base[ci] if k == 1 else routes.get((smaller[-1], vids[0]))
+                    if base is None:
+                        continue
+                    cand = best_route_insertion(rep, base, requests_by_id[ids[-1]], travel,
+                                                config, table=table)
+                    if cand is None:
+                        continue
                 found = True
                 ck.add(grown)
                 for vid in vids:

@@ -407,3 +407,135 @@ def coverage_violations(routes, records) -> list[str]:
             out.append(f"request {rec.request_id}: record times disagree "
                        "with the route")
     return out
+
+
+
+def _cheapest_placement(start_loc, start_time, base, new_stops, onboard, requests_by_id,
+                        travel, config):
+    """Cheapest feasible order-keeping placement of new_stops into base, as
+    (cost, seq), or None; ties go to the smallest stop keys."""
+    best = None
+    for seq in order_keeping_placements(base, new_stops):
+        feasible, cost, _stops = naive_schedule(
+            start_loc, start_time, seq, requests_by_id, travel, config, onboard)
+        key = tuple(stop_sort_key(k, r) for k, r in seq)
+        if feasible and (best is None or (cost, key) < best[:2]):
+            best = (cost, key, seq)
+    return None if best is None else (best[0], best[2])
+
+
+def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, travel,
+                        config: SolverConfig) -> dict[tuple[tuple[int, ...], int],
+                                                      tuple[float, tuple]]:
+    """The trip-vehicle graph's edges, from brute-force routes.
+
+    Follows the graph's rules, with every route found by trying orders:
+    - A vehicle's carried-over plan is an edge when its timing holds, and
+      its pickups are then a trip from the start.
+    - A vehicle with passengers gets a delivery-only edge (trip ()): the
+      best order while the passengers number at most
+      exhaustive_route_limit, else each dropoff placed in turn, by id, at
+      its cheapest place.
+    - Vehicles at one place and time with the same passengers form a class
+      and share routes.
+    - Trips grow a request at a time. A set is a candidate once every
+      one-smaller subset is a trip (and, for pairs, some order serves both
+      from either pickup at its desired time, nobody aboard). A class
+      routes a candidate once it has routed every one-smaller subset, and
+      the set is a trip once some class routes it.
+    - A class routes a set by the best order while the set and the
+      passengers number at most exhaustive_route_limit. Past that, it
+      places the top id's pickup and dropoff at their cheapest place into a
+      base: the class's delivery-only route for a single request, else its
+      first vehicle's best edge for the rest of the set.
+    Returns {(trip ids, vehicle id): (cost, stop keys)}, keeping each
+    pairing's lowest (cost, stop keys).
+    """
+    requests = sorted(active_requests, key=lambda r: r.id)
+    states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
+    by_id = {r.id: r for r in requests}
+    for state in states:
+        for _kind, req in state.planned_suffix:
+            by_id.setdefault(req.id, req)
+    limit = config.exhaustive_route_limit
+    edges: dict[tuple[tuple[int, ...], int], tuple] = {}  # -> (cost, keys, seq)
+
+    def offer(trip, vid, cost, seq):
+        key = tuple(stop_sort_key(k, r) for k, r in seq)
+        old = edges.get((trip, vid))
+        if old is None or (cost, key) < old[:2]:
+            edges[(trip, vid)] = (cost, key, seq)
+
+    classes: dict[tuple, list] = {}
+    for state in states:
+        classes.setdefault((state.plan_location, state.plan_time, state.onboard),
+                           []).append(state)
+    delivery: dict[tuple, Optional[tuple[float, tuple]]] = {}
+    for ckey, members in classes.items():
+        loc, time, onboard = ckey
+        found = None
+        if onboard and len(onboard) <= limit:
+            got = brute_force_best_route(loc, time, [], sorted(onboard), by_id, travel, config)
+            found = None if got is None else got[:2]
+        elif onboard:
+            found = (0.0, ())
+            for rid in sorted(onboard):
+                found = _cheapest_placement(loc, time, found[1], ((DROPOFF, rid),), onboard,
+                                            by_id, travel, config)
+                if found is None:
+                    break
+        delivery[ckey] = found
+        if found is not None:
+            for state in members:
+                offer((), state.vehicle_id, *found)
+
+    given = {()}
+    for state in states:
+        suffix = tuple((k, r.id) for k, r in state.planned_suffix)
+        if not suffix:
+            continue
+        feasible, cost, _stops = naive_schedule(state.plan_location, state.plan_time, suffix,
+                                                by_id, travel, config, state.onboard)
+        if feasible:
+            trip = tuple(sorted(r for k, r in suffix if k == PICKUP))
+            offer(trip, state.vehicle_id, cost, suffix)
+            given.add(trip)
+
+    def shareable(a, b):
+        return any(brute_force_best_route(first.pickup, first.desired_pickup_time,
+                                          [a.id, b.id], [], by_id, travel, config)
+                   for first in (a, b))
+
+    known = set(given)
+    class_known = {ckey: set(given) for ckey in classes}
+    for k in range(1, config.effective_trip_size_limit + 1):
+        for ids in itertools.combinations([r.id for r in requests], k):
+            subsets = [tuple(i for i in ids if i != m) for m in ids]  # the last drops the top
+            if any(s not in known for s in subsets):
+                continue
+            if k == 2 and not shareable(by_id[ids[0]], by_id[ids[1]]):
+                continue
+            for ckey, members in classes.items():
+                if any(s not in class_known[ckey] for s in subsets):
+                    continue
+                loc, time, onboard = ckey
+                if k + len(onboard) <= limit:
+                    got = brute_force_best_route(loc, time, list(ids), sorted(onboard), by_id,
+                                                 travel, config)
+                    found = None if got is None else got[:2]
+                else:
+                    if k == 1:
+                        base = delivery[ckey]
+                    else:
+                        base = edges.get((subsets[-1], members[0].vehicle_id))
+                        base = None if base is None else (base[0], base[2])
+                    found = None if base is None else _cheapest_placement(
+                        loc, time, base[1], ((PICKUP, ids[-1]), (DROPOFF, ids[-1])), onboard,
+                        by_id, travel, config)
+                if found is None:
+                    continue
+                class_known[ckey].add(ids)
+                known.add(ids)
+                for state in members:
+                    offer(ids, state.vehicle_id, *found)
+    return {pairing: (cost, key) for pairing, (cost, key, _seq) in edges.items()}

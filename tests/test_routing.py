@@ -26,6 +26,7 @@ from rollhorizon.model import Route
 from rollhorizon.routing import (
     PlanStart,
     StopTable,
+    _exact_routes,
     _insert_stops,
     best_route_exhaustive,
     best_route_insertion,
@@ -252,6 +253,66 @@ def test_searches_sharing_a_table_equal_one_off_searches(case):
             assert got.stops == tuple(want[2])
 
 
+@st.composite
+def enumeration_case(draw):
+    # 1-5 riders who may join and 0-2 passengers aboard, ids interleaved,
+    # on a few shared points; some pairs may not share, and the caps of an
+    # exact route are drawn as the graph derives them
+    travel, points = draw(travel_case(draw(st.integers(1, 5))))
+    point = st.sampled_from(points)
+    n_new = draw(st.integers(1, 5))
+    n_onboard = draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(n_new + n_onboard)))
+    reqs = {}
+    for rid in ids:
+        req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
+                      0, draw(st.integers(1, 2)))
+        reqs[rid] = derive_earliest_dropoff(req, travel)
+    config = SolverConfig(
+        horizon=3600, step=600, max_wait=draw(st.integers(0, 30)) * MINUTE,
+        max_delay=draw(st.integers(0, 40)) * MINUTE,
+        dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
+        capacity=draw(st.integers(1, 3)),
+        exhaustive_route_limit=draw(st.integers(1, 4)),
+        trip_size_limit=draw(st.none() | st.integers(1, 3)),
+    )
+    new = sorted(ids[:n_new])
+    pairs = draw(st.sets(st.sampled_from(list(itertools.combinations(new, 2))))
+                 if n_new > 1 else st.just(set()))
+    start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE,
+                      frozenset(ids[n_new:]))
+    return travel, config, start, [reqs[rid] for rid in new], pairs, reqs
+
+
+@settings(max_examples=250, deadline=None)
+@given(enumeration_case())
+def test_one_enumeration_equals_brute_force_for_every_rider_set(case):
+    travel, config, start, new, pairs, by_id = case
+    table = StopTable(by_id.values(), [start.plan_location], travel, config)
+    max_new = min(config.effective_trip_size_limit,
+                  config.exhaustive_route_limit - len(start.onboard))
+    got = _exact_routes(table, table.origin_slot[start.plan_location], start, new, max_new,
+                        [tuple(p) for p in pairs])
+    onboard = sorted(start.onboard)
+    for size in range(len(new) + 1):
+        for trip in itertools.combinations([r.id for r in new], size):
+            entry = got.get(table.mask(trip))
+            # the empty set is the delivery-only route, whatever the cap
+            if size > max(max_new, 0) or any(p not in pairs
+                                             for p in itertools.combinations(trip, 2)):
+                assert entry is None
+                continue
+            want = brute_force_best_route(start.plan_location, start.plan_time, trip,
+                                          onboard, by_id, travel, config)
+            assert (entry is None) == (want is None)
+            if entry is None:
+                continue
+            cost, slots = entry
+            assert cost == want[0]
+            assert [(DROPOFF if s & 1 else PICKUP, table.riders[s >> 1].id)
+                    for s in slots] == list(want[1])
+
+
 def test_exhaustive_rejects_a_table_missing_its_rider_or_origin():
     a, b = mk(0, 1, 0, 5, 0, 0), mk(1, 2, 0, 6, 0, 0)
     start = PlanStart(Location(0, 0), 0)
@@ -266,8 +327,8 @@ def test_exhaustive_rejects_a_table_missing_its_rider_or_origin():
 
 def test_exhaustive_keeps_a_tie_its_bound_overshoots_by_rounding():
     # riders 0 and 3 are aboard; P1 D0 P2 D3 D1 D2 and P1 D1 D0 P2 D3 D2
-    # drive the same legs in another order and cost the same float, but at
-    # the first order's last branch the in-arc bound rounds one ulp above it
+    # drive the same legs in another order and cost the same float, and the
+    # first order's smaller stop keys must win
     a0 = derive_earliest_dropoff(Request(0, Location(0, 5), Location(0, 7), 0, 0), TRAVEL)
     a3 = derive_earliest_dropoff(Request(3, Location(0, 5), Location(0, 7), 0, 0), TRAVEL)
     r1 = derive_earliest_dropoff(Request(1, Location(1, 0), Location(0, 5), 0, 0), TRAVEL)

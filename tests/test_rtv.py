@@ -1,8 +1,10 @@
+import dataclasses
 import itertools
 import random
 
-from instgen import random_request
-from oracles import naive_schedule
+import rollhorizon.engine as engine
+from instgen import random_instance, random_request
+from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -14,7 +16,7 @@ from rollhorizon.model import (
 from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
 from rollhorizon.rtv import build_rtv_graph
 from rollhorizon.simulator import VehicleState
-from rollhorizon.travel import EuclideanTravel
+from rollhorizon.travel import EuclideanTravel, MatrixTravel
 
 TRAVEL = EuclideanTravel(1.0)
 
@@ -193,6 +195,35 @@ def test_carried_over_group_is_offered_to_every_vehicle():
     assert pair_costs == {0: 7.0, 1: 6.0}
 
 
+def test_a_carried_over_pair_may_share_in_larger_trips():
+    # matrix nodes: a's pickup A, b's pickup B, x's pickup X, the dropoff S
+    # of a passenger aboard, then the dropoffs of a, b and x. Legs into
+    # dropoffs and the legs S-B, A-X, X-B take a minute, every other leg
+    # 100 minutes, so a and b fail the pair screen from either pickup. The
+    # vehicle's plan serves both through S, so a and b may share a route
+    A, B, X, S, DA, DB, DX = range(7)
+    quick = {(S, B), (A, X), (X, B)}
+    times = [[0 if i == j else 60 if j in (S, DA, DB, DX) or (i, j) in quick else 6000
+              for j in range(7)] for i in range(7)]
+    travel = MatrixTravel(times, [[t / 60 for t in row] for row in times])
+    node = [Location(float(i), 0.0, node_id=i) for i in range(7)]
+    a = Request(0, node[A], node[DA], 0, 0)
+    x = Request(1, node[X], node[DX], 60, 0)
+    b = Request(2, node[B], node[DB], 120, 0)
+    p = Request(3, node[A], node[S], 0, 0)
+    config = cfg(max_wait=300, max_delay=3600, dwell=0, capacity=3)
+    assert not pair_feasible(a, b, travel, config)
+    plan = ((PICKUP, a), (DROPOFF, p), (PICKUP, b), (DROPOFF, a), (DROPOFF, b))
+    carrier = VehicleState(vehicle_id=0, plan_location=node[A], plan_time=0,
+                           onboard=frozenset([3]), planned_suffix=plan)
+    graph = build_rtv_graph([a, x, b], [carrier], travel, config)
+    routes = {graph.trip_requests(e.trip_id): [(k, r.id) for k, r in e.route.sequence]
+              for e in graph.edges}
+    assert routes[(0, 2)] == [(k, r.id) for k, r in plan]
+    assert routes[(0, 1, 2)] == [(PICKUP, 0), (PICKUP, 1), (DROPOFF, 0), (DROPOFF, 1),
+                                 (DROPOFF, 3), (PICKUP, 2), (DROPOFF, 2)]
+
+
 def test_edge_costs_match_independent_walk():
     rng = random.Random(3131)
     config = cfg()
@@ -243,3 +274,39 @@ def test_edges_sorted_and_build_deterministic():
             for e in g1.edges
         ]
         assert keys == sorted(keys)
+
+
+def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
+    # the states an engine run hands the graph: vehicles mid-plan, carrying
+    # passengers, some in shared classes. Small exact caps push larger
+    # trips onto insertion, and passengers aboard lower the cap further
+    calls = []
+    real = engine.build_rtv_graph
+
+    def record(requests, states, travel, config):
+        calls.append((requests, states, travel, config))
+        return real(requests, states, travel, config)
+
+    monkeypatch.setattr(engine, "build_rtv_graph", record)
+    for seed in (0, 2, 6, 11, 16):
+        rng = random.Random(seed)
+        inst, config = random_instance(rng, max_requests=30, max_vehicles=4,
+                                       rh_choices=(1, 2, 3))
+        config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
+        engine.run(inst, config)
+    compared = carrying = planned = 0
+    for requests, states, travel, config in calls:
+        if not any(s.onboard or s.planned_suffix for s in states):
+            continue
+        graph = real(requests, states, travel, config)
+        got = {
+            (graph.trip_requests(e.trip_id), e.vehicle_id):
+                (e.cost, tuple(stop_sort_key(k, r.id) for k, r in e.route.sequence))
+            for e in graph.edges
+        }
+        assert got == reference_rtv_graph(requests, states, travel, config)
+        assert {t.request_ids for t in graph.trips} == {trip for trip, _vid in got if trip}
+        compared += 1
+        carrying += sum(bool(s.onboard) for s in states)
+        planned += sum(bool(s.planned_suffix) for s in states)
+    assert compared >= 30 and carrying >= 60 and planned >= 80

@@ -23,3 +23,29 @@ def test_every_imported_name_is_used():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_every_private_top_level_name_is_used():
+    # a module-level _name that no code in the package reads is dead
+    defined = []
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(path.name, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert [f"{file}:{line} {name}" for file, line, name in defined if name not in used] == []
