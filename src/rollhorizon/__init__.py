@@ -49,7 +49,6 @@ from .routing import (
     PlanStart,
     best_route_exhaustive,
     best_route_insertion,
-    pair_feasible,
     schedule_route,
 )
 from .rtv import Edge, RtvGraph, Trip, build_rtv_graph
@@ -106,7 +105,6 @@ __all__ = [
     "load_matrix",
     "make_fleet",
     "make_instance",
-    "pair_feasible",
     "report_violations",
     "run",
     "schedule_route",

@@ -29,7 +29,7 @@ from .instance_io import (
 )
 from .model import Location, SolverConfig, validate_config
 from .simulator import SimulationError
-from .travel import EuclideanTravel
+from .travel import EuclideanTravel, TravelError
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -54,10 +54,15 @@ SWEEP_COLUMNS = [
 ]
 
 
+def _given(opt: dict, key: str, default):
+    """opt[key] unless it was left unset; an explicit zero is kept."""
+    value = opt.get(key)
+    return default if value is None else value
+
+
 def _step_minutes(opt: dict) -> float:
-    if opt.get("step_min") is not None:
-        return opt["step_min"]
-    return NYC_STEP_MIN if opt.get("profile") == "nyc" else DEFAULT_STEP_MIN
+    return _given(opt, "step_min",
+                  NYC_STEP_MIN if opt.get("profile") == "nyc" else DEFAULT_STEP_MIN)
 
 
 def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
@@ -66,7 +71,7 @@ def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
         return adapt_benchmark(inst)
     if fmt != "csv":
         raise ParseError(f"unknown instance format {fmt!r}")
-    travel = EuclideanTravel(opt.get("speed") or 1.0)
+    travel = EuclideanTravel(_given(opt, "speed", 1.0))
     inst = load_csv_requests(path, travel)
     if not inst.requests:
         raise ParseError(f"{path}: no requests")
@@ -78,8 +83,8 @@ def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
             sum(r.pickup.x for r in inst.requests) / n,
             sum(r.pickup.y for r in inst.requests) / n,
         )
-    fleet = opt.get("fleet_size") or DEFAULT_FLEET
-    capacity = opt.get("capacity") or DEFAULT_CAPACITY
+    fleet = _given(opt, "fleet_size", DEFAULT_FLEET)
+    capacity = _given(opt, "capacity", DEFAULT_CAPACITY)
     return dataclasses.replace(
         inst,
         vehicles=make_fleet(fleet, capacity, depot),
@@ -89,7 +94,7 @@ def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
 
 def _build_config(inst: Instance, fmt: str, opt: dict) -> tuple[Instance, SolverConfig]:
     ov = dict(inst.config_overrides)
-    rh = opt.get("rh_factor") or 0
+    rh = _given(opt, "rh_factor", 0)
     if fmt == "lilim":
         h = inst.native_horizon or 0
         if h <= 0:
@@ -108,16 +113,16 @@ def _build_config(inst: Instance, fmt: str, opt: dict) -> tuple[Instance, Solver
             scale_to_native_day(h, opt["dwell_min"]) if opt.get("dwell_min") is not None
             else ov["dwell"]
         )
-        capacity = opt.get("capacity") or ov["capacity"]
+        capacity = _given(opt, "capacity", ov["capacity"])
     else:
         step = round(_step_minutes(opt) * 60)
         latest = max(r.desired_pickup_time for r in inst.requests)
         horizon = (latest // step + 2) * step if step > 0 else 0
-        max_wait = round((opt.get("max_wait_min") or DEFAULT_WAIT_MIN) * 60)
-        max_delay = round((opt.get("max_delay_min") or DEFAULT_DELAY_MIN) * 60)
-        dwell = round((opt.get("dwell_min") or DEFAULT_DWELL_MIN) * 60)
-        capacity = opt.get("capacity") or DEFAULT_CAPACITY
-    fleet = opt.get("fleet_size") or ov.get("fleet_size") or DEFAULT_FLEET
+        max_wait = round(_given(opt, "max_wait_min", DEFAULT_WAIT_MIN) * 60)
+        max_delay = round(_given(opt, "max_delay_min", DEFAULT_DELAY_MIN) * 60)
+        dwell = round(_given(opt, "dwell_min", DEFAULT_DWELL_MIN) * 60)
+        capacity = _given(opt, "capacity", DEFAULT_CAPACITY)
+    fleet = _given(opt, "fleet_size", ov.get("fleet_size", DEFAULT_FLEET))
     config = SolverConfig(
         horizon=horizon,
         step=step,
@@ -170,6 +175,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except TravelError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     problems = validate_config(config)
     if problems:
         for p in problems:
@@ -299,7 +307,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"warning: ignoring ROLLHORIZON_THREADS={env!r}", file=sys.stderr)
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a fork pool starts every worker up front, so never more than runs
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             rows = list(pool.map(_run_sweep_job, jobs))
     else:
         rows = [_run_sweep_job(job) for job in jobs]

@@ -6,12 +6,13 @@ routine called without one builds its own. One kernel, _timed_route, times
 every route returned here. One exact search, _exact_routes, walks every
 feasible stop sequence from a vehicle's start once and keeps the best route
 of each set of riders it can serve, so the graph runs it once per vehicle
-class; best_route_exhaustive reads it for a single request set.
-schedule_route times a fixed stop sequence. best_route_insertion slots one
-new request into an existing order once exact search would be too wide; it
-and the greedy delivery-only route share one placement routine.
-pair_feasible only asks whether two requests can share a vehicle. Those
-three hot loops time stops inline over slots, for speed.
+class; which riders may share a vehicle is whatever that walk finds, with
+no pair test ahead of it. best_route_exhaustive reads it for a single
+request set. schedule_route times a fixed stop sequence.
+best_route_insertion slots one new request into an existing order once
+exact search would be too wide; it and the greedy delivery-only route share
+one placement routine. The enumeration and the placement routine time stops
+inline over slots, for speed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations_with_replacement
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -257,30 +258,27 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
             if r.id in start.onboard:
                 raise ValueError(f"request {r.id} is already onboard")
     table, origin, _slots = _on_table(table, first_stops, start.plan_location, travel, config)
-    ids = [r.id for r in new]
-    best = _exact_routes(table, origin, start, new, len(new), combinations(ids, 2)).get(
-        table.mask(ids))
+    best = _exact_routes(table, origin, start, new, len(new)).get(
+        table.mask(r.id for r in new))
     if best is None:
         return None
     return _timed_route(table, origin, start, best[1])
 
 
 def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request],
-                  max_new: int, pairs: Iterable[Iterable[int]]
-                  ) -> dict[int, tuple[float, tuple[int, ...]]]:
+                  max_new: int) -> dict[int, tuple[float, tuple[int, ...]]]:
     """The exact routes of every set of riders the start can serve, in one DFS.
 
     Walks every feasible stop sequence from the start, at origin slot
     origin, that drops off the passengers aboard and serves riders, none of
-    them aboard. A rider may join while fewer than max_new have, and only if
-    pairs holds its request id paired with that of every rider already
-    picked. Wherever nobody is left to drop off, the sequence so far is a
-    route for the riders it picked. Returns, per set of riders (a
-    StopTable.mask), the lowest (distance, slots) over its routes; slots
-    order like stop keys, so that is the stop-key tie-break. Distances are
-    added in route order from 0.0, as _timed_route adds them, so each
-    distance is bit-identical to the kernel's total. A set holding a pair
-    that may not share, or more than max_new riders, is never a key.
+    them aboard. A rider may join while fewer than max_new have. Wherever
+    nobody is left to drop off, the sequence so far is a route for the
+    riders it picked. Returns, per set of riders (a StopTable.mask), the
+    lowest (distance, slots) over its routes; slots order like stop keys,
+    so that is the stop-key tie-break. Distances are added in route order
+    from 0.0, as _timed_route adds them, so each distance is bit-identical
+    to the kernel's total. A set no sequence serves, or of more than
+    max_new riders, is never a key.
     """
     config, travel = table.config, table.travel
     points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
@@ -292,13 +290,7 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
     start_load = table.seats(start.onboard)
     if start_load > cap:
         return {}
-    # may_share[i]: the riders rider i may share a route with, as a mask
     everyone = table.mask(r.id for r in riders)
-    may_share = [0] * len(table.riders)
-    for a, b in pairs:
-        ia, ib = table.slot_of[a] >> 1, table.slot_of[b] >> 1
-        may_share[ia] |= 1 << ib
-        may_share[ib] |= 1 << ia
     pending = sorted(table.slot_of[rid] + 1 for rid in start.onboard)  # dropoffs owed
     path: list[int] = []
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
@@ -306,8 +298,8 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
     def dfs(here, free, load, cost, picked, joinable, n_new):
         # stop timing is _timed_route spelled out over slots: this runs at
         # every node, and a call per stop costs more than the arithmetic.
-        # The pair screen times legs without their distance, so a leg's
-        # distance is filled apart from its time
+        # A late stop's leg gets its time but not its distance, here and in
+        # the placement routine, so a leg's distance is filled apart
         if not pending:
             got = best.get(picked)
             if got is None or cost < got[0] or (cost == got[0] and tuple(path) < got[1]):
@@ -362,75 +354,12 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
             else:
                 pending.append(pos + 1)
                 dfs(pos, depart, load + deltas[pos], cost + dist, picked | key,
-                    joinable & may_share[pos >> 1], n_new + 1)
+                    joinable ^ key, n_new + 1)
                 pending.pop()
             path.pop()
 
     dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
     return best
-
-
-# all 6 precedence-valid orders of stops 0-3 = (pickup a, dropoff a, pickup b,
-# dropoff b), those opening at a's pickup listed first; XOR 2 swaps the
-# requests, so the start at b's pickup tries its own-pickup orders first
-_PAIR_ORDERS = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1),
-                (2, 0, 1, 3), (2, 0, 3, 1), (2, 3, 0, 1))
-_PAIR_ORDERS_FROM = {
-    0: _PAIR_ORDERS,
-    2: tuple(tuple(i ^ 2 for i in order) for order in _PAIR_ORDERS),
-}
-
-
-def pair_feasible(a: Request, b: Request, travel, config: SolverConfig, *,
-                  table: Optional[StopTable] = None) -> bool:
-    """Could any vehicle serve both requests? Checked from each pickup.
-
-    A vehicle standing at either request's pickup at its desired time, with
-    nobody aboard, tries every stop order of the two rides; the answer is
-    True at the first order that keeps every wait, delay and capacity
-    limit. If a real vehicle has a feasible combined route, the same order
-    is feasible from that route's first pickup at its desired time, so the
-    screen never discards a truly shareable pair. Same verdict as
-    best_route_exhaustive from both starts, without optimising distance.
-    `table` shares timed legs between routines; it must hold both requests
-    and have been built for the same travel model and config. Without one,
-    the screen builds a table of its own.
-    """
-    table, _, (pa, pb) = _on_table(table, ((PICKUP, a), (PICKUP, b)), None, travel, config)
-    slots = (pa, pa + 1, pb, pb + 1)
-    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
-    width, times = table.width, table.times
-    cap = config.capacity
-    dwell = config.dwell
-    time_of = travel.travel_time
-    for first in (0, 2):
-        t0 = opens[slots[first]]
-        for order in _PAIR_ORDERS_FROM[first]:
-            # stop timing is _timed_route spelled out over slots: this runs
-            # for every pair of requests a run reveals, and a call per stop
-            # costs more than the arithmetic. Only the legs' times are read
-            here = slots[first]
-            free = t0
-            load = 0
-            for i in order:
-                pos = slots[i]
-                leg = width * here + pos
-                tt = times[leg]
-                if tt is None:
-                    tt = times[leg] = time_of(points[here], points[pos])
-                arrival = free + tt
-                earliest = opens[pos]
-                service = arrival if arrival > earliest else earliest
-                if service - earliest > limits[pos]:
-                    break
-                load += deltas[pos]
-                if load > cap:
-                    break
-                free = service + dwell
-                here = pos
-            else:
-                return True
-    return False
 
 
 def best_route_insertion(start, base_route: CandidateRoute, new_request: Request, travel,

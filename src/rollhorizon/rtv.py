@@ -7,14 +7,15 @@ one-smaller subsets are trips, and kept only when at least one vehicle can
 actually drive it. The groups vehicles' previous plans carry over are trips
 from the start and are routed for every vehicle like any other subset.
 Exact routes come from one enumeration per vehicle class, which the growth
-only reads; trips past the exact caps are routed by insertion.
+only reads; trips past the exact caps are routed by insertion. No pairwise
+screen runs first: a pair becomes a trip, like any larger set, when some
+vehicle class routes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .model import DROPOFF, PICKUP, SolverConfig
@@ -26,7 +27,6 @@ from .routing import (
     _timed_route,
     best_route_exhaustive,
     best_route_insertion,
-    pair_feasible,
     schedule_route,
 )
 
@@ -99,16 +99,15 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     commitments stay representable, and the requests the plan still picks up
     are a trip from the start; vehicles with passengers get a delivery-only
     edge. Trips then grow one request at a time from the empty trip: a set is
-    a candidate once every one-smaller subset is a trip (and for pairs, the
-    two requests passed the shareability screen), and it becomes a trip when
-    some vehicle has a feasible route. Carried-over groups are candidates
-    like any other set, so every vehicle is offered them. Vehicles at one
-    place and time with the same passengers form a class and share routes.
-    Up to a class's cap of new riders (the trip-size limit, and
-    exhaustive_route_limit less its passengers), a trip's route is read from
-    the class's one exact enumeration, in which a rider joins only riders it
-    passed the screen with or shares a carried-over group with; past the
-    cap, the top request is inserted into the best route of the rest.
+    a candidate once every one-smaller subset is a trip, and it becomes a
+    trip when some vehicle has a feasible route. Carried-over groups are
+    candidates like any other set, so every vehicle is offered them.
+    Vehicles at one place and time with the same passengers form a class
+    and share routes. Up to a class's cap of new riders (the trip-size
+    limit, and exhaustive_route_limit less its passengers), a trip's route
+    is read from the class's one exact enumeration of every rider set it can
+    serve; past the cap, the top request is inserted into the best route of
+    the rest.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -176,16 +175,10 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         if state.onboard:
             preferred_keys.append((frozenset(), vid))
 
-    rr_pairs = {frozenset((a.id, b.id)) for i, a in enumerate(requests) for b in requests[i + 1:]
-                if pair_feasible(a, b, travel, config, table=table)}
-    # a trip's riders pairwise passed the screen or share a carried-over group
-    # (a plan may serve a pair the screen rejects on triangle-breaking travel),
-    # so every trip a class routes exactly is in the class's one enumeration
-    shareable = rr_pairs.union(*(map(frozenset, combinations(g, 2)) for g in given))
     origins = [table.origin_slot[rep.plan_location] for rep, _ in classes]
     caps = [min(config.effective_trip_size_limit,
                 config.exhaustive_route_limit - len(rep.onboard)) for rep, _ in classes]
-    exact = [_exact_routes(table, origin, rep, requests, cap, shareable) if cap > 0 else {}
+    exact = [_exact_routes(table, origin, rep, requests, cap) if cap > 0 else {}
              for (rep, _), origin, cap in zip(classes, origins, caps)]
     known = set(given)
     class_known = [set(given) for _ in classes]
@@ -199,8 +192,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                     continue
                 grown = base_set | {r.id}
                 if grown in candidates:
-                    continue
-                if k == 2 and grown not in rr_pairs:
                     continue
                 if any(grown - {m} not in known for m in grown):
                     continue

@@ -19,7 +19,7 @@ from rollhorizon.model import (
 )
 from rollhorizon.routing import PlanStart
 from rollhorizon.rtv import Edge, RtvGraph, Trip
-from rollhorizon.travel import EuclideanTravel
+from rollhorizon.travel import EuclideanTravel, MatrixTravel
 
 
 def random_request(rng: random.Random, rid: int, area: float, latest_pickup: int,
@@ -91,6 +91,35 @@ def random_instance(
     inst = Instance(requests=requests, vehicles=vehicles, travel=travel,
                     name=f"rand-{n_req}x{n_veh}")
     return inst, config
+
+
+def matrix_instance(inst: Instance, rng: random.Random) -> Instance:
+    """The instance moved onto an asymmetric table that breaks the triangle.
+
+    Node 0 is the first vehicle's depot (every vehicle starts there), nodes
+    2i + 1 and 2i + 2 are request i's pickup and dropoff. Each directed
+    leg's distance is its planar one times a factor drawn uniformly from
+    [1.0, 1.4], and its time is that distance at the instance's speed,
+    rounded up to a whole second; each request's earliest dropoff is
+    derived again on the table.
+    """
+    speed = inst.travel.speed
+    points = [inst.vehicles[0].depot]
+    for r in inst.requests:
+        points += [r.pickup, r.dropoff]
+    dists = [[0.0 if i == j else math.hypot(a.x - b.x, a.y - b.y) * rng.uniform(1.0, 1.4)
+              for j, b in enumerate(points)] for i, a in enumerate(points)]
+    travel = MatrixTravel([[math.ceil(d * 60.0 / speed) for d in row] for row in dists], dists)
+    node = [Location(p.x, p.y, node_id=i) for i, p in enumerate(points)]
+    requests = tuple(
+        derive_earliest_dropoff(
+            Request(r.id, node[2 * i + 1], node[2 * i + 2], r.desired_pickup_time, 0, r.load),
+            travel)
+        for i, r in enumerate(inst.requests)
+    )
+    vehicles = tuple(Vehicle(v.id, v.capacity, node[0]) for v in inst.vehicles)
+    return Instance(requests=requests, vehicles=vehicles, travel=travel,
+                    name=f"{inst.name}-matrix")
 
 
 def tiny_instance(rng: random.Random) -> tuple[Instance, SolverConfig]:

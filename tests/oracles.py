@@ -439,10 +439,9 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
     - Vehicles at one place and time with the same passengers form a class
       and share routes.
     - Trips grow a request at a time. A set is a candidate once every
-      one-smaller subset is a trip (and, for pairs, some order serves both
-      from either pickup at its desired time, nobody aboard). A class
-      routes a candidate once it has routed every one-smaller subset, and
-      the set is a trip once some class routes it.
+      one-smaller subset is a trip. A class routes a candidate once it has
+      routed every one-smaller subset, and the set is a trip once some
+      class routes it.
     - A class routes a set by the best order while the set and the
       passengers number at most exhaustive_route_limit. Past that, it
       places the top id's pickup and dropoff at their cheapest place into a
@@ -501,19 +500,12 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
             offer(trip, state.vehicle_id, cost, suffix)
             given.add(trip)
 
-    def shareable(a, b):
-        return any(brute_force_best_route(first.pickup, first.desired_pickup_time,
-                                          [a.id, b.id], [], by_id, travel, config)
-                   for first in (a, b))
-
     known = set(given)
     class_known = {ckey: set(given) for ckey in classes}
     for k in range(1, config.effective_trip_size_limit + 1):
         for ids in itertools.combinations([r.id for r in requests], k):
             subsets = [tuple(i for i in ids if i != m) for m in ids]  # the last drops the top
             if any(s not in known for s in subsets):
-                continue
-            if k == 2 and not shareable(by_id[ids[0]], by_id[ids[1]]):
                 continue
             for ckey, members in classes.items():
                 if any(s not in class_known[ckey] for s in subsets):

@@ -124,13 +124,18 @@ def test_adapt_reports_settings(tmp_path, capsys):
     assert out.read_text() == text
 
 
-def test_solve_csv_instance(tmp_path, capsys):
+def _two_request_csv(tmp_path):
     src = tmp_path / "req.csv"
     src.write_text(
         "id,pickup_x,pickup_y,dropoff_x,dropoff_y,desired_pickup_min\n"
         "0,0,0,3,4,2\n"
         "1,1,1,5,5,10.5\n"
     )
+    return src
+
+
+def test_solve_csv_instance(tmp_path, capsys):
+    src = _two_request_csv(tmp_path)
     out = tmp_path / "req.report.csv"
     code = main([
         "solve", "--instance", str(src), "--format", "csv",
@@ -157,3 +162,71 @@ def test_solve_maps_solver_failures_to_exit_codes(tmp_path, capsys, monkeypatch,
     assert main(["solve", "--instance", str(FIXTURE), "--output", str(out)]) == code
     assert str(error) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_keeps_explicit_zero_minutes(tmp_path, capsys):
+    out = tmp_path / "req.report.json"
+    code = main([
+        "solve", "--instance", str(_two_request_csv(tmp_path)), "--format", "csv",
+        "--dwell-min", "0", "--max-wait-min", "0", "--max-delay-min", "0",
+        "--output", str(out),
+    ])
+    assert code == 0
+    capsys.readouterr()
+    config = json.loads(out.read_text())["config"]
+    assert (config["dwell_s"], config["max_wait_s"], config["max_delay_s"]) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("fmt, flags, message", [
+    ("csv", ["--capacity", "0"], "capacity must be >= 1"),
+    ("csv", ["--fleet-size", "0"], "fleet_size must be >= 1"),
+    ("csv", ["--speed", "0"], "speed must be positive"),
+    ("csv", ["--speed", "-1"], "speed must be positive"),
+    ("lilim", ["--capacity", "0"], "capacity must be >= 1"),
+    ("lilim", ["--fleet-size", "0"], "fleet_size must be >= 1"),
+])
+def test_solve_rejects_explicit_zero_or_negative_settings(tmp_path, capsys, fmt, flags,
+                                                          message):
+    # an explicit value is used as given, never swapped for the default
+    instance = _two_request_csv(tmp_path) if fmt == "csv" else FIXTURE
+    out = tmp_path / "x.json"
+    code = main(["solve", "--instance", str(instance), "--format", fmt, *flags,
+                 "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+def test_solve_rejects_a_benchmark_file_with_no_vehicles(tmp_path, capsys):
+    header, *rows = FIXTURE.read_text().splitlines(keepends=True)
+    src = tmp_path / "zero.txt"
+    src.write_text("0" + header[header.index("\t"):] + "".join(rows))
+    assert main(["solve", "--instance", str(src), "--output", str(tmp_path / "x.json")]) == 3
+    assert "fleet_size must be >= 1" in capsys.readouterr().err
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
+    started = []
+
+    class RecordingPool:
+        # stands in for the process pool and runs every job in this process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr("rollhorizon.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("ROLLHORIZON_THREADS", "64")
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--corpus", "1", "--corpus-requests", "4", "--rh-factors", "0,1",
+                 "--output", str(out)]) == 0
+    assert "2 runs, 0 failed" in capsys.readouterr().out
+    assert started == [2]

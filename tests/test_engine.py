@@ -176,8 +176,8 @@ def test_budget_exhausted_without_fallback_is_a_typed_error(monkeypatch):
 
 
 def test_exhaustive_route_limit_one_runs():
-    # the pair screen runs no route search, so a one-request cap on exact
-    # search leaves pairs to cheapest insertion instead of raising
+    # a one-request cap on exact search leaves pairs to cheapest insertion
+    # instead of raising
     inst, cfg = two_request_instance()
     rep = run(inst, dataclasses.replace(cfg, exhaustive_route_limit=1))
     assert [(r.served, r.vehicle_id) for r in rep.records] == [(True, 0), (True, 0)]

@@ -30,7 +30,6 @@ from rollhorizon.routing import (
     _insert_stops,
     best_route_exhaustive,
     best_route_insertion,
-    pair_feasible,
     schedule_route,
 )
 from rollhorizon.travel import EuclideanTravel
@@ -227,18 +226,14 @@ def shared_table_case(draw):
                              max_size=min(len(free), 3 - len(start.onboard)))
                     if free else st.just([]))
         searches.append((start, [reqs[r] for r in trip]))
-    return travel, config, reqs, starts, searches, draw(st.booleans())
+    return travel, config, reqs, starts, searches
 
 
 @settings(max_examples=200, deadline=None)
 @given(shared_table_case())
 def test_searches_sharing_a_table_equal_one_off_searches(case):
-    travel, config, by_id, starts, searches, screened = case
+    travel, config, by_id, starts, searches = case
     table = StopTable(by_id.values(), [s.plan_location for s in starts], travel, config)
-    if screened:
-        # a re-solve screens its pairs first, timing legs without distances
-        for a, b in itertools.combinations(by_id.values(), 2):
-            pair_feasible(a, b, travel, config, table=table)
     for start, trip in searches:
         got = best_route_exhaustive(start, trip, travel, config, by_id, table=table)
         assert got == best_route_exhaustive(start, trip, travel, config, by_id)
@@ -256,8 +251,8 @@ def test_searches_sharing_a_table_equal_one_off_searches(case):
 @st.composite
 def enumeration_case(draw):
     # 1-5 riders who may join and 0-2 passengers aboard, ids interleaved,
-    # on a few shared points; some pairs may not share, and the caps of an
-    # exact route are drawn as the graph derives them
+    # on a few shared points; the caps of an exact route are drawn as the
+    # graph derives them
     travel, points = draw(travel_case(draw(st.integers(1, 5))))
     point = st.sampled_from(points)
     n_new = draw(st.integers(1, 5))
@@ -277,29 +272,25 @@ def enumeration_case(draw):
         trip_size_limit=draw(st.none() | st.integers(1, 3)),
     )
     new = sorted(ids[:n_new])
-    pairs = draw(st.sets(st.sampled_from(list(itertools.combinations(new, 2))))
-                 if n_new > 1 else st.just(set()))
     start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE,
                       frozenset(ids[n_new:]))
-    return travel, config, start, [reqs[rid] for rid in new], pairs, reqs
+    return travel, config, start, [reqs[rid] for rid in new], reqs
 
 
 @settings(max_examples=250, deadline=None)
 @given(enumeration_case())
 def test_one_enumeration_equals_brute_force_for_every_rider_set(case):
-    travel, config, start, new, pairs, by_id = case
+    travel, config, start, new, by_id = case
     table = StopTable(by_id.values(), [start.plan_location], travel, config)
     max_new = min(config.effective_trip_size_limit,
                   config.exhaustive_route_limit - len(start.onboard))
-    got = _exact_routes(table, table.origin_slot[start.plan_location], start, new, max_new,
-                        [tuple(p) for p in pairs])
+    got = _exact_routes(table, table.origin_slot[start.plan_location], start, new, max_new)
     onboard = sorted(start.onboard)
     for size in range(len(new) + 1):
         for trip in itertools.combinations([r.id for r in new], size):
             entry = got.get(table.mask(trip))
             # the empty set is the delivery-only route, whatever the cap
-            if size > max(max_new, 0) or any(p not in pairs
-                                             for p in itertools.combinations(trip, 2)):
+            if size > max(max_new, 0):
                 assert entry is None
                 continue
             want = brute_force_best_route(start.plan_location, start.plan_time, trip,

@@ -3,7 +3,7 @@ import itertools
 import random
 
 import rollhorizon.engine as engine
-from instgen import random_instance, random_request
+from instgen import matrix_instance, random_instance, random_request
 from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
 from rollhorizon.model import (
     DROPOFF,
@@ -13,7 +13,7 @@ from rollhorizon.model import (
     SolverConfig,
     derive_earliest_dropoff,
 )
-from rollhorizon.routing import PlanStart, best_route_exhaustive, pair_feasible
+from rollhorizon.routing import PlanStart, best_route_exhaustive
 from rollhorizon.rtv import build_rtv_graph
 from rollhorizon.simulator import VehicleState
 from rollhorizon.travel import EuclideanTravel, MatrixTravel
@@ -47,13 +47,17 @@ def test_rv_pair_requires_reachability():
     assert ((1,), 0) not in rv
 
 
-def test_rr_pair_screens_joint_service():
+def test_only_requests_one_vehicle_can_serve_together_form_a_pair_trip():
     a = mk(0, 1, 1, 3, 3, 60)
     b = mk(1, 1.5, 1, 3.5, 3, 120)  # almost the same ride
     c = mk(2, 28, 28, 29, 29, 60)  # same time, other end of town
-    assert pair_feasible(a, b, TRAVEL, cfg())
-    assert not pair_feasible(a, c, TRAVEL, cfg())
-    assert not pair_feasible(b, c, TRAVEL, cfg())
+    # a vehicle at each end of town, so every request alone is a trip
+    states = [fresh_state(0, 0, 0), fresh_state(1, 28, 28)]
+    graph = build_rtv_graph([a, b, c], states, TRAVEL, cfg())
+    trips = {t.request_ids for t in graph.trips}
+    assert {(0,), (1,), (2,), (0, 1)} <= trips
+    assert (0, 2) not in trips
+    assert (1, 2) not in trips
 
 
 def test_graph_trips_and_edges_small_instance():
@@ -199,8 +203,9 @@ def test_a_carried_over_pair_may_share_in_larger_trips():
     # matrix nodes: a's pickup A, b's pickup B, x's pickup X, the dropoff S
     # of a passenger aboard, then the dropoffs of a, b and x. Legs into
     # dropoffs and the legs S-B, A-X, X-B take a minute, every other leg
-    # 100 minutes, so a and b fail the pair screen from either pickup. The
-    # vehicle's plan serves both through S, so a and b may share a route
+    # 100 minutes, so no empty vehicle starting at either pickup can serve
+    # a and b together. The vehicle's plan serves both through S, so a and
+    # b may share a route
     A, B, X, S, DA, DB, DX = range(7)
     quick = {(S, B), (A, X), (X, B)}
     times = [[0 if i == j else 60 if j in (S, DA, DB, DX) or (i, j) in quick else 6000
@@ -212,14 +217,20 @@ def test_a_carried_over_pair_may_share_in_larger_trips():
     b = Request(2, node[B], node[DB], 120, 0)
     p = Request(3, node[A], node[S], 0, 0)
     config = cfg(max_wait=300, max_delay=3600, dwell=0, capacity=3)
-    assert not pair_feasible(a, b, travel, config)
+    for first in (a, b):
+        assert best_route_exhaustive(PlanStart(first.pickup, first.desired_pickup_time),
+                                     [a, b], travel, config) is None
     plan = ((PICKUP, a), (DROPOFF, p), (PICKUP, b), (DROPOFF, a), (DROPOFF, b))
     carrier = VehicleState(vehicle_id=0, plan_location=node[A], plan_time=0,
                            onboard=frozenset([3]), planned_suffix=plan)
     graph = build_rtv_graph([a, x, b], [carrier], travel, config)
     routes = {graph.trip_requests(e.trip_id): [(k, r.id) for k, r in e.route.sequence]
               for e in graph.edges}
-    assert routes[(0, 2)] == [(k, r.id) for k, r in plan]
+    # the enumeration finds a route as cheap as the plan with smaller stop
+    # keys: it drops a off before the passenger, the plan after
+    costs = {graph.trip_requests(e.trip_id): e.cost for e in graph.edges}
+    assert routes[(0, 2)] == [(PICKUP, 0), (DROPOFF, 0), (DROPOFF, 3), (PICKUP, 2), (DROPOFF, 2)]
+    assert costs[(0, 2)] == 4.0
     assert routes[(0, 1, 2)] == [(PICKUP, 0), (PICKUP, 1), (DROPOFF, 0), (DROPOFF, 1),
                                  (DROPOFF, 3), (PICKUP, 2), (DROPOFF, 2)]
 
@@ -279,7 +290,10 @@ def test_edges_sorted_and_build_deterministic():
 def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
     # the states an engine run hands the graph: vehicles mid-plan, carrying
     # passengers, some in shared classes. Small exact caps push larger
-    # trips onto insertion, and passengers aboard lower the cap further
+    # trips onto insertion, and passengers aboard lower the cap further.
+    # Each instance also runs on a table that breaks the triangle
+    # inequality, where a late stop prunes nothing and a detour may arrive
+    # earlier
     calls = []
     real = engine.build_rtv_graph
 
@@ -294,7 +308,8 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
                                        rh_choices=(1, 2, 3))
         config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
         engine.run(inst, config)
-    compared = carrying = planned = 0
+        engine.run(matrix_instance(inst, rng), config)
+    compared = carrying = planned = on_matrix = 0
     for requests, states, travel, config in calls:
         if not any(s.onboard or s.planned_suffix for s in states):
             continue
@@ -309,4 +324,5 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         compared += 1
         carrying += sum(bool(s.onboard) for s in states)
         planned += sum(bool(s.planned_suffix) for s in states)
-    assert compared >= 30 and carrying >= 60 and planned >= 80
+        on_matrix += isinstance(travel, MatrixTravel)
+    assert compared >= 70 and carrying >= 160 and planned >= 200 and on_matrix >= 40

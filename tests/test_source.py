@@ -49,3 +49,16 @@ def test_every_private_top_level_name_is_used():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert [f"{file}:{line} {name}" for file, line, name in defined if name not in used] == []
+
+
+def test_init_exports_exactly_what_it_imports():
+    # a name imported but left out of __all__, or listed but no longer
+    # imported, is a half-removed export
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    listed = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(imported)
