@@ -67,15 +67,22 @@ def _step_minutes(opt: dict) -> float:
 
 def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
     if fmt == "lilim":
+        # the file sets its own speed and depot
+        given = [f"--{key.replace('_', '-')}" for key in ("speed", "depot_x", "depot_y")
+                 if opt.get(key) is not None]
+        if given:
+            raise ConfigError(f"only --format csv takes {', '.join(given)}")
         inst = load_lilim(path, fleet_size=opt.get("fleet_size"))
         return adapt_benchmark(inst)
     if fmt != "csv":
         raise ParseError(f"unknown instance format {fmt!r}")
+    if (opt.get("depot_x") is None) != (opt.get("depot_y") is None):
+        raise ConfigError("--depot-x and --depot-y must be given together")
     travel = EuclideanTravel(_given(opt, "speed", 1.0))
     inst = load_csv_requests(path, travel)
     if not inst.requests:
         raise ParseError(f"{path}: no requests")
-    if opt.get("depot_x") is not None and opt.get("depot_y") is not None:
+    if opt.get("depot_x") is not None:
         depot = Location(opt["depot_x"], opt["depot_y"])
     else:
         n = len(inst.requests)
@@ -175,7 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except TravelError as e:
+    except (ConfigError, TravelError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     problems = validate_config(config)

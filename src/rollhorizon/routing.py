@@ -3,24 +3,23 @@
 One StopTable numbers the stops, reads their attributes off the Requests
 and keeps every timed leg; the routines of a re-solve share one, and a
 routine called without one builds its own. One kernel, _timed_route, times
-every route returned here. One exact search, _exact_routes, walks every
-feasible stop sequence from a vehicle's start once and keeps the best route
-of each set of riders it can serve, so the graph runs it once per vehicle
-class; which riders may share a vehicle is whatever that walk finds, with
-no pair test ahead of it. best_route_exhaustive reads it for a single
-request set. schedule_route times a fixed stop sequence.
-best_route_insertion slots one new request into an existing order once
-exact search would be too wide; it and the greedy delivery-only route share
-one placement routine. The enumeration and the placement routine time stops
-inline over slots, for speed.
+every route returned here. One search, _exact_routes, walks every feasible
+stop sequence from a vehicle's start that visits the stops it owes, each
+chain of them in its order, and keeps the best route of each set of riders
+it can serve, so the graph runs it once per vehicle class; which riders may
+share a vehicle is whatever that walk finds, with no pair test ahead of it.
+best_route_exhaustive reads it for a single request set. best_route_insertion
+slots one new request into an existing order once exact search would be
+too wide: the same search, owing the base route's stops and the new ones
+as two chains, with no rider to join. schedule_route times a fixed stop
+sequence. The search times stops inline over slots, for speed; it and the
+kernel are the only stop timing here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -72,10 +71,11 @@ class StopTable:
 
     Rider i, counted in id order, has its pickup at slot 2i and its dropoff
     at slot 2i + 1, so comparing tuples of slots compares the stop-key
-    sequences they spell. Each distinct origin location gets one slot after
-    the riders'. A leg's time and its distance are each filled on first
-    use and kept, so every routine handed the same table pays for each leg
-    once.
+    sequences they spell. A route may start at any rider's stop point, from
+    the first slot there, so an origin at one shares its legs; any other
+    distinct origin location gets one slot after the riders'. A leg's time
+    and its distance are each filled on first use and kept, so every
+    routine handed the same table pays for each leg once.
     """
 
     def __init__(self, riders: Iterable[Request], origins: Iterable[Location],
@@ -96,6 +96,8 @@ class StopTable:
             self.limits += (config.max_wait, config.max_delay)
             self.deltas += (r.load, -r.load)
         self.origin_slot: dict[Location, int] = {}
+        for slot, point in enumerate(self.points):
+            self.origin_slot.setdefault(point, slot)
         for loc in origins:
             if loc not in self.origin_slot:
                 self.origin_slot[loc] = len(self.points)
@@ -266,13 +268,16 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
 
 
 def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request],
-                  max_new: int) -> dict[int, tuple[float, tuple[int, ...]]]:
+                  max_new: int, owed: Optional[Iterable[Sequence[int]]] = None
+                  ) -> dict[int, tuple[float, tuple[int, ...]]]:
     """The exact routes of every set of riders the start can serve, in one DFS.
 
     Walks every feasible stop sequence from the start, at origin slot
-    origin, that drops off the passengers aboard and serves riders, none of
-    them aboard. A rider may join while fewer than max_new have. Wherever
-    nobody is left to drop off, the sequence so far is a route for the
+    origin, that visits every owed stop and serves riders, none of them
+    aboard. owed holds chains of slots, each visited in its given order;
+    by default there is one chain per passenger aboard, holding that
+    passenger's dropoff. A rider may join while fewer than max_new have.
+    Wherever nothing is left owed, the sequence so far is a route for the
     riders it picked. Returns, per set of riders (a StopTable.mask), the
     lowest (distance, slots) over its routes; slots order like stop keys,
     so that is the stop-key tie-break. Distances are added in route order
@@ -290,22 +295,35 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
     start_load = table.seats(start.onboard)
     if start_load > cap:
         return {}
+    if owed is None:
+        owed = [(table.slot_of[rid] + 1,) for rid in sorted(start.onboard)]
+    # each chain's next stop is pending; visiting it pends its successor,
+    # where -1 means the chain ends there
+    pending: list[int] = []
+    successor = [-1] * width
+    for chain in owed:
+        if chain:
+            pending.append(chain[0])
+            for slot, after in zip(chain, chain[1:]):
+                successor[slot] = after
     everyone = table.mask(r.id for r in riders)
-    pending = sorted(table.slot_of[rid] + 1 for rid in start.onboard)  # dropoffs owed
     path: list[int] = []
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
 
     def dfs(here, free, load, cost, picked, joinable, n_new):
         # stop timing is _timed_route spelled out over slots: this runs at
         # every node, and a call per stop costs more than the arithmetic.
-        # A late stop's leg gets its time but not its distance, here and in
-        # the placement routine, so a leg's distance is filled apart
+        # A late stop's leg gets its time but not its distance, so a leg's
+        # distance is filled apart
         if not pending:
             got = best.get(picked)
             if got is None or cost < got[0] or (cost == got[0] and tuple(path) < got[1]):
                 best[picked] = (cost, tuple(path))
         row = width * here
-        steps = []  # (slot, its index in pending or its rider bit, departure, distance)
+        room = cap - load
+        # (slot, its index in pending or, for a rider joining, ~its rider
+        # bit, departure, distance)
+        steps = []
         for i, pos in enumerate(pending):
             leg = row + pos
             tt = times[leg]
@@ -316,8 +334,10 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
             service = arrival if arrival > earliest else earliest
             if service - earliest > limits[pos]:
                 if late_kill:
-                    return  # every extension still owes this dropoff
+                    return  # every extension still owes this stop
                 continue
+            if deltas[pos] > room:
+                continue  # an owed pickup
             dist = dists[leg]
             if dist is None:
                 dist = dists[leg] = dist_of(points[here], points[pos])
@@ -339,23 +359,30 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
                     if late_kill:
                         joinable ^= bit  # nor can it join further down
                     continue
-                if load + deltas[pos] > cap:
+                if deltas[pos] > room:
                     continue
                 dist = dists[leg]
                 if dist is None:
                     dist = dists[leg] = dist_of(points[here], points[pos])
-                steps.append((pos, bit, service + dwell, dist))
+                steps.append((pos, ~bit, service + dwell, dist))
         for pos, key, depart, dist in steps:
             path.append(pos)
-            if pos & 1:
-                del pending[key]
-                dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
-                pending.insert(key, pos)
-            else:
+            if key < 0:
+                bit = ~key
                 pending.append(pos + 1)
-                dfs(pos, depart, load + deltas[pos], cost + dist, picked | key,
-                    joinable ^ key, n_new + 1)
+                dfs(pos, depart, load + deltas[pos], cost + dist, picked | bit, joinable ^ bit,
+                    n_new + 1)
                 pending.pop()
+            else:
+                after = successor[pos]
+                if after < 0:
+                    del pending[key]
+                    dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
+                    pending.insert(key, pos)
+                else:
+                    pending[key] = after
+                    dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
+                    pending[key] = pos
             path.pop()
 
     dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
@@ -387,19 +414,14 @@ def _insert_stops(start, base_route: CandidateRoute, new_stops: Sequence[tuple[s
                   ) -> Optional[CandidateRoute]:
     """Cheapest feasible placement of new_stops, kept in their given order.
 
-    Tries every placement that keeps the base order and keeps the lowest
-    (distance, stop keys). base_route must have been timed from start and
-    keep every wait and delay limit; its loads may break capacity, since
-    every load is checked here. Each placement is timed from the base
-    route's own schedule: the stops before the first new stop keep their
-    times, and once every new stop is placed and a base stop's service
-    start is back at its old value, the push is absorbed and every later
-    stop keeps its time too (forward time slack, Savelsbergh 1992). Leg
-    distances are still added one by one in route order, as the kernel
-    adds them, so the (distance, stop keys) key is bit-identical to the
-    kernel's. Returns None when no placement is feasible. `table` (see
-    _on_table) must hold the start's location and every rider of the route
-    and of the passengers aboard; a one-off table holds only the route's.
+    The exact search with no rider to join and two owed chains, the base
+    route's stops and new_stops: it walks every placement that keeps both
+    orders and keeps the lowest (distance, stop keys), as the kernel times
+    it. Every stop is timed from the start and every load checked, so the
+    base route may break any limit. Returns None when no placement is
+    feasible. `table` (see _on_table) must hold the start's location and
+    every rider of the route and of the passengers aboard; a one-off table
+    holds only the route's.
     """
     base = base_route.sequence
     in_base = {req.id for _kind, req in base}
@@ -408,110 +430,10 @@ def _insert_stops(start, base_route: CandidateRoute, new_stops: Sequence[tuple[s
         if req.id in in_base or (req.id in picked) != (kind == DROPOFF):
             raise ValueError(f"{kind} of request {req.id} cannot join this route")
         picked.add(req.id)
-    n = len(base)
-    m = len(new_stops)
     table, origin, slots = _on_table(table, (*base, *new_stops), start.plan_location, travel,
                                      config)
-    base_slots, new_slots = slots[:n], slots[n:]
-    cap = config.capacity
-    dwell = config.dwell
-    start_load = table.seats(start.onboard)
-    if start_load > cap:
-        return None
-    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
-    width, times, dists = table.width, table.times, table.dists
-    dist_of = travel.distance
-    time_of = travel.travel_time
-
-    # per base stop: the running distance before its leg, the load after
-    # it, and the largest load from it on
-    sched = base_route.schedule
-    dist_before = [0.0]
-    load_after = []
-    prev, load = origin, start_load
-    for j, pos in enumerate(base_slots):
-        dist_before.append(dist_before[j] + dists[table.leg(prev, pos)])
-        load += deltas[pos]
-        load_after.append(load)
-        prev = pos
-    max_from = load_after + [-math.inf]
-    for j in range(n - 1, -1, -1):
-        max_from[j] = max(max_from[j], max_from[j + 1])
-    # the unchanged prefix must keep its loads within capacity
-    last_first = next((j for j in range(n) if load_after[j] > cap), n)
-
-    best: Optional[tuple[float, tuple[int, ...]]] = None  # distance, new stops' places
-    best_slots = None
-    for at in combinations_with_replacement(range(n + 1), m):
-        first = at[0]
-        if first > last_first:
-            break
-        if first:
-            prev, free, load = base_slots[first - 1], sched[first - 1][2], load_after[first - 1]
-        else:
-            prev, free, load = origin, start.plan_time, start_load
-        total = dist_before[first]
-        j, t = first, 0
-        feasible = True
-        while j < n or t < m:
-            # stop timing is _timed_route spelled out over slots, as in the
-            # exhaustive search
-            if t < m and at[t] == j:
-                pos = new_slots[t]
-                t += 1
-                absorbable = False
-            else:
-                pos = base_slots[j]
-                j += 1
-                absorbable = t == m
-            leg = width * prev + pos
-            tt = times[leg]
-            if tt is None:
-                tt = times[leg] = time_of(points[prev], points[pos])
-            arrival = free + tt
-            earliest = opens[pos]
-            service = arrival if arrival > earliest else earliest
-            load += deltas[pos]
-            if service - earliest > limits[pos] or load > cap:
-                feasible = False
-                break
-            dist = dists[leg]
-            if dist is None:
-                dist = dists[leg] = dist_of(points[prev], points[pos])
-            total += dist
-            free = service + dwell
-            prev = pos
-            if absorbable and service == sched[j - 1][1]:
-                # absorbed: the rest runs on the base schedule
-                if max_from[j] + load - load_after[j - 1] > cap:
-                    feasible = False
-                    break
-                for k in range(j, n):
-                    total += dists[width * base_slots[k - 1] + base_slots[k]]
-                break
-        if not feasible:
-            continue
-        # slots order like stop keys, so placed slot tuples break ties
-        if best is None or total < best[0]:
-            best, best_slots = (total, at), None
-        elif total == best[0]:
-            if best_slots is None:
-                best_slots = _placed(base_slots, new_slots, best[1])
-            placed = _placed(base_slots, new_slots, at)
-            if placed < best_slots:
-                best, best_slots = (total, at), placed
+    n = len(base)
+    best = _exact_routes(table, origin, start, (), 0, (slots[:n], slots[n:])).get(0)
     if best is None:
         return None
-    return _timed_route(table, origin, start, _placed(base_slots, new_slots, best[1]))
-
-
-def _placed(base: list[int], new: list[int], at: tuple[int, ...]) -> tuple[int, ...]:
-    """base with new[i] placed before base[at[i]]."""
-    out = []
-    prev = 0
-    for i, slot in zip(at, new):
-        out += base[prev:i]
-        out.append(slot)
-        prev = i
-    out += base[prev:]
-    return tuple(out)
+    return _timed_route(table, origin, start, best[1])

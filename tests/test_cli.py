@@ -198,6 +198,25 @@ def test_solve_rejects_explicit_zero_or_negative_settings(tmp_path, capsys, fmt,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt, flags, message", [
+    ("lilim", ["--speed", "0"], "only --format csv takes --speed"),
+    ("lilim", ["--depot-x", "99"], "only --format csv takes --depot-x"),
+    ("lilim", ["--depot-y", "99"], "only --format csv takes --depot-y"),
+    ("csv", ["--depot-x", "50"], "--depot-x and --depot-y must be given together"),
+    ("csv", ["--depot-y", "50"], "--depot-x and --depot-y must be given together"),
+])
+def test_solve_rejects_travel_flags_it_would_ignore(tmp_path, capsys, fmt, flags, message):
+    # a benchmark file sets its own speed and depot, and a csv depot needs both axes
+    instance = _two_request_csv(tmp_path) if fmt == "csv" else FIXTURE
+    out = tmp_path / "x.json"
+    code = main(["solve", "--instance", str(instance), "--format", fmt, *flags,
+                 "--output", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
 def test_solve_rejects_a_benchmark_file_with_no_vehicles(tmp_path, capsys):
     header, *rows = FIXTURE.read_text().splitlines(keepends=True)
     src = tmp_path / "zero.txt"

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 
@@ -459,13 +458,8 @@ def test_insertion_equals_brute_force_over_order_keeping_placements(case):
         def insert(**kw):
             return best_route_insertion(start, base, new[0][1], travel, config, **kw)
     else:
-        # the scan checks every load itself, so only the base's times must hold
-        loose = dataclasses.replace(config, capacity=10**9)
-        if not naive_schedule(start.plan_location, start.plan_time, base_order, by_id,
-                              travel, loose, start.onboard)[0]:
-            return
-
         def insert(**kw):
+            # any base will do: every stop is re-timed and every load checked
             return _insert_stops(start, base, new, travel, config, **kw)
     got = insert(table=table)
     # a one-off table knows only the riders with a stop on the route, so it
@@ -512,6 +506,22 @@ def test_dropoff_insertion_counts_the_passenger_it_drops():
     assert [s.onboard_after for s in got.stops] == [0, 1, 2, 1, 0]
     assert got.schedule[1:] == base.schedule
     assert got.total_distance == base.total_distance
+
+
+def test_insertion_checks_the_seats_of_the_pickups_it_owes():
+    # rider 0 (two seats) is aboard, so the base's pickup of rider 1 (two
+    # seats) fits only after rider 0's far dropoff, though dropping rider 0
+    # last would drive half as far
+    r0 = Request(0, Location(0, 0), Location(10, 0), 0, 0, load=2)
+    r1 = Request(1, Location(1, 0), Location(2, 0), 600, 660, load=2)
+    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
+    config = cfg(dwell=0, capacity=3)
+    table = StopTable([r0, r1], [start.plan_location], TRAVEL, config)
+    base = schedule_route(start, ((PICKUP, r1), (DROPOFF, r1)), TRAVEL, config, table=table)
+    assert not base.feasible
+    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config, table=table)
+    assert got.feasible and got.total_distance == 20.0
+    assert [(k, r.id) for k, r in got.sequence] == [(DROPOFF, 0), (PICKUP, 1), (DROPOFF, 1)]
 
 
 def test_insertion_requires_feasible_base():

@@ -1,9 +1,11 @@
 """Static checks over the package source."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rollhorizon"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rollhorizon"
 
 
 def test_every_imported_name_is_used():
@@ -62,3 +64,15 @@ def test_init_exports_exactly_what_it_imports():
                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(imported)
+
+
+def test_bench_tracer_names_exist():
+    # the layer tracer patches solver names from outside, so a refactor
+    # that drops one must fail here rather than in a traced benchmark run
+    spec = importlib.util.spec_from_file_location("layer_trace",
+                                                  ROOT / "bench" / "layer_trace.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module.__name__}.{attr}" for module, attr, _span in tracer.WRAPPED
+               if not hasattr(module, attr)]
+    assert missing == []
