@@ -129,14 +129,6 @@ def solve_assignment(
     universe = graph.request_universe
     must = frozenset(must_serve) & universe
 
-    covering: dict[int, list[int]] = {rid: [] for rid in universe}
-    for i, e in enumerate(graph.edges):
-        for rid in graph.trip_requests(e.trip_id):
-            covering[rid].append(i)
-    stranded = sorted(rid for rid in must if not covering[rid])
-    if stranded:
-        raise StrandedRequestError(stranded)
-
     all_vehicles = sorted(
         {e.vehicle_id for e in graph.edges} | set(graph.vehicles_requiring_route)
     )
@@ -170,16 +162,15 @@ def solve_assignment(
     vehicle_ids = sorted(
         all_vehicles, key=lambda v: (len(edges_of[v]), group_rank[sig_of[v]], v)
     )
-    n_veh_total = len(vehicle_ids)
+    n_veh = len(vehicle_ids)
     grouped_with_prev = [
         pos > 0 and sig_of[vehicle_ids[pos]] == sig_of[vehicle_ids[pos - 1]]
-        for pos in range(n_veh_total)
+        for pos in range(n_veh)
     ]
 
     # cheapest per-request share among edges at vehicle position >= p, used
     # as an admissible remainder bound: an edge's cost is split evenly over
     # its requests, so summing per-request minima never overshoots
-    n_veh = len(vehicle_ids)
     share_from: list[dict[int, float]] = [dict() for _ in range(n_veh + 1)]
     for p in range(n_veh - 1, -1, -1):
         cur = dict(share_from[p + 1])
@@ -192,6 +183,10 @@ def solve_assignment(
                 if rid not in cur or share < cur[rid]:
                     cur[rid] = share
         share_from[p] = cur
+    # every request some edge covers has a share from position 0 on
+    stranded = sorted(rid for rid in must if rid not in share_from[0])
+    if stranded:
+        raise StrandedRequestError(stranded)
 
     # seats still reachable from position p on: each remaining vehicle can
     # absorb at most its largest incident trip, so any surplus of open

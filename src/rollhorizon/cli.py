@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv as _csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .instance_io import (
     scale_to_native_day,
     write_report,
 )
-from .model import Location, SolverConfig, validate_config
+from .model import Location, SolverConfig
 from .simulator import SimulationError
 from .travel import EuclideanTravel, TravelError
 
@@ -39,19 +40,45 @@ EXIT_ASSIGNMENT_BUDGET = 4
 EXIT_STRANDED = 5
 EXIT_SIMULATION = 6
 
-# Standard service settings; the nyc profile only tightens the step.
+# how a command reports each failure: stderr prefix, then exit code
+FAILURES = (
+    (OSError, "error: cannot read instance: ", EXIT_PARSE),
+    (ParseError, "error: ", EXIT_PARSE),
+    (ConfigError, "config error: ", EXIT_CONFIG),
+    (TravelError, "config error: ", EXIT_CONFIG),
+    (EngineError, "error: ", EXIT_VIOLATIONS),
+    (AssignmentBudgetError, "assignment error: ", EXIT_ASSIGNMENT_BUDGET),
+    (StrandedRequestError, "assignment error: ", EXIT_STRANDED),
+    (SimulationError, "simulation error: ", EXIT_SIMULATION),
+)
+FAILURE_TYPES = tuple(kind for kind, _, _ in FAILURES)
+
+DEFAULT_FORMAT = "lilim"
 DEFAULT_STEP_MIN = 15.0
-NYC_STEP_MIN = 5.0
 DEFAULT_WAIT_MIN = 30.0
 DEFAULT_DELAY_MIN = 30.0
 DEFAULT_DWELL_MIN = 10.0
 DEFAULT_CAPACITY = 8
 DEFAULT_FLEET = 4
 
+# the instance and config flags _setup reads, besides the fleet size and
+# look-ahead factor that a sweep sets per run
+SETUP_KEYS = (
+    "capacity", "speed", "depot_x", "depot_y",
+    "step_min", "max_wait_min", "max_delay_min", "dwell_min",
+)
+
 SWEEP_COLUMNS = [
     "instance", "fleet_size", "rh_factor", "status",
     "service_rate", "avg_delay_min", "vmt", "sec_per_request",
 ]
+
+
+def _fail(e: Exception) -> int:
+    """Print e under its FAILURES prefix and return its exit code."""
+    prefix, code = next((p, c) for kind, p, c in FAILURES if isinstance(e, kind))
+    print(f"{prefix}{e}", file=sys.stderr)
+    return code
 
 
 def _given(opt: dict, key: str, default):
@@ -60,104 +87,81 @@ def _given(opt: dict, key: str, default):
     return default if value is None else value
 
 
-def _step_minutes(opt: dict) -> float:
-    return _given(opt, "step_min",
-                  NYC_STEP_MIN if opt.get("profile") == "nyc" else DEFAULT_STEP_MIN)
+def _flags(opt: dict, keys) -> list[str]:
+    """The command-line spelling of each of keys that opt sets."""
+    return [f"--{key.replace('_', '-')}" for key in keys if opt.get(key) is not None]
 
 
-def _load_instance(path: str, fmt: str, opt: dict) -> Instance:
+def _setup(path: str, fmt: str, opt: dict) -> tuple[Instance, SolverConfig]:
+    """Load one instance and derive its fleet and solver settings from opt.
+
+    A benchmark file ("lilim") brings its own fleet, speed, depot and
+    service limits, and minute flags are quoted against the reference day;
+    a csv request list takes them from opt or the defaults, in literal
+    minutes. The config is not checked here: `run` rejects a bad one.
+    """
     if fmt == "lilim":
-        # the file sets its own speed and depot
-        given = [f"--{key.replace('_', '-')}" for key in ("speed", "depot_x", "depot_y")
-                 if opt.get(key) is not None]
+        given = _flags(opt, ("speed", "depot_x", "depot_y"))
         if given:
             raise ConfigError(f"only --format csv takes {', '.join(given)}")
         inst = load_lilim(path, fleet_size=opt.get("fleet_size"))
-        return adapt_benchmark(inst)
-    if fmt != "csv":
-        raise ParseError(f"unknown instance format {fmt!r}")
-    if (opt.get("depot_x") is None) != (opt.get("depot_y") is None):
-        raise ConfigError("--depot-x and --depot-y must be given together")
-    travel = EuclideanTravel(_given(opt, "speed", 1.0))
-    inst = load_csv_requests(path, travel)
-    if not inst.requests:
-        raise ParseError(f"{path}: no requests")
-    if opt.get("depot_x") is not None:
-        depot = Location(opt["depot_x"], opt["depot_y"])
-    else:
-        n = len(inst.requests)
-        depot = Location(
-            sum(r.pickup.x for r in inst.requests) / n,
-            sum(r.pickup.y for r in inst.requests) / n,
-        )
-    fleet = _given(opt, "fleet_size", DEFAULT_FLEET)
-    capacity = _given(opt, "capacity", DEFAULT_CAPACITY)
-    return dataclasses.replace(
-        inst,
-        vehicles=make_fleet(fleet, capacity, depot),
-        config_overrides={"fleet_size": fleet, "capacity": capacity},
-    )
-
-
-def _build_config(inst: Instance, fmt: str, opt: dict) -> tuple[Instance, SolverConfig]:
-    ov = dict(inst.config_overrides)
-    rh = _given(opt, "rh_factor", 0)
-    if fmt == "lilim":
-        h = inst.native_horizon or 0
+        h = inst.native_horizon
         if h <= 0:
             raise ParseError(f"{inst.name}: benchmark file has no horizon")
-        step = scale_to_native_day(h, _step_minutes(opt))
-        horizon = max(step, math.ceil(h / step) * step) if step > 0 else 0
-        max_wait = (
-            scale_to_native_day(h, opt["max_wait_min"]) if opt.get("max_wait_min") is not None
-            else ov["max_wait"]
-        )
-        max_delay = (
-            scale_to_native_day(h, opt["max_delay_min"]) if opt.get("max_delay_min") is not None
-            else ov["max_delay"]
-        )
-        dwell = (
-            scale_to_native_day(h, opt["dwell_min"]) if opt.get("dwell_min") is not None
-            else ov["dwell"]
-        )
-        capacity = _given(opt, "capacity", ov["capacity"])
+        inst = adapt_benchmark(inst)
+        defaults = inst.config_overrides
+        # the file's fleet stands at its depot; it is empty only when the
+        # fleet size is below 1, and then make_fleet places no vehicle
+        depot = inst.vehicles[0].depot if inst.vehicles else None
+        to_seconds = functools.partial(scale_to_native_day, h)
+    elif fmt == "csv":
+        if (opt.get("depot_x") is None) != (opt.get("depot_y") is None):
+            raise ConfigError("--depot-x and --depot-y must be given together")
+        inst = load_csv_requests(path, EuclideanTravel(_given(opt, "speed", 1.0)))
+        if not inst.requests:
+            raise ParseError(f"{path}: no requests")
+        if opt.get("depot_x") is not None:
+            depot = Location(opt["depot_x"], opt["depot_y"])
+        else:
+            n = len(inst.requests)
+            depot = Location(
+                sum(r.pickup.x for r in inst.requests) / n,
+                sum(r.pickup.y for r in inst.requests) / n,
+            )
+
+        def to_seconds(minutes: float) -> int:
+            return round(minutes * 60)
+
+        defaults = dict(max_wait=to_seconds(DEFAULT_WAIT_MIN),
+                        max_delay=to_seconds(DEFAULT_DELAY_MIN),
+                        dwell=to_seconds(DEFAULT_DWELL_MIN),
+                        fleet_size=DEFAULT_FLEET, capacity=DEFAULT_CAPACITY)
     else:
-        step = round(_step_minutes(opt) * 60)
+        raise ParseError(f"unknown instance format {fmt!r}")
+
+    step = to_seconds(_given(opt, "step_min", DEFAULT_STEP_MIN))
+    if step <= 0:
+        horizon = 0
+    elif fmt == "lilim":
+        horizon = max(step, math.ceil(h / step) * step)
+    else:
         latest = max(r.desired_pickup_time for r in inst.requests)
-        horizon = (latest // step + 2) * step if step > 0 else 0
-        max_wait = round(_given(opt, "max_wait_min", DEFAULT_WAIT_MIN) * 60)
-        max_delay = round(_given(opt, "max_delay_min", DEFAULT_DELAY_MIN) * 60)
-        dwell = round(_given(opt, "dwell_min", DEFAULT_DWELL_MIN) * 60)
-        capacity = _given(opt, "capacity", DEFAULT_CAPACITY)
-    fleet = _given(opt, "fleet_size", ov.get("fleet_size", DEFAULT_FLEET))
+        horizon = (latest // step + 2) * step
+    limits = {
+        key: defaults[key] if opt.get(f"{key}_min") is None else to_seconds(opt[f"{key}_min"])
+        for key in ("max_wait", "max_delay", "dwell")
+    }
+    fleet = _given(opt, "fleet_size", defaults["fleet_size"])
+    capacity = _given(opt, "capacity", defaults["capacity"])
     config = SolverConfig(
         horizon=horizon,
         step=step,
-        rh_factor=rh,
-        max_wait=max_wait,
-        max_delay=max_delay,
-        dwell=dwell,
+        rh_factor=_given(opt, "rh_factor", 0),
         fleet_size=fleet,
         capacity=capacity,
+        **limits,
     )
-    if inst.vehicles:
-        depot = inst.vehicles[0].depot
-    else:
-        depot = Location(0.0, 0.0)
-    if (
-        len(inst.vehicles) != fleet
-        or any(v.capacity != capacity for v in inst.vehicles)
-    ):
-        inst = dataclasses.replace(inst, vehicles=make_fleet(fleet, capacity, depot))
-    return inst, config
-
-
-def _opt_from_args(args: argparse.Namespace) -> dict:
-    keys = (
-        "step_min", "rh_factor", "max_wait_min", "max_delay_min", "dwell_min",
-        "fleet_size", "capacity", "profile", "speed", "depot_x", "depot_y",
-    )
-    return {k: getattr(args, k, None) for k in keys}
+    return dataclasses.replace(inst, vehicles=make_fleet(fleet, capacity, depot)), config
 
 
 def _summary_line(report) -> str:
@@ -172,41 +176,11 @@ def _summary_line(report) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    opt = _opt_from_args(args)
     try:
-        inst = _load_instance(args.instance, args.format, opt)
-        inst, config = _build_config(inst, args.format, opt)
-    except (FileNotFoundError, OSError) as e:
-        print(f"error: cannot read instance: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, TravelError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    problems = validate_config(config)
-    if problems:
-        for p in problems:
-            print(f"config error: {p}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        inst, config = _setup(args.instance, args.format or DEFAULT_FORMAT, vars(args))
         report = run(inst, config, seed=args.seed)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except EngineError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    except AssignmentBudgetError as e:
-        print(f"assignment error: {e}", file=sys.stderr)
-        return EXIT_ASSIGNMENT_BUDGET
-    except StrandedRequestError as e:
-        print(f"assignment error: {e}", file=sys.stderr)
-        return EXIT_STRANDED
-    except SimulationError as e:
-        print(f"simulation error: {e}", file=sys.stderr)
-        return EXIT_SIMULATION
+    except FAILURE_TYPES as e:
+        return _fail(e)
     out = args.output or f"{Path(args.instance).stem}.report.{args.output_format}"
     write_report(report, out, format=args.output_format, include_timing=args.timings)
     print(f"{_summary_line(report)} report={out}")
@@ -225,35 +199,19 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _run_sweep_job(job: dict) -> dict:
     """One sweep cell; module-level so worker processes can import it."""
-    row = {
-        "instance": job["name"],
-        "fleet_size": job["fleet"],
-        "rh_factor": job["rh"],
-        "status": "ok",
-        "service_rate": "",
-        "avg_delay_min": "",
-        "vmt": "",
-        "sec_per_request": "",
-    }
+    row = dict.fromkeys(SWEEP_COLUMNS, "")
+    row.update(instance=job["name"], fleet_size=job["fleet"], rh_factor=job["rh"], status="ok")
     try:
         if job["kind"] == "corpus":
-            inst = corpus_mod.make_instance(
-                job["seed"], n_requests=job["n_requests"], n_vehicles=job["fleet"]
-            )
-            config = corpus_mod.corpus_config(
-                job["rh"], fleet_size=job["fleet"]
-            )
+            inst = corpus_mod.make_instance(job["seed"], job["n_requests"], job["fleet"])
+            config = corpus_mod.corpus_config(job["rh"], fleet_size=job["fleet"])
         else:
-            opt = dict(job["opt"])
-            opt["fleet_size"] = job["fleet"]
-            opt["rh_factor"] = job["rh"]
-            inst = _load_instance(job["path"], job["format"], opt)
-            inst, config = _build_config(inst, job["format"], opt)
-        problems = validate_config(config)
-        if problems:
-            row["status"] = "config error: " + "; ".join(problems)
-            return row
-        report = run(inst, config, seed=job.get("seed"))
+            opt = {**job["opt"], "fleet_size": job["fleet"], "rh_factor": job["rh"]}
+            inst, config = _setup(job["path"], job["format"], opt)
+        report = run(inst, config)
+    except ConfigError as e:
+        row["status"] = f"config error: {e}"
+        return row
     except Exception as e:  # a failed cell must not sink the sweep
         row["status"] = f"{type(e).__name__}: {e}"
         return row
@@ -267,44 +225,34 @@ def _run_sweep_job(job: dict) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    opt = _opt_from_args(args)
     try:
         fleets = _parse_int_list(args.fleet_sizes, "--fleet-sizes")
         rhs = _parse_int_list(args.rh_factors, "--rh-factors")
         if args.corpus is None and args.instance is None:
             raise ParseError("sweep needs --instance or --corpus")
-        jobs = []
         if args.corpus is not None:
+            # the corpus brings its own instances and settings
+            given = _flags(vars(args), ("format", *SETUP_KEYS))
+            if given:
+                raise ConfigError(f"--corpus takes no {', '.join(given)}")
             n = args.corpus
             if n < 1 or n > len(corpus_mod.CORPUS_SEEDS):
-                raise ParseError(
-                    f"--corpus must be 1..{len(corpus_mod.CORPUS_SEEDS)}"
-                )
-            for seed in corpus_mod.CORPUS_SEEDS[:n]:
-                for fleet in fleets:
-                    for rh in rhs:
-                        jobs.append({
-                            "kind": "corpus", "seed": seed,
-                            "name": f"corpus-{seed}",
-                            "n_requests": args.corpus_requests,
-                            "fleet": fleet, "rh": rh,
-                            "timings": args.timings,
-                        })
+                raise ParseError(f"--corpus must be 1..{len(corpus_mod.CORPUS_SEEDS)}")
+            n_requests = _given(vars(args), "corpus_requests", corpus_mod.N_REQUESTS)
+            sources = [{"kind": "corpus", "name": f"corpus-{seed}", "seed": seed,
+                        "n_requests": n_requests} for seed in corpus_mod.CORPUS_SEEDS[:n]]
         else:
+            if args.corpus_requests is not None:
+                raise ConfigError("only --corpus takes --corpus-requests")
             if not Path(args.instance).exists():
                 raise ParseError(f"{args.instance}: no such file")
-            for fleet in fleets:
-                for rh in rhs:
-                    jobs.append({
-                        "kind": "file", "path": args.instance,
-                        "format": args.format,
-                        "name": Path(args.instance).stem,
-                        "opt": opt, "fleet": fleet, "rh": rh,
-                        "seed": args.seed, "timings": args.timings,
-                    })
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+            sources = [{"kind": "file", "name": Path(args.instance).stem, "path": args.instance,
+                        "format": args.format or DEFAULT_FORMAT,
+                        "opt": {k: getattr(args, k) for k in SETUP_KEYS}}]
+        jobs = [{**source, "fleet": fleet, "rh": rh, "timings": args.timings}
+                for source in sources for fleet in fleets for rh in rhs]
+    except (ParseError, ConfigError) as e:
+        return _fail(e)
 
     workers = 1
     env = os.environ.get("ROLLHORIZON_THREADS", "").strip()
@@ -352,24 +300,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_adapt(args: argparse.Namespace) -> int:
     try:
-        inst = load_lilim(args.instance, fleet_size=args.fleet_size)
-        adapted = adapt_benchmark(inst)
-    except (FileNotFoundError, OSError) as e:
-        print(f"error: cannot read instance: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    ov = adapted.config_overrides
+        inst, config = _setup(args.instance, "lilim", {"fleet_size": args.fleet_size})
+    except FAILURE_TYPES as e:
+        return _fail(e)
     doc = {
-        "instance": adapted.name,
-        "native_horizon_s": adapted.native_horizon,
-        "max_wait_s": ov["max_wait"],
-        "max_delay_s": ov["max_delay"],
-        "dwell_s": ov["dwell"],
-        "fleet_size": ov["fleet_size"],
-        "capacity": ov["capacity"],
-        "requests": len(adapted.requests),
+        "instance": inst.name,
+        "native_horizon_s": inst.native_horizon,
+        "max_wait_s": config.max_wait,
+        "max_delay_s": config.max_delay,
+        "dwell_s": config.dwell,
+        "fleet_size": config.fleet_size,
+        "capacity": config.capacity,
+        "requests": len(inst.requests),
     }
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.output:
@@ -378,33 +320,22 @@ def cmd_adapt(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_instance_flags(p: argparse.ArgumentParser, require_instance: bool) -> None:
-    p.add_argument("--instance", required=require_instance, help="instance file path")
-    p.add_argument("--format", choices=["lilim", "csv"], default="lilim",
-                   help="instance file format (default lilim)")
-    p.add_argument("--fleet-size", type=int, default=None)
+def _add_setup_flags(p: argparse.ArgumentParser) -> None:
+    """The instance and config flags that _setup reads, and --timings."""
+    p.add_argument("--format", choices=["lilim", "csv"], default=None,
+                   help=f"instance file format (default {DEFAULT_FORMAT})")
     p.add_argument("--capacity", type=int, default=None)
     p.add_argument("--speed", type=float, default=None,
                    help="csv format: travel speed, distance units per minute")
     p.add_argument("--depot-x", type=float, default=None,
                    help="csv format: depot x (default: pickup centroid)")
     p.add_argument("--depot-y", type=float, default=None)
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--step-min", type=float, default=None,
                    help=f"iteration step in minutes (default {DEFAULT_STEP_MIN:g}; "
                         "scaled to the native day for lilim instances)")
-    p.add_argument("--rh-factor", type=int, default=0,
-                   help="look-ahead overlap factor (0 = pure online)")
     p.add_argument("--max-wait-min", type=float, default=None)
     p.add_argument("--max-delay-min", type=float, default=None)
     p.add_argument("--dwell-min", type=float, default=None)
-    p.add_argument("--profile", choices=["default", "nyc"], default="default",
-                   help="nyc switches the default step to "
-                        f"{NYC_STEP_MIN:g} minutes")
-    p.add_argument("--seed", type=int, default=None,
-                   help="echoed into the report for provenance")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timing in outputs "
                         "(off by default so reruns are byte-identical)")
@@ -418,23 +349,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run one instance and write a report")
-    _add_instance_flags(ps, require_instance=True)
-    _add_config_flags(ps)
+    ps.add_argument("--instance", required=True, help="instance file path")
+    ps.add_argument("--fleet-size", type=int, default=None)
+    ps.add_argument("--rh-factor", type=int, default=0,
+                    help="look-ahead overlap factor (0 = pure online)")
+    ps.add_argument("--seed", type=int, default=None,
+                    help="echoed into the report for provenance")
+    _add_setup_flags(ps)
     ps.add_argument("--output", default=None, help="report path")
     ps.add_argument("--output-format", choices=["json", "csv"], default="json")
     ps.set_defaults(func=cmd_solve)
 
     pw = sub.add_parser("sweep", help="run a fleet x look-ahead grid, emit CSV")
-    _add_instance_flags(pw, require_instance=False)
-    _add_config_flags(pw)
+    target = pw.add_mutually_exclusive_group()
+    target.add_argument("--instance", default=None, help="instance file path")
+    target.add_argument("--corpus", type=int, default=None, metavar="N",
+                        help="sweep the first N bundled seeded instances, "
+                             "which take no instance or config flag")
+    _add_setup_flags(pw)
     pw.add_argument("--fleet-sizes", default=str(DEFAULT_FLEET),
                     help="comma-separated fleet sizes")
     pw.add_argument("--rh-factors", default="0",
                     help="comma-separated look-ahead factors")
-    pw.add_argument("--corpus", type=int, default=None, metavar="N",
-                    help="sweep the first N bundled seeded instances "
-                         "instead of --instance")
-    pw.add_argument("--corpus-requests", type=int, default=100)
+    pw.add_argument("--corpus-requests", type=int, default=None,
+                    help=f"requests per corpus instance (default {corpus_mod.N_REQUESTS})")
     pw.add_argument("--output", default=None, help="CSV path (default sweep.csv)")
     pw.set_defaults(func=cmd_sweep)
 

@@ -19,6 +19,7 @@ STEP_S = 300
 MAX_WAIT_S = 600
 MAX_DELAY_S = 900
 DWELL_S = 60
+N_REQUESTS = 100
 FLEET_SIZE = 4
 CAPACITY = 3
 MIN_TRIP_DIST = 1.0
@@ -42,7 +43,7 @@ def corpus_config(rh_factor: int = 0, **overrides) -> SolverConfig:
 
 def make_instance(
     seed: int,
-    n_requests: int = 100,
+    n_requests: int = N_REQUESTS,
     n_vehicles: int = FLEET_SIZE,
     *,
     area: float = AREA,

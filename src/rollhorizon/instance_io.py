@@ -20,7 +20,7 @@ from .model import (
     Vehicle,
     derive_earliest_dropoff,
 )
-from .travel import EuclideanTravel
+from .travel import EuclideanTravel, TravelError
 
 REFERENCE_DAY_S = 720 * 60  # the 12-hour day the standard settings refer to
 WAIT_REF_MIN = 30  # waiting/delay allowance on that reference day
@@ -456,13 +456,12 @@ def report_violations(doc: dict) -> list[str]:
                 for s in rt["stops"]
             )
             routes.append(Route(rt["vehicle_id"], stops, rt["committed_prefix_len"]))
-    except (KeyError, TypeError) as e:
+        travel = None
+        tinfo = doc.get("travel", {})
+        if tinfo.get("mode") == "euclidean":
+            travel = EuclideanTravel(tinfo.get("speed", 1.0))
+    except (AttributeError, KeyError, TypeError, TravelError) as e:
         return [f"malformed report document: {e!r}"]
-
-    travel = None
-    tinfo = doc.get("travel", {})
-    if tinfo.get("mode") == "euclidean":
-        travel = EuclideanTravel(tinfo.get("speed", 1.0))
 
     seen = set()
     for rec in records:

@@ -191,8 +191,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 if r.id <= top:
                     continue
                 grown = base_set | {r.id}
-                if grown in candidates:
-                    continue
                 if any(grown - {m} not in known for m in grown):
                     continue
                 candidates.add(grown)

@@ -34,7 +34,7 @@ from rollhorizon.assignment_ilp import (
     compute_penalty,
     solve_assignment,
 )
-from rollhorizon.cli import _build_config, _load_instance
+from rollhorizon.cli import _setup
 from rollhorizon.corpus import CORPUS_SEEDS, corpus_config, make_instance
 from rollhorizon.engine import run
 from rollhorizon.instance_io import write_report
@@ -292,8 +292,7 @@ def test_adapted_benchmark_runs_at_full_service(announce):
                  "instance at tests/data/lc101.txt or point ROLLHORIZON_LC101 "
                  "at it; this environment has no network route to fetch it "
                  "and the file cannot be reconstructed here")
-    inst = _load_instance(str(path), "lilim", {})
-    inst, config = _build_config(inst, "lilim", {"step_min": 5.0, "rh_factor": 1})
+    inst, config = _setup(str(path), "lilim", {"step_min": 5.0, "rh_factor": 1})
     setup_ok = (len(inst.requests) == 53 and config.step == 515
                 and config.max_wait == 3090 and config.max_delay == 3090
                 and config.dwell == 515)

@@ -249,3 +249,83 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, capsys, monkeypatch):
                  "--output", str(out)]) == 0
     assert "2 runs, 0 failed" in capsys.readouterr().out
     assert started == [2]
+
+
+@pytest.mark.parametrize("command", ["solve", "adapt"])
+def test_a_benchmark_file_with_no_horizon_is_a_parse_error(tmp_path, capsys, command):
+    # the depot row closes at time 0, so the file has no day to scale to
+    header, depot, *rows = FIXTURE.read_text().splitlines(keepends=True)
+    fields = depot.split("\t")
+    fields[5] = "0"
+    src = tmp_path / "closed.txt"
+    src.write_text(header + "\t".join(fields) + "".join(rows))
+    argv = [command, "--instance", str(src), "--output", str(tmp_path / "x.json")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no horizon" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("travel", [
+    {"mode": "euclidean", "speed": 0},
+    {"mode": "euclidean", "speed": -2},
+    {"mode": "euclidean", "speed": "fast"},
+    "euclidean",
+])
+def test_validate_reports_a_bad_travel_block_as_malformed(tmp_path, capsys, travel):
+    out = tmp_path / "r.json"
+    assert main(["solve", "--instance", str(FIXTURE), "--output", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    assert doc["travel"] == {"mode": "euclidean", "speed": 1.0}
+    doc["travel"] = travel
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--report", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("violation: malformed report document:")
+    assert lines[1:] == ["1 violation(s)"]
+
+
+@pytest.mark.parametrize("flags", [
+    ["--format", "lilim"], ["--capacity", "1"], ["--speed", "2"], ["--depot-x", "1"],
+    ["--depot-y", "1"], ["--step-min", "1"], ["--max-wait-min", "5"],
+    ["--max-delay-min", "5"], ["--dwell-min", "0"],
+])
+def test_sweep_corpus_takes_no_instance_or_config_flag(tmp_path, capsys, flags):
+    # the corpus brings its own instances and settings
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--corpus", "1", "--corpus-requests", "4", *flags, "--output", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and flags[0] in err
+    assert not out.exists()
+
+
+def test_sweep_takes_instance_or_corpus_not_both(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["sweep", "--corpus", "1", "--instance", str(tmp_path / "nope.txt"),
+              "--output", str(tmp_path / "grid.csv")])
+    assert exit_.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_sweep_corpus_requests_needs_corpus(tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--instance", str(FIXTURE), "--corpus-requests", "4", "--output", str(out)]
+    assert main(argv) == 3
+    assert "config error: only --corpus takes --corpus-requests" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_has_no_single_run_flags(tmp_path, capsys):
+    # --fleet-size and --rh-factor abbreviate the grid flags; --seed is unknown
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--corpus", "1", "--corpus-requests", "4", "--output", str(out)]
+    assert main(argv + ["--fleet-size", "3", "--rh-factor", "1"]) == 0
+    capsys.readouterr()
+    rows = out.read_text().splitlines()[1:]
+    assert [row.split(",")[1:3] for row in rows] == [["3", "1"]]
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--seed", "1"])
+    assert exit_.value.code == 2
+    capsys.readouterr()
