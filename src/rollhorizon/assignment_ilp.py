@@ -6,11 +6,17 @@ for vehicles carrying passengers), each request in at most one chosen
 trip, and no penalty allowed for requests the caller marks must-serve.
 Solved by depth-first branch and bound over per-vehicle choices; the
 penalty construction makes serving more requests always win, so the
-solver maximizes served count and breaks ties by cost.
+solver maximizes served count and breaks ties by cost. The search state is
+bit masks over the sorted request ids; every bound term it needs is fixed
+per branching position and built once per solve, a parent bounds each
+child before entering it, and a node walks only the options still disjoint
+from the served set.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -123,7 +129,13 @@ def solve_assignment(
     assignments so kept, the lexicographically smallest (trip request ids,
     vehicle id) edge set wins. A tie between two labelings of twins
     therefore goes to the one whose lower-id twin drives the cheaper trip,
-    which need not be the smaller edge set.
+    which need not be the smaller edge set. A branch is pruned only when its
+    bound exceeds the incumbent's objective by more than a relative 1e-9:
+    bounds are summed in another order than objectives, so an exact tie can
+    round a few ulps above, and the answer must depend only on the leaves.
+    nodes_explored counts every node entered plus every option passed in
+    menu order, those skipped for overlapping the served set included; the
+    budget caps that count.
     """
     penalty = compute_penalty(graph)
     universe = graph.request_universe
@@ -168,41 +180,57 @@ def solve_assignment(
         for pos in range(n_veh)
     ]
 
-    # cheapest per-request share among edges at vehicle position >= p, used
-    # as an admissible remainder bound: an edge's cost is split evenly over
-    # its requests, so summing per-request minima never overshoots
-    share_from: list[dict[int, float]] = [dict() for _ in range(n_veh + 1)]
-    for p in range(n_veh - 1, -1, -1):
-        cur = dict(share_from[p + 1])
-        for e in edges_of[vehicle_ids[p]]:
-            reqs = graph.trip_requests(e.trip_id)
-            if not reqs:
-                continue
-            share = e.cost / len(reqs)
-            for rid in reqs:
-                if rid not in cur or share < cur[rid]:
-                    cur[rid] = share
-        share_from[p] = cur
-    # every request some edge covers has a share from position 0 on
-    stranded = sorted(rid for rid in must if rid not in share_from[0])
-    if stranded:
-        raise StrandedRequestError(stranded)
-
+    # requests become bits, ordered by id, so request sets are ints. The
+    # admissible remainder bound at position p charges each open request
+    # its term there: its cheapest share among edges at positions >= p (an
+    # edge's cost split evenly over its requests, so summing per-request
+    # minima never overshoots), capped at the penalty unless must-serve;
+    # the penalty when no such edge covers it; nothing for an uncovered
+    # must-serve one, which the vehicle before p has to take
+    bit_of = {rid: 1 << k for k, rid in enumerate(sorted(universe))}
+    must_bits = sum(bit_of[rid] for rid in must)
+    term = [None] * n_veh + [{b: 0.0 if b & must_bits else penalty for b in bit_of.values()}]
+    covered = [0] * (n_veh + 1)  # requests some edge at position >= p covers
     # seats still reachable from position p on: each remaining vehicle can
     # absorb at most its largest incident trip, so any surplus of open
     # requests beyond this sum is guaranteed to pay the full penalty
-    coverable_from = [0] * (n_veh + 1)
+    coverable = [0] * (n_veh + 1)
+    ranked = [None] * (n_veh + 1)  # (term, bit) of optional covered requests, largest first
+    step = [None] * n_veh  # bit -> its term at p + 1 minus at p, where they differ
+    touched = [0] * n_veh  # requests the vehicle at p can take
+    holding = [None] * n_veh  # bit -> bits of the options holding it
+    # per option: edge, request bits, the sum of their terms at p + 1, and
+    # how many of them compete for seats from p + 1 on, and how many optional
+    options_at = [None] * n_veh
     for p in range(n_veh - 1, -1, -1):
-        widest = max(
-            (len(graph.trip_requests(e.trip_id)) for e in edges_of[vehicle_ids[p]]),
-            default=0,
-        )
-        coverable_from[p] = coverable_from[p + 1] + widest
-
-    options_of: dict[int, list[tuple[Edge, frozenset[int]]]] = {
-        v: [(e, frozenset(graph.trip_requests(e.trip_id))) for e in edges_of[v]]
-        for v in vehicle_ids
-    }
+        nxt, cov_next = term[p + 1], covered[p + 1]
+        row, cov, widest = dict(nxt), cov_next, 0
+        hold, options = holding[p], options_at[p] = {}, []
+        for i, e in enumerate(edges_of[vehicle_ids[p]]):
+            reqs = graph.trip_requests(e.trip_id)
+            bits, drop = 0, 0.0
+            if len(reqs) > widest:
+                widest = len(reqs)
+            for rid in reqs:
+                b = bit_of[rid]
+                bits |= b
+                drop += nxt[b]
+                hold[b] = hold.get(b, 0) | 1 << i
+                share = e.cost / len(reqs)
+                if penalty < share and not b & must_bits:
+                    share = penalty
+                if not cov & b or share < row[b]:
+                    row[b] = share
+                    cov |= b
+            options.append((e, bits, drop, (bits & cov_next).bit_count(),
+                            (bits & cov_next & ~must_bits).bit_count()))
+        term[p], covered[p], coverable[p] = row, cov, coverable[p + 1] + widest
+        touched[p] = sum(hold)
+        step[p] = {b: nxt[b] - row[b] for b in hold if nxt[b] != row[b]}
+    # every request some edge covers is covered from position 0 on
+    stranded = sorted(rid for rid in must if not covered[0] & bit_of[rid])
+    if stranded:
+        raise StrandedRequestError(stranded)
 
     def solution_key(chosen, ignored):
         return (
@@ -211,118 +239,103 @@ def solve_assignment(
         )
 
     best: Optional[tuple[float, tuple, tuple[Edge, ...], frozenset]] = None
+    # prune a bound above this: bounds are summed in another order than
+    # objectives, so an exact tie may round a few ulps above the incumbent;
+    # finite before the first leaf, so that an infinite bound still prunes
+    limit = sys.float_info.max
     nodes = 0
     out_of_budget = False
+    chosen: list[Edge] = []
 
-    def lower_bound(pos: int, cost: float, served: frozenset) -> Optional[float]:
-        bound = cost
-        shares = share_from[pos]
-        competing = 0  # open requests some remaining vehicle could still take
-        optional_competing = 0
-        max_capped = 0.0  # largest capped share among the optional ones
-        for rid in universe:
-            if rid in served:
-                continue
-            share = shares.get(rid)
-            if rid in must:
-                if share is None:
-                    return None  # cannot be covered anymore on this branch
-                bound += share
-                competing += 1
-            elif share is None:
-                bound += penalty
-            else:
-                capped = share if share < penalty else penalty
-                bound += capped
-                competing += 1
-                optional_competing += 1
-                if capped > max_capped:
-                    max_capped = capped
-        overflow = competing - coverable_from[pos]
-        if overflow > 0:
-            if overflow > optional_competing:
-                return None  # a must-serve request would be crowded out
-            # overflow requests go unserved; each costs at least the gap
-            # between the penalty and the largest capped share
-            bound += overflow * (penalty - max_capped)
-        return bound
+    def crowded(q: int, over: int, n_optional: int, open_bits: int) -> float:
+        """Bound term for the over open requests that no seat from q on holds."""
+        if over > n_optional:
+            return math.inf  # a must-serve request would be crowded out
+        if ranked[q] is None:
+            ranked[q] = sorted(((t, b) for b, t in term[q].items()
+                                if covered[q] & b & ~must_bits), reverse=True)
+        # each costs at least the gap between the penalty and the largest
+        # capped share among the optional ones
+        return over * (penalty - next(t for t, b in ranked[q] if open_bits & b))
 
-    def dfs(pos: int, cost: float, served: frozenset, chosen: list[Edge],
-            start_idx: int = 0):
-        nonlocal best, nodes, out_of_budget
-        if out_of_budget:
-            return
+    def dfs(pos: int, cost: float, served: int, t_here: float, start_idx: int):
+        """Enter a node whose bound its parent checked; t_here sums the
+        bound's terms at pos over the open requests."""
+        nonlocal best, limit, nodes, out_of_budget
         nodes += 1
         if nodes > budget:
             out_of_budget = True
             return
         if pos == n_veh:
-            ignored = universe - served
-            if must & ignored:
-                return
+            ignored = frozenset(rid for rid, b in bit_of.items() if not served & b)
             obj = canonical_objective(chosen, ignored, penalty, graph)
             key = solution_key(chosen, ignored)
             if best is None or (obj, key) < (best[0], best[1]):
-                best = (obj, key, tuple(chosen), frozenset(ignored))
+                best = (obj, key, tuple(chosen), ignored)
+                limit = obj + 1e-9 * abs(obj)
             return
-        lb = lower_bound(pos, cost, served)
-        if lb is None or (best is not None and lb > best[0]):
-            return
-        # preview each child's share bound without paying for the child
-        # call: the bound is a node-constant total minus the terms struck
-        # out by the option's own requests
-        shares_next = share_from[pos + 1]
-        t_total = 0.0
-        term: dict[int, float] = {}
-        blockers = []  # must-serve ids only this vehicle can still cover
-        for rid in universe:
-            if rid in served:
-                continue
-            share = shares_next.get(rid)
-            if rid in must:
-                if share is None:
-                    blockers.append(rid)
-                    continue
-                val = share
-            elif share is None:
-                val = penalty
-            else:
-                val = share if share < penalty else penalty
-            term[rid] = val
-            t_total += val
-        vid = vehicle_ids[pos]
-        options = options_of[vid]
-        next_grouped = pos + 1 < n_veh and grouped_with_prev[pos + 1]
-        for i in range(start_idx, len(options)):
-            # option scans dominate the work here, so they spend budget too
-            nodes += 1
+        # bound each child here, from the terms at pos + 1: a node-constant
+        # total minus the terms struck out by the option's own requests
+        nxt = pos + 1
+        open_bits = ~served
+        t_next = t_here
+        for b, d in step[pos].items():
+            if open_bits & b:
+                t_next += d
+        competing = open_bits & covered[nxt]
+        over = competing.bit_count() - coverable[nxt]
+        n_optional = (competing & ~must_bits).bit_count()
+        blockers = open_bits & must_bits & ~covered[nxt]  # only this vehicle can take them
+        # the options disjoint from served that hold every blocker
+        hold = holding[pos]
+        options = options_at[pos]
+        avail = (1 << len(options)) - 1 >> start_idx << start_idx
+        m = served & touched[pos]
+        while m:
+            b = m & -m
+            avail &= ~hold[b]
+            m ^= b
+        m = blockers
+        while m:
+            b = m & -m
+            avail &= hold[b]
+            m ^= b
+        next_grouped = nxt < n_veh and grouped_with_prev[nxt]
+        scanned = start_idx
+        while avail:
+            # every option passed in menu order spends budget, skipped or not
+            i = (avail & -avail).bit_length() - 1
+            avail &= avail - 1
+            nodes += i + 1 - scanned
+            scanned = i + 1
             if nodes > budget:
                 out_of_budget = True
                 return
-            e, reqs = options[i]
-            if not served.isdisjoint(reqs):
+            e, bits, drop, n_comp, n_opt = options[i]
+            bound = cost + e.cost + t_next - drop
+            if over > n_comp:
+                bound += crowded(nxt, over - n_comp, n_optional - n_opt, open_bits & ~bits)
+            if bound > limit:
                 continue
-            if blockers and not reqs.issuperset(blockers):
-                continue
-            if best is not None:
-                drop = 0.0
-                for rid in reqs:
-                    drop += term.get(rid, 0.0)
-                if cost + e.cost + t_total - drop > best[0]:
-                    continue
             chosen.append(e)
-            dfs(pos + 1, cost + e.cost, served | reqs, chosen,
-                i + 1 if next_grouped else 0)
+            dfs(nxt, cost + e.cost, served | bits, t_next - drop, i + 1 if next_grouped else 0)
             chosen.pop()
             if out_of_budget:
                 return
-        if vid not in graph.vehicles_requiring_route and not blockers:
-            if best is None or cost + t_total <= best[0]:
+        nodes += len(options) - scanned
+        if nodes > budget:
+            out_of_budget = True
+            return
+        if vehicle_ids[pos] not in graph.vehicles_requiring_route and not blockers:
+            bound = cost + t_next
+            if over > 0:
+                bound += crowded(nxt, over, n_optional, open_bits)
+            if bound <= limit:
                 # an idle twin after a skipped twin must also skip
-                dfs(pos + 1, cost, served, chosen,
-                    len(options) if next_grouped else 0)
+                dfs(nxt, cost, served, t_next, len(options) if next_grouped else 0)
 
-    dfs(0, 0.0, frozenset(), [])
+    if len(must) <= coverable[0]:  # the root's own bound: must-serve requests fit
+        dfs(0, 0.0, 0, sum(term[0].values()), 0)
     if best is None and out_of_budget:
         best = _fallback_incumbent(graph, must, penalty, solution_key)
         if best is None:
@@ -335,4 +348,5 @@ def solve_assignment(
     ordered = tuple(
         sorted(chosen, key=lambda e: (graph.trip_requests(e.trip_id), e.vehicle_id))
     )
-    return IlpSolution(ordered, ignored, obj, not out_of_budget, nodes)
+    # skipped options are charged in bulk, which can overshoot the budget
+    return IlpSolution(ordered, ignored, obj, not out_of_budget, min(nodes, budget + 1))

@@ -81,6 +81,19 @@ def _fail(e: Exception) -> int:
     return code
 
 
+def _unwritable(out: str) -> bool:
+    """Report an output path no file can take before a run, not after it."""
+    path = Path(out)
+    if path.is_dir():
+        problem = "is a directory"
+    elif not path.parent.is_dir():
+        problem = f"no directory {path.parent}"
+    else:
+        return False
+    print(f"error: cannot write {out}: {problem}", file=sys.stderr)
+    return True
+
+
 def _given(opt: dict, key: str, default):
     """opt[key] unless it was left unset; an explicit zero is kept."""
     value = opt.get(key)
@@ -176,12 +189,14 @@ def _summary_line(report) -> str:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    out = args.output or f"{Path(args.instance).stem}.report.{args.output_format}"
+    if _unwritable(out):
+        return EXIT_PARSE
     try:
         inst, config = _setup(args.instance, args.format or DEFAULT_FORMAT, vars(args))
         report = run(inst, config, seed=args.seed)
     except FAILURE_TYPES as e:
         return _fail(e)
-    out = args.output or f"{Path(args.instance).stem}.report.{args.output_format}"
     write_report(report, out, format=args.output_format, include_timing=args.timings)
     print(f"{_summary_line(report)} report={out}")
     return EXIT_OK
@@ -244,15 +259,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             if args.corpus_requests is not None:
                 raise ConfigError("only --corpus takes --corpus-requests")
-            if not Path(args.instance).exists():
-                raise ParseError(f"{args.instance}: no such file")
-            sources = [{"kind": "file", "name": Path(args.instance).stem, "path": args.instance,
-                        "format": args.format or DEFAULT_FORMAT,
-                        "opt": {k: getattr(args, k) for k in SETUP_KEYS}}]
+            source = {"kind": "file", "name": Path(args.instance).stem, "path": args.instance,
+                      "format": args.format or DEFAULT_FORMAT,
+                      "opt": {k: getattr(args, k) for k in SETUP_KEYS}}
+            # a file or flag that no cell could run fails once, before any cell
+            _setup(source["path"], source["format"], source["opt"])
+            sources = [source]
         jobs = [{**source, "fleet": fleet, "rh": rh, "timings": args.timings}
                 for source in sources for fleet in fleets for rh in rhs]
-    except (ParseError, ConfigError) as e:
+    except FAILURE_TYPES as e:
         return _fail(e)
+    out = args.output or "sweep.csv"
+    if _unwritable(out):
+        return EXIT_PARSE
 
     workers = 1
     env = os.environ.get("ROLLHORIZON_THREADS", "").strip()
@@ -269,7 +288,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [_run_sweep_job(job) for job in jobs]
     rows.sort(key=lambda r: (r["instance"], r["fleet_size"], r["rh_factor"]))
 
-    out = args.output or "sweep.csv"
     with open(out, "w", newline="") as fh:
         w = _csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         w.writeheader()
@@ -299,6 +317,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_adapt(args: argparse.Namespace) -> int:
+    if args.output and _unwritable(args.output):
+        return EXIT_PARSE
     try:
         inst, config = _setup(args.instance, "lilim", {"fleet_size": args.fleet_size})
     except FAILURE_TYPES as e:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -142,6 +143,63 @@ def test_matches_exhaustive_enumeration_on_random_graphs():
         assert got.proven_optimal
 
 
+def tie_prone_graph(rng):
+    """A graph of 3-7 requests, 2-4 vehicles, trips of 1-3 requests and up
+    to 24 edges, priced k/3, k/7, k/9 or k/10 (one denominator per graph):
+    such costs sum to exact ties that round differently in different
+    orders, and requests often outnumber seats."""
+    n_req, n_veh = rng.randint(3, 7), rng.randint(2, 4)
+    sets = [frozenset(c) for size in (1, 2, 3)
+            for c in itertools.combinations(range(n_req), size)]
+    combos = [(s, v) for s in sets + [None] for v in range(n_veh)]
+    den = rng.choice((3, 7, 9, 10))
+    specs = [(s, v, rng.randint(1, 10) / den)
+             for s, v in rng.sample(combos, rng.randint(2, min(24, len(combos))))]
+    trip_sets = sorted({s for s, _v, _c in specs if s is not None}, key=sorted)
+    with_edges = sorted({v for _s, v, _c in specs})
+    requiring = [v for v in with_edges if rng.random() < 0.25]
+    g = graph_of(trip_sets, specs, n_req, requiring)
+    covered = sorted({rid for s, _v, _c in specs if s for rid in s})
+    return g, [rid for rid in covered if rng.random() < 0.3]
+
+
+def has_twins(g):
+    menus = [
+        (v in g.vehicles_requiring_route,
+         sorted((g.trip_requests(e.trip_id), e.cost) for e in g.edges if e.vehicle_id == v))
+        for v in {e.vehicle_id for e in g.edges}
+    ]
+    return any(a == b for a, b in itertools.combinations(menus, 2))
+
+
+def test_exact_ties_are_not_pruned_by_rounding():
+    # a bound summed in another order than the objective can round an exact
+    # tie a few ulps above the incumbent; the search must still reach the
+    # tied leaf with the smaller key, and never certify a larger objective
+    rng = random.Random(1)
+    checked = 0
+    for _trial in range(2000):
+        g, must = tie_prone_graph(rng)
+        if has_twins(g):
+            continue
+        want = enumerate_assignments(
+            oracle_edges(g), g.request_universe, sorted({e.vehicle_id for e in g.edges}),
+            must, compute_penalty(g), g.vehicles_requiring_route,
+        )
+        if want is None:
+            with pytest.raises(StrandedRequestError):
+                solve_assignment(g, must_serve=must)
+            continue
+        got = solve_assignment(g, must_serve=must)
+        assert got.proven_optimal
+        assert got.objective_value == want[0]
+        assert sorted((g.trip_requests(e.trip_id), e.vehicle_id, e.cost)
+                      for e in got.chosen_edges) == sorted(
+            (tuple(sorted(s)), v, c) for s, v, c in want[1])
+        checked += 1
+    assert checked > 1000
+
+
 def test_served_count_lexicographically_first():
     # cheap: ignore both (penalty 2x small?) - no: penalty construction
     # guarantees serving wins; check with wildly expensive edges
@@ -210,3 +268,20 @@ def test_budget_exhaustion_not_claimed_optimal():
     full = solve_assignment(g)
     assert full.proven_optimal
     assert full.ignored_requests == frozenset()
+
+
+def test_skipped_options_spend_budget():
+    # vehicle 0 branches first (one option) and takes {0}; below it vehicle
+    # 1 passes three options holding request 0 before {1}. Each option
+    # passed in menu order spends budget although the search skips it, so
+    # budget 5 runs out on the third of them, before any leaf: root, its
+    # option, the node below and two skipped options spend the first five
+    g = graph_of(
+        [{0}, {1}, {0, 1}, {0, 2}],
+        [({0}, 0, 1.0), ({0, 1}, 1, 1.0), ({0, 2}, 1, 1.0), ({0}, 1, 2.0), ({1}, 1, 5.0)],
+        n_req=3,
+    )
+    sol = solve_assignment(g, budget=5)
+    assert sol.nodes_explored == 6
+    assert not sol.proven_optimal
+    assert sol.ignored_requests == frozenset({0, 1, 2})  # the empty fallback

@@ -329,3 +329,32 @@ def test_sweep_has_no_single_run_flags(tmp_path, capsys):
         main(argv + ["--seed", "1"])
     assert exit_.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("solve", []),
+    ("sweep", ["--fleet-sizes", "2"]),
+    ("adapt", []),
+])
+@pytest.mark.parametrize("target, problem", [
+    ("missing/x.json", "no directory"),
+    (".", "is a directory"),
+])
+def test_an_unwritable_output_fails_before_the_run(tmp_path, capsys, monkeypatch,
+                                                   command, flags, target, problem):
+    monkeypatch.setattr("rollhorizon.cli.run", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / target
+    assert main([command, "--instance", str(FIXTURE), *flags, "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: {problem}")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_rejects_a_flag_its_file_format_never_takes(tmp_path, capsys, monkeypatch):
+    # found once, before any cell, with the exit code solve gives it
+    monkeypatch.setattr("rollhorizon.cli.run", lambda *a, **k: pytest.fail("ran"))
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--instance", str(FIXTURE), "--speed", "2", "--fleet-sizes", "2,3",
+            "--output", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "config error: only --format csv takes --speed\n"
+    assert not out.exists()
