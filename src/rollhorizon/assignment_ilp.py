@@ -155,15 +155,11 @@ def solve_assignment(
     # keeps only the labeling where they take options in increasing menu
     # position. That is not always the labeling with the smallest solution
     # key: with menu (64,) before (51,), twins 0 and 1 get (64,) and (51,)
-    # although ((51,), 0), ((64,), 1) ties it with a smaller key
+    # although ((51,), 0), ((64,), 1) ties it with a smaller key. An edge's
+    # stop slots stand for its stop order: within one graph they map one to one
     def menu_signature(v):
-        rows = []
-        for e in edges_of[v]:
-            seq = None
-            if e.route is not None:
-                seq = tuple((k, r.id) for k, r in e.route.sequence)
-            rows.append((e.trip_id, e.cost, seq))
-        return (v in graph.vehicles_requiring_route, tuple(rows))
+        rows = tuple([(e.trip_id, e.cost, e.slots) for e in edges_of[v]])
+        return (v in graph.vehicles_requiring_route, rows)
 
     sig_of = {v: menu_signature(v) for v in all_vehicles}
     group_rank: dict = {}

@@ -1,22 +1,26 @@
 """Request-trip-vehicle graph construction.
 
 Trips are request subsets a single vehicle could serve together. The graph
-holds every feasible trip-vehicle pairing with its route cost, grown size
-by size from the empty trip: a subset is only considered once all of its
-one-smaller subsets are trips, and kept only when at least one vehicle can
-actually drive it. The groups vehicles' previous plans carry over are trips
-from the start and are routed for every vehicle like any other subset.
-Exact routes come from one enumeration per vehicle class, which the growth
-only reads; trips past the exact caps are routed by insertion. No pairwise
-screen runs first: a pair becomes a trip, like any larger set, when some
-vehicle class routes it.
+holds every feasible trip-vehicle pairing with its route cost. Vehicles at
+one place and time with the same passengers form a class, and each class
+grows its trips size by size from the empty trip, as bit masks of their
+riders: a subset is considered once all of its one-smaller subsets are
+trips of that class, and kept when the class can drive it. The groups
+vehicles' previous plans carry over are trips of every class from the start
+and are routed for every vehicle like any other subset. Up to its exact
+cap, a class reads its trips of each size from its one route enumeration;
+past the cap, trips grow by a higher request, routed by insertion. An
+enumerated route is kept as its distance and stop slots and timed only when
+its edge's route is read, since the assignment reads only costs. No
+pairwise screen runs first: a pair becomes a trip, like any larger set,
+when some vehicle class routes it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Union
 
 from .model import DROPOFF, PICKUP, SolverConfig
 from .routing import (
@@ -44,13 +48,24 @@ class Edge:
     trip_id None marks a delivery-only edge that serves no new requests and
     just drops off the vehicle's current passengers; every vehicle carrying
     passengers has at least one such edge, so the assignment step can always
-    route them.
+    route them. slots are the route's stops as StopTable slots, which within
+    one graph spell exactly one stop sequence.
     """
 
     trip_id: Optional[int]
     vehicle_id: int
     cost: float
-    route: CandidateRoute
+    # the timed route, or the (table, origin slot, start) that route times
+    # slots from on first read
+    timing: Union[CandidateRoute, tuple, None] = field(compare=False, repr=False)
+    slots: Optional[tuple[int, ...]] = None
+
+    @cached_property
+    def route(self) -> Optional[CandidateRoute]:
+        """The route, timed by the one kernel on first read and then kept."""
+        if isinstance(self.timing, tuple):
+            return _timed_route(*self.timing, self.slots)
+        return self.timing
 
 
 @dataclass(frozen=True)
@@ -87,27 +102,25 @@ def _dropoff_only_route(state, travel, config, requests_by_id, table):
     return cand
 
 
-def _sequence_key(sequence) -> tuple[tuple[int, int], ...]:
-    """Stop keys (request id, 0 for pickup / 1 for dropoff): the route tie-break."""
-    return tuple((req.id, 0 if kind == PICKUP else 1) for kind, req in sequence)
-
-
 def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig) -> RtvGraph:
     """Assemble the full trip-vehicle graph for one sub-problem.
 
     Each vehicle's previously planned stops are rebuilt into an edge, so
     commitments stay representable, and the requests the plan still picks up
     are a trip from the start; vehicles with passengers get a delivery-only
-    edge. Trips then grow one request at a time from the empty trip: a set is
-    a candidate once every one-smaller subset is a trip, and it becomes a
-    trip when some vehicle has a feasible route. Carried-over groups are
-    candidates like any other set, so every vehicle is offered them.
-    Vehicles at one place and time with the same passengers form a class
-    and share routes. Up to a class's cap of new riders (the trip-size
-    limit, and exhaustive_route_limit less its passengers), a trip's route
-    is read from the class's one exact enumeration of every rider set it can
-    serve; past the cap, the top request is inserted into the best route of
-    the rest.
+    edge. Vehicles at one place and time with the same passengers form a
+    class and share routes. Each class grows its trips one request at a
+    time from the empty trip: a set is the class's trip once every
+    one-smaller subset is a trip of the class or a carried-over group, and
+    the class has a feasible route for it; a set is a trip once some class
+    routes it, so carried-over groups are offered to every vehicle. Up to a
+    class's cap of new riders (the trip-size limit, and
+    exhaustive_route_limit less its passengers), its trips of a size are
+    read from its one exact enumeration of every rider set it can serve;
+    past the cap, the class's trips one smaller grow by a higher request,
+    which is inserted into the best route of the rest. An exact route is
+    kept as its distance and stop slots, and timed only when its edge's
+    route is first read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -115,20 +128,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     for state in states:
         for kind, req in getattr(state, "planned_suffix", ()):
             requests_by_id.setdefault(req.id, req)
-
-    # (trip ids, vehicle_id) -> best CandidateRoute; the empty trip is the
-    # delivery-only edge
-    routes: dict[tuple[frozenset, int], CandidateRoute] = {}
-
-    def offer(trip_key: frozenset, vid: int, cand: Optional[CandidateRoute]):
-        if cand is None or not cand.feasible:
-            return
-        key = (trip_key, vid)
-        old = routes.get(key)
-        if old is None or (cand.total_distance, _sequence_key(cand.sequence)) < (
-            old.total_distance, _sequence_key(old.sequence)
-        ):
-            routes[key] = cand
 
     # route feasibility reads only position, free time and passengers, so
     # vehicles agreeing on those (idle twins at a depot, typically) share
@@ -145,101 +144,157 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             classes[at][1].append(state.vehicle_id)
 
     # every route routine of this re-solve numbers its stops and reads its
-    # legs from one table
+    # legs from one table; trips are StopTable masks of their riders
     table = StopTable(requests_by_id.values(), (rep.plan_location for rep, _ in classes),
                       travel, config)
+    slot_of, riders = table.slot_of, table.riders
+
+    # (trip mask, vehicle_id) -> the lowest (distance, slots, route); route
+    # is a CandidateRoute or, until read, the (table, origin slot, start) its
+    # slots are timed from. The empty trip is the delivery-only edge
+    routes: dict[tuple[int, int], tuple] = {}
+
+    def offer(key: int, vids, dist: float, slots: tuple[int, ...], route) -> None:
+        for vid in vids:
+            old = routes.get((key, vid))
+            if old is None or dist < old[0] or (dist == old[0] and slots < old[1]):
+                routes[(key, vid)] = (dist, slots, route)
+
+    def offer_route(key: int, vids, cand: Optional[CandidateRoute]) -> bool:
+        """Offer a timed route; False when it is missing or infeasible."""
+        if cand is None or not cand.feasible:
+            return False
+        slots = tuple([slot_of[req.id] + (kind == DROPOFF) for kind, req in cand.sequence])
+        offer(key, vids, cand.total_distance, slots, cand)
+        return True
+
+    def route_of(key: int, vid: int) -> Optional[CandidateRoute]:
+        """The offered route of a pairing, timed now if it is not yet."""
+        got = routes.get((key, vid))
+        if got is None:
+            return None
+        dist, slots, route = got
+        if not isinstance(route, CandidateRoute):
+            route = _timed_route(*route, slots)
+            routes[(key, vid)] = (dist, slots, route)
+        return route
+
     dropoff_base: list[Optional[CandidateRoute]] = []
     for rep, vids in classes:
         cand = _dropoff_only_route(rep, travel, config, requests_by_id, table)
         dropoff_base.append(cand)
-        for vid in vids:
-            offer(frozenset(), vid, cand)
+        offer_route(0, vids, cand)
 
     # the empty trip and every feasible carried-over plan's pickups are trips
     # from the start; a plan was never routed per class, so it passes every
     # class's subset check
-    given: set[frozenset] = {frozenset()}
-    preferred_keys: list[tuple[frozenset, int]] = []
+    given = {0}
+    preferred_keys: list[tuple[int, int]] = []
     for state in states:
         vid = state.vehicle_id
         # rebuild the previous plan so the assignment can always keep it
         suffix = tuple(getattr(state, "planned_suffix", ()))
         if suffix:
-            pending = frozenset(r.id for k, r in suffix if k == PICKUP)
+            pending = table.mask(r.id for k, r in suffix if k == PICKUP)
             cand = schedule_route(state, suffix, travel, config, table=table)
-            offer(pending, vid, cand)
-            if cand.feasible:
+            if offer_route(pending, (vid,), cand):
                 given.add(pending)
                 preferred_keys.append((pending, vid))
                 continue
         if state.onboard:
-            preferred_keys.append((frozenset(), vid))
+            preferred_keys.append((0, vid))
 
-    origins = [table.origin_slot[rep.plan_location] for rep, _ in classes]
-    caps = [min(config.effective_trip_size_limit,
-                config.exhaustive_route_limit - len(rep.onboard)) for rep, _ in classes]
-    exact = [_exact_routes(table, origin, rep, requests, cap) if cap > 0 else {}
-             for (rep, _), origin, cap in zip(classes, origins, caps)]
-    known = set(given)
-    class_known = [set(given) for _ in classes]
-    level = [frozenset()]
-    for k in range(1, config.effective_trip_size_limit + 1):
-        candidates = set()
-        for base_set in level:
-            top = max(base_set, default=-math.inf)
-            for r in requests:
-                if r.id <= top:
-                    continue
-                grown = base_set | {r.id}
-                if any(grown - {m} not in known for m in grown):
-                    continue
-                candidates.add(grown)
-        for ids in sorted(tuple(sorted(s)) for s in candidates):
-            grown = frozenset(ids)
-            mask = table.mask(ids)
-            smaller = [grown - {m} for m in ids]  # the last drops the top id
-            found = False
-            for ci, (rep, vids) in enumerate(classes):
-                ck = class_known[ci]
-                # dropping any rider from a feasible route keeps it feasible,
-                # so this class needs every smaller subset too
-                if any(sub not in ck for sub in smaller):
-                    continue
-                if k <= caps[ci]:
-                    best = exact[ci].get(mask)
-                    if best is None:
-                        continue
-                    cand = _timed_route(table, origins[ci], rep, best[1])
-                else:
-                    base = dropoff_base[ci] if k == 1 else routes.get((smaller[-1], vids[0]))
-                    if base is None:
-                        continue
-                    cand = best_route_insertion(rep, base, requests_by_id[ids[-1]], travel,
-                                                config, table=table)
-                    if cand is None:
-                        continue
-                found = True
-                ck.add(grown)
-                for vid in vids:
-                    offer(grown, vid, cand)
-            if found:
-                known.add(grown)
-        level = [s for s in known if len(s) == k]
-        if not level:
-            break
+    limit = config.effective_trip_size_limit
+    given_by_size: list[list[int]] = [[] for _ in range(limit + 1)]
+    for m in given:
+        if m.bit_count() <= limit:
+            given_by_size[m.bit_count()].append(m)
+    everyone = table.mask(r.id for r in requests)
+    # per class: where its exact routes are timed from, its exact routes by
+    # number of riders, its trips with the carried-over groups, and its
+    # trips of the last size grown
+    timing, exact_by_size, known, last = [], [], [], []
+    for rep, _vids in classes:
+        origin = table.origin_slot[rep.plan_location]
+        cap = min(limit, config.exhaustive_route_limit - len(rep.onboard))
+        by_size: list[list] = [[] for _ in range(max(cap, 0) + 1)]
+        if cap > 0:
+            for m, best in _exact_routes(table, origin, rep, requests, cap).items():
+                by_size[m.bit_count()].append((m, best))
+        timing.append((table, origin, rep))
+        exact_by_size.append(by_size)
+        known.append(set(given))
+        last.append([])
+
+    def subsets_known(m: int, ck: set) -> bool:
+        # dropping any rider from a feasible route keeps it feasible, so a
+        # class's trip needs every one-smaller subset as its trip too
+        rest = m
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if m ^ bit not in ck:
+                return False
+        return True
+
+    trips = set(given)
+    for k in range(1, limit + 1):
+        grew = bool(given_by_size[k])
+        for ci, (rep, vids) in enumerate(classes):
+            ck = known[ci]
+            found = []
+            if k < len(exact_by_size[ci]):
+                for m, (dist, slots) in exact_by_size[ci][k]:
+                    if subsets_known(m, ck):
+                        found.append(m)
+                        offer(m, vids, dist, slots, timing[ci])
+            else:
+                # a carried-over group one smaller passes the subset check,
+                # so it is a base too
+                for base in {*last[ci], *given_by_size[k - 1]}:
+                    top = base.bit_length()
+                    rest = everyone >> top << top
+                    while rest:
+                        bit = rest & -rest
+                        rest ^= bit
+                        m = base | bit
+                        if not subsets_known(m, ck):
+                            continue
+                        route = dropoff_base[ci] if k == 1 else route_of(base, vids[0])
+                        if route is None:
+                            continue
+                        cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
+                                                    travel, config, table=table)
+                        if offer_route(m, vids, cand):
+                            found.append(m)
+            ck.update(found)
+            trips.update(found)
+            last[ci] = found
+            grew = grew or bool(found)
+        if not grew:
+            break  # a trip one larger needs trips of this size
+
+    def ids_of(m: int) -> tuple[int, ...]:
+        out = []
+        while m:
+            bit = m & -m
+            m ^= bit
+            out.append(riders[bit.bit_length() - 1].id)
+        return tuple(out)
 
     # number trips deterministically by (size, ids); the empty trip is the
     # delivery-only edge's None
-    ordered = sorted((s for s in known if s), key=lambda s: (len(s), tuple(sorted(s))))
-    trip_id_of: dict[frozenset, Optional[int]] = {s: i for i, s in enumerate(ordered)}
-    trip_id_of[frozenset()] = None
-    trips = tuple(Trip(i, tuple(sorted(s))) for i, s in enumerate(ordered))
+    ordered = sorted(((ids_of(m), m) for m in trips if m), key=lambda t: (len(t[0]), t[0]))
+    trip_id_of: dict[int, Optional[int]] = {m: i for i, (_ids, m) in enumerate(ordered)}
+    trip_id_of[0] = None
+    trip_list = tuple(Trip(i, ids) for i, (ids, _m) in enumerate(ordered))
     edges = [
-        Edge(trip_id_of[trip_key], vid, cand.total_distance, cand)
-        for (trip_key, vid), cand in routes.items()
+        Edge(trip_id_of[key], vid, dist, route, slots)
+        for (key, vid), (dist, slots, route) in routes.items()
     ]
     edges.sort(
-        key=lambda e: (() if e.trip_id is None else trips[e.trip_id].request_ids, e.vehicle_id)
+        key=lambda e: (() if e.trip_id is None else trip_list[e.trip_id].request_ids,
+                       e.vehicle_id)
     )
 
     position_of = {(e.trip_id, e.vehicle_id): i for i, e in enumerate(edges)}
@@ -249,7 +304,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         if at is not None:
             fallback.append(at)
     return RtvGraph(
-        trips,
+        trip_list,
         tuple(edges),
         frozenset(r.id for r in requests),
         frozenset(s.vehicle_id for s in states if s.onboard),

@@ -251,6 +251,25 @@ def test_twin_tie_goes_to_menu_order_not_smallest_key():
     assert got == [((0,), 0), ((1,), 1)]
 
 
+def test_twins_need_the_same_stop_slots():
+    # both vehicles list {1, 2} before {0} by cost; with the same stop slots
+    # they are twins and vehicle 0 takes the menu's first trip, while other
+    # slots for vehicle 1 (another stop order) make the menus differ, and
+    # the smallest key wins the same tie
+    trips = (Trip(0, (0,)), Trip(1, (1, 2)))
+
+    def solve(slots_of_1):
+        edges = (Edge(0, 0, 5.0, None, (0, 1)), Edge(1, 0, 3.0, None, (2, 4, 3, 5)),
+                 Edge(0, 1, 5.0, None, (0, 1)), Edge(1, 1, 3.0, None, slots_of_1))
+        g = RtvGraph(trips, edges, frozenset(range(3)), frozenset())
+        sol = solve_assignment(g)
+        assert sol.proven_optimal and sol.objective_value == 8.0
+        return [(g.trip_requests(e.trip_id), e.vehicle_id) for e in sol.chosen_edges]
+
+    assert solve((2, 4, 3, 5)) == [((0,), 1), ((1, 2), 0)]
+    assert solve((2, 4, 5, 3)) == [((0,), 0), ((1, 2), 1)]
+
+
 def test_budget_exhaustion_not_claimed_optimal():
     # reaching the first leaf costs 3 budget units (two tree levels plus
     # one option scan) and leaves an incumbent ({0} served, 1 ignored);

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import rollhorizon.engine as engine
+import rollhorizon.routing as routing
+import rollhorizon.rtv as rtv
 from instgen import matrix_instance, random_instance, random_request
 from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
 from rollhorizon.model import (
@@ -13,7 +15,7 @@ from rollhorizon.model import (
     SolverConfig,
     derive_earliest_dropoff,
 )
-from rollhorizon.routing import PlanStart, best_route_exhaustive
+from rollhorizon.routing import PlanStart, best_route_exhaustive, schedule_route
 from rollhorizon.rtv import build_rtv_graph
 from rollhorizon.simulator import VehicleState
 from rollhorizon.travel import EuclideanTravel, MatrixTravel
@@ -280,11 +282,44 @@ def test_edges_sorted_and_build_deterministic():
         g1 = build_rtv_graph(reqs, fleet, TRAVEL, config)
         g2 = build_rtv_graph(list(reversed(reqs)), list(reversed(fleet)), TRAVEL, config)
         assert g1 == g2
+        # edge equality leaves out the timed route, so compare it apart
+        for e1, e2 in zip(g1.edges, g2.edges):
+            assert e1.route.sequence == e2.route.sequence
+            assert e1.route.schedule == e2.route.schedule
+            assert e1.route.feasible == e2.route.feasible
         keys = [
             ((() if e.trip_id is None else g1.trips[e.trip_id].request_ids), e.vehicle_id)
             for e in g1.edges
         ]
         assert keys == sorted(keys)
+
+
+def test_exact_routes_are_timed_only_when_read(monkeypatch):
+    rng = random.Random(4242)
+    config = cfg()
+    reqs = [random_request(rng, rid, 7.0, 500, TRAVEL) for rid in range(6)]
+    states = [fresh_state(0, 1, 1), fresh_state(1, 5, 5), fresh_state(2, 5, 5)]
+    timed = []
+    real = routing._timed_route
+
+    def count(*args):
+        timed.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(routing, "_timed_route", count)
+    monkeypatch.setattr(rtv, "_timed_route", count)
+    # idle vehicles with no carried plan: every trip is read from the exact
+    # enumeration, and building the graph times none of them
+    graph = build_rtv_graph(reqs, states, TRAVEL, config)
+    assert any(len(t.request_ids) >= 2 for t in graph.trips)
+    assert timed == []
+    by_vid = {s.vehicle_id: s for s in states}
+    for edge in graph.edges:
+        route = edge.route
+        assert edge.route is route
+        assert route == schedule_route(by_vid[edge.vehicle_id], route.sequence, TRAVEL, config)
+        assert route.feasible and edge.cost == route.total_distance
+    assert len(timed) == 2 * len(graph.edges)  # each read once, then the check
 
 
 def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
