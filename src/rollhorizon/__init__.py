@@ -53,7 +53,7 @@ from .routing import (
 )
 from .rtv import Edge, RtvGraph, Trip, build_rtv_graph
 from .simulator import SimulationError, VehicleState, simulate_step
-from .travel import EuclideanTravel, MatrixTravel, TravelError, load_matrix
+from .travel import EuclideanTravel, MatrixTravel, TravelError
 from .window import Batch, batch_partition_check, coverage_end, window_processing
 
 __version__ = "0.1.0"
@@ -102,7 +102,6 @@ __all__ = [
     "derive_earliest_dropoff",
     "load_csv_requests",
     "load_lilim",
-    "load_matrix",
     "make_fleet",
     "make_instance",
     "report_violations",

@@ -87,14 +87,5 @@ def make_instance(
         requests=tuple(requests),
         vehicles=vehicles,
         travel=travel,
-        config_overrides={
-            "horizon": horizon,
-            "step": step,
-            "max_wait": MAX_WAIT_S,
-            "max_delay": MAX_DELAY_S,
-            "dwell": DWELL_S,
-            "fleet_size": n_vehicles,
-            "capacity": capacity,
-        },
         name=f"corpus-{seed}",
     )

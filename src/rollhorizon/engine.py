@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import time
 import warnings
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 from . import metrics
 from .assignment_ilp import UnprovenAssignmentWarning, solve_assignment
 from .instance_io import Instance, RunReport
-from .model import Request, Route, ServiceRecord, SolverConfig, validate_config
+from .model import PICKUP, Request, Route, ServiceRecord, SolverConfig, validate_config
 from .rtv import build_rtv_graph
 from .simulator import VehicleState, simulate_step
 from .window import coverage_end, window_processing
@@ -40,12 +40,15 @@ def run(
 ) -> RunReport:
     """Solve one instance and return the full service report.
 
-    Requests are revealed in grid batches, matched to vehicles through the
-    trip graph and the assignment search, and committed one step at a time.
-    Whatever a vehicle has promised (a matched pickup or a passenger
-    onboard) stays served in every later re-solve. After the last grid step
-    the fleet keeps moving with no new arrivals until everything committed
-    is delivered.
+    One loop walks t = 0, step, ...: each step reveals the grid batch while
+    t is below the horizon, matches the active requests to vehicles through
+    the trip graph and the assignment search, and commits one step. Past
+    the horizon the same loop drains the fleet with no new arrivals, and it
+    stops once no request is active and no passenger is aboard. A pickup
+    left on a vehicle's plan is promised: the next re-solve must serve it,
+    and it does not expire. Passengers aboard are delivered through their
+    vehicle's route. A run still busy after the drain step at horizon +
+    DRAIN_ITERATION_CAP * step raises EngineError.
     """
     problems = validate_config(config)
     if problems:
@@ -87,38 +90,35 @@ def run(
         for v in sorted(instance.vehicles, key=lambda v: v.id)
     }
     active: dict[int, Request] = {}  # revealed, not yet picked up or finalized
-    matched: set[int] = set()  # active ids promised a pickup in the last solve
+    promised: set[int] = set()  # active ids some vehicle's plan still picks up
     records: dict[int, ServiceRecord] = {r.request_id: r for r in pre_rejected}
     iteration_times: list[float] = []
-    grid = range(0, config.horizon, config.step)
-
-    def one_iteration(t: int, batch_requests: Sequence[Request]) -> None:
-        nonlocal states, matched
+    t = 0
+    while t < config.horizon or active or any(st.onboard for st in states.values()):
+        if t < config.horizon:
+            for r in window_processing(t, in_scope, config).new_requests:
+                active[r.id] = r
+        # an iteration's compute time counts from its revealed batch
         started = time.perf_counter()
-        for r in batch_requests:
-            active[r.id] = r
-        must_serve = set(matched)
-        for st in states.values():
-            must_serve.update(st.onboard)
         graph = build_rtv_graph(
             sorted(active.values(), key=lambda r: r.id),
             [states[vid] for vid in sorted(states)],
             travel,
             config,
         )
-        solution = solve_assignment(graph, must_serve=sorted(must_serve))
+        # passengers aboard are no graph requests: their vehicle's rule of
+        # exactly one route delivers them
+        solution = solve_assignment(graph, must_serve=sorted(promised))
         if not solution.proven_optimal:
             warnings.warn(
                 f"assignment at t={t}s stopped after {solution.nodes_explored} "
                 "nodes without proving its plan optimal",
                 UnprovenAssignmentWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         routes_by_vehicle: dict[int, object] = {vid: None for vid in states}
-        chosen_ids: set[int] = set()
         for edge in solution.chosen_edges:
             routes_by_vehicle[edge.vehicle_id] = edge.route
-            chosen_ids.update(graph.trip_requests(edge.trip_id))
         advanced, boarded, new_records = simulate_step(
             [states[vid] for vid in sorted(states)],
             routes_by_vehicle, t, t + config.step, travel, config,
@@ -128,37 +128,27 @@ def run(
             records[rec.request_id] = rec
         for rid in boarded:
             active.pop(rid, None)
-        matched = {rid for rid in chosen_ids if rid in active}
-        # an unmatched request whose waiting allowance cannot survive to the
+        # a chosen trip's requests not yet aboard are the pickups left on
+        # its vehicle's plan
+        promised = {req.id for st in advanced for kind, req in st.planned_suffix
+                    if kind == PICKUP}
+        # an unpromised request whose waiting allowance cannot survive to the
         # next solve is settled now rather than dragged along
         deadline = t + config.step
-        for rid in sorted(set(active) - matched):
+        for rid in sorted(set(active) - promised):
             if active[rid].desired_pickup_time + config.max_wait < deadline:
                 records[rid] = ServiceRecord(rid, served=False)
                 del active[rid]
         iteration_times.append(time.perf_counter() - started)
         if iteration_hook is not None:
             iteration_hook(t, dict(states))
-
-    for t in grid:
-        one_iteration(t, window_processing(t, in_scope, config).new_requests)
-
-    t = config.horizon
-    drained = 0
-    while active or any(st.onboard for st in states.values()):
-        one_iteration(t, ())
-        t += config.step
-        drained += 1
-        if drained > DRAIN_ITERATION_CAP:
+        if t >= config.horizon + DRAIN_ITERATION_CAP * config.step:
             raise EngineError(
                 f"fleet failed to drain after {DRAIN_ITERATION_CAP} extra steps; "
                 f"{len(active)} request(s) still pending"
             )
+        t += config.step
 
-    for r in in_scope:
-        if r.id not in records:
-            # revealed to no batch under this window shape: settled unserved
-            records[r.id] = ServiceRecord(r.id, served=False)
     missing = [rid for rid in (r.id for r in requests) if rid not in records]
     if missing:
         raise EngineError(f"run finished without records for requests {missing}")

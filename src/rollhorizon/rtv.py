@@ -9,11 +9,13 @@ trips of that class, and kept when the class can drive it. The groups
 vehicles' previous plans carry over are trips of every class from the start
 and are routed for every vehicle like any other subset. Up to its exact
 cap, a class reads its trips of each size from its one route enumeration;
-past the cap, trips grow by a higher request, routed by insertion. An
-enumerated route is kept as its distance and stop slots and timed only when
-its edge's route is read, since the assignment reads only costs. No
-pairwise screen runs first: a pair becomes a trip, like any larger set,
-when some vehicle class routes it.
+past the cap, trips grow by a higher request, routed by insertion. Each
+class grows in a loop of its own and stops at the first size where it finds
+no trip and no carried-over group has that size: nothing larger could pass
+its subset check. An enumerated route is kept as its distance and stop
+slots and timed only when its edge's route is read, since the assignment
+reads only costs. No pairwise screen runs first: a pair becomes a trip,
+like any larger set, when some vehicle class routes it.
 """
 
 from __future__ import annotations
@@ -118,15 +120,18 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     exhaustive_route_limit less its passengers), its trips of a size are
     read from its one exact enumeration of every rider set it can serve;
     past the cap, the class's trips one smaller grow by a higher request,
-    which is inserted into the best route of the rest. An exact route is
-    kept as its distance and stop slots, and timed only when its edge's
-    route is first read.
+    which is inserted into the best route of the rest. The carried-over
+    plans are offered first, then each class grows on its own until a size
+    where it finds no trip and no carried-over group has that size; since no
+    two plans pick up one request, nothing larger could pass its subset
+    check. An exact route is kept as its distance and stop slots, and timed
+    only when its edge's route is first read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
     requests_by_id = {r.id: r for r in requests}
     for state in states:
-        for kind, req in getattr(state, "planned_suffix", ()):
+        for kind, req in state.planned_suffix:
             requests_by_id.setdefault(req.id, req)
 
     # route feasibility reads only position, free time and passengers, so
@@ -179,24 +184,18 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             routes[(key, vid)] = (dist, slots, route)
         return route
 
-    dropoff_base: list[Optional[CandidateRoute]] = []
-    for rep, vids in classes:
-        cand = _dropoff_only_route(rep, travel, config, requests_by_id, table)
-        dropoff_base.append(cand)
-        offer_route(0, vids, cand)
-
     # the empty trip and every feasible carried-over plan's pickups are trips
     # from the start; a plan was never routed per class, so it passes every
-    # class's subset check
+    # class's subset check. Plans are offered first: a class's insertion
+    # bases read its first vehicle's routes, and those may be its plan
     given = {0}
     preferred_keys: list[tuple[int, int]] = []
     for state in states:
         vid = state.vehicle_id
         # rebuild the previous plan so the assignment can always keep it
-        suffix = tuple(getattr(state, "planned_suffix", ()))
-        if suffix:
-            pending = table.mask(r.id for k, r in suffix if k == PICKUP)
-            cand = schedule_route(state, suffix, travel, config, table=table)
+        if state.planned_suffix:
+            pending = table.mask(r.id for k, r in state.planned_suffix if k == PICKUP)
+            cand = schedule_route(state, state.planned_suffix, travel, config, table=table)
             if offer_route(pending, (vid,), cand):
                 given.add(pending)
                 preferred_keys.append((pending, vid))
@@ -210,69 +209,65 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         if m.bit_count() <= limit:
             given_by_size[m.bit_count()].append(m)
     everyone = table.mask(r.id for r in requests)
-    # per class: where its exact routes are timed from, its exact routes by
-    # number of riders, its trips with the carried-over groups, and its
-    # trips of the last size grown
-    timing, exact_by_size, known, last = [], [], [], []
-    for rep, _vids in classes:
-        origin = table.origin_slot[rep.plan_location]
-        cap = min(limit, config.exhaustive_route_limit - len(rep.onboard))
-        by_size: list[list] = [[] for _ in range(max(cap, 0) + 1)]
-        if cap > 0:
-            for m, best in _exact_routes(table, origin, rep, requests, cap).items():
-                by_size[m.bit_count()].append((m, best))
-        timing.append((table, origin, rep))
-        exact_by_size.append(by_size)
-        known.append(set(given))
-        last.append([])
 
-    def subsets_known(m: int, ck: set) -> bool:
+    def subsets_known(m: int, known: set) -> bool:
         # dropping any rider from a feasible route keeps it feasible, so a
         # class's trip needs every one-smaller subset as its trip too
         rest = m
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if m ^ bit not in ck:
+            if m ^ bit not in known:
                 return False
         return True
 
     trips = set(given)
-    for k in range(1, limit + 1):
-        grew = bool(given_by_size[k])
-        for ci, (rep, vids) in enumerate(classes):
-            ck = known[ci]
+    for rep, vids in classes:
+        delivery = _dropoff_only_route(rep, travel, config, requests_by_id, table)
+        offer_route(0, vids, delivery)
+        # the class's exact routes by number of riders, timed from here
+        origin = table.origin_slot[rep.plan_location]
+        timing = (table, origin, rep)
+        cap = min(limit, config.exhaustive_route_limit - len(rep.onboard))
+        exact: list[list] = [[] for _ in range(max(cap, 0) + 1)]
+        if cap > 0:
+            for m, best in _exact_routes(table, origin, rep, requests, cap).items():
+                exact[m.bit_count()].append((m, best))
+        known = set(given)  # the class's trips and the carried-over groups
+        last: list[int] = []  # the class's trips of the last size grown
+        for k in range(1, limit + 1):
             found = []
-            if k < len(exact_by_size[ci]):
-                for m, (dist, slots) in exact_by_size[ci][k]:
-                    if subsets_known(m, ck):
+            if k <= cap:
+                for m, (dist, slots) in exact[k]:
+                    if subsets_known(m, known):
                         found.append(m)
-                        offer(m, vids, dist, slots, timing[ci])
+                        offer(m, vids, dist, slots, timing)
             else:
                 # a carried-over group one smaller passes the subset check,
                 # so it is a base too
-                for base in {*last[ci], *given_by_size[k - 1]}:
+                for base in {*last, *given_by_size[k - 1]}:
                     top = base.bit_length()
                     rest = everyone >> top << top
                     while rest:
                         bit = rest & -rest
                         rest ^= bit
                         m = base | bit
-                        if not subsets_known(m, ck):
+                        if not subsets_known(m, known):
                             continue
-                        route = dropoff_base[ci] if k == 1 else route_of(base, vids[0])
+                        route = delivery if k == 1 else route_of(base, vids[0])
                         if route is None:
                             continue
                         cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
                                                     travel, config, table=table)
                         if offer_route(m, vids, cand):
                             found.append(m)
-            ck.update(found)
+            if not found and not given_by_size[k]:
+                # a larger trip needs trips of the class or carried-over
+                # groups one size down, and two groups never share a rider
+                break
+            known.update(found)
             trips.update(found)
-            last[ci] = found
-            grew = grew or bool(found)
-        if not grew:
-            break  # a trip one larger needs trips of this size
+            last = found
 
     def ids_of(m: int) -> tuple[int, ...]:
         out = []

@@ -75,42 +75,3 @@ class MatrixTravel:
 
     def travel_time(self, a: Location, b: Location) -> int:
         return self.times[self._index(a)][self._index(b)]
-
-
-def load_matrix(path) -> MatrixTravel:
-    """Read a provider from a plain-text matrix file.
-
-    Format: first line n, then n rows of n space-separated travel times in
-    seconds, a blank line, then n rows of distances.
-    """
-    with open(path) as fh:
-        raw = fh.read()
-    lines = raw.splitlines()
-    if not lines:
-        raise TravelError(f"{path}: empty matrix file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError:
-        raise TravelError(f"{path}: first line must be the matrix size") from None
-    body = lines[1:]
-
-    def take_block(start: int, name: str) -> tuple[list[list[float]], int]:
-        rows = []
-        i = start
-        while i < len(body) and len(rows) < n:
-            line = body[i].strip()
-            i += 1
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError:
-                raise TravelError(f"{path}: non-numeric value in {name} row {len(rows)}") from None
-            rows.append(row)
-        if len(rows) != n:
-            raise TravelError(f"{path}: expected {n} {name} rows, found {len(rows)}")
-        return rows, i
-
-    times, pos = take_block(0, "time")
-    distances, _ = take_block(pos, "distance")
-    return MatrixTravel(times, distances)

@@ -8,9 +8,11 @@ import pytest
 from instgen import random_instance
 from rollhorizon import engine
 from rollhorizon.assignment_ilp import AssignmentBudgetError, UnprovenAssignmentWarning
-from rollhorizon.engine import ConfigError, run
+from rollhorizon.corpus import corpus_config, make_instance
+from rollhorizon.engine import ConfigError, EngineError, run
 from rollhorizon.instance_io import Instance, make_fleet
 from rollhorizon.model import (
+    PICKUP,
     Location,
     Request,
     SolverConfig,
@@ -104,7 +106,7 @@ def test_pickup_beyond_coverage_is_rejected_up_front():
         run(inst2, cfg)
 
 
-def test_drain_finishes_rides_started_late():
+def late_ride_instance():
     # desired right at the last grid step: dropoff can only land in the drain
     travel = EuclideanTravel(1.0)
     req = derive_earliest_dropoff(
@@ -113,10 +115,49 @@ def test_drain_finishes_rides_started_late():
                     travel=travel)
     cfg = SolverConfig(horizon=900, step=300, rh_factor=1, max_wait=600,
                        max_delay=900, dwell=0, fleet_size=1, capacity=2)
+    return inst, cfg
+
+
+def test_drain_finishes_rides_started_late():
+    inst, cfg = late_ride_instance()
     rep = run(inst, cfg)
     (rec,) = rep.records
     assert rec.served
     assert rec.actual_dropoff_time > cfg.horizon
+
+
+def test_drain_past_its_cap_is_an_engine_error(monkeypatch):
+    monkeypatch.setattr(engine, "DRAIN_ITERATION_CAP", 0)
+    inst, cfg = late_ride_instance()
+    with pytest.raises(EngineError, match="failed to drain after 0 extra steps"):
+        run(inst, cfg)
+    # rides that end inside the grid never reach the drain
+    inst, cfg = two_request_instance()
+    assert run(inst, cfg).summary.service_rate == 1.0
+
+
+def test_must_serve_is_the_pickups_left_on_the_plans(monkeypatch):
+    # a re-solve must serve what the last step left on the vehicles' plans to
+    # pick up; passengers aboard are no graph requests and are not passed
+    real = engine.solve_assignment
+    must_serve = []
+
+    def recording(graph, **kwargs):
+        must_serve.append(list(kwargs["must_serve"]))
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(engine, "solve_assignment", recording)
+    before = [{}]  # the vehicles' states each re-solve starts from
+    rep = run(make_instance(101), corpus_config(2),
+              iteration_hook=lambda t, states: before.append(states))
+    assert len(must_serve) == len(rep.iteration_times_s) == len(before) - 1
+    for served, states in zip(must_serve, before):
+        pickups = sorted(req.id for st in states.values()
+                         for kind, req in st.planned_suffix if kind == PICKUP)
+        assert served == pickups
+        assert not {rid for st in states.values() for rid in st.onboard} & set(served)
+    assert any(must_serve)
+    assert any(st.onboard for states in before for st in states.values())
 
 
 def test_config_errors():

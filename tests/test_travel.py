@@ -4,7 +4,7 @@ import random
 import pytest
 
 from rollhorizon.model import Location
-from rollhorizon.travel import EuclideanTravel, MatrixTravel, TravelError, load_matrix
+from rollhorizon.travel import EuclideanTravel, MatrixTravel, TravelError
 
 
 def test_euclidean_examples():
@@ -82,29 +82,3 @@ def test_matrix_requires_node_ids():
     a, _b = nodes(2)
     with pytest.raises(TravelError):
         t.travel_time(a, Location(1, 0, node_id=7))
-
-
-def test_load_matrix_round_trip(tmp_path):
-    path = tmp_path / "net.txt"
-    path.write_text(
-        "3\n"
-        "0 10 20\n"
-        "12 0 7\n"
-        "25 9 0\n"
-        "\n"
-        "0.0 1.0 2.0\n"
-        "1.2 0.0 0.7\n"
-        "2.5 0.9 0.0\n"
-    )
-    t = load_matrix(path)
-    a, b, c = nodes(3)
-    assert t.travel_time(a, c) == 20
-    assert t.travel_time(c, b) == 9
-    assert t.distance(a, b) == 1.0
-
-
-def test_load_matrix_rejects_bad_shapes(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2\n0 1\n1 0\n\n0.0 1.0\n")
-    with pytest.raises(TravelError):
-        load_matrix(path)
