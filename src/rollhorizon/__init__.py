@@ -54,7 +54,7 @@ from .routing import (
 from .rtv import Edge, RtvGraph, Trip, build_rtv_graph
 from .simulator import SimulationError, VehicleState, simulate_step
 from .travel import EuclideanTravel, MatrixTravel, TravelError
-from .window import Batch, batch_partition_check, coverage_end, window_processing
+from .window import Batch, coverage_end, window_processing
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "Vehicle",
     "VehicleState",
     "adapt_benchmark",
-    "batch_partition_check",
     "best_route_exhaustive",
     "best_route_insertion",
     "build_rtv_graph",

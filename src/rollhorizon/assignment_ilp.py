@@ -76,23 +76,16 @@ def canonical_objective(chosen: Iterable[Edge], ignored: Iterable[int],
 
 
 def _fallback_incumbent(graph, must, penalty, solution_key):
-    """Adopt the graph's carried-over assignment when the search found none.
+    """Adopt the graph's fallback edges when the search found no assignment.
 
     Returns a (objective, key, chosen, ignored) incumbent, or None when the
-    graph carries no valid fallback.
+    edges are no valid assignment: two for one vehicle, two sharing a
+    request, a vehicle that needs a route left without one, or a must-serve
+    request left uncovered. A carried-over plan that failed its re-timing
+    leaves such a gap; no fallback edges at all are valid only when no
+    vehicle needs a route and no request must be served.
     """
-    positions = graph.fallback_assignment
-    if not positions:
-        if graph.vehicles_requiring_route or must:
-            return None
-        chosen: tuple = ()
-        ignored = frozenset(graph.request_universe)
-        obj = canonical_objective(chosen, ignored, penalty, graph)
-        return (obj, solution_key(chosen, ignored), chosen, ignored)
-    try:
-        edges = [graph.edges[i] for i in positions]
-    except IndexError:
-        return None
+    edges = graph.fallback_assignment
     seen_vehicles = set()
     covered: set[int] = set()
     for e in edges:
@@ -101,9 +94,7 @@ def _fallback_incumbent(graph, must, penalty, solution_key):
             return None
         seen_vehicles.add(e.vehicle_id)
         covered.update(reqs)
-    if not set(graph.vehicles_requiring_route) <= seen_vehicles:
-        return None
-    if not must <= covered:
+    if not graph.vehicles_requiring_route <= seen_vehicles or not must <= covered:
         return None
     ignored = frozenset(graph.request_universe - covered)
     obj = canonical_objective(edges, ignored, penalty, graph)

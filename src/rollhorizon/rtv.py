@@ -12,10 +12,12 @@ cap, a class reads its trips of each size from its one route enumeration;
 past the cap, trips grow by a higher request, routed by insertion. Each
 class grows in a loop of its own and stops at the first size where it finds
 no trip and no carried-over group has that size: nothing larger could pass
-its subset check. An enumerated route is kept as its distance and stop
-slots and timed only when its edge's route is read, since the assignment
-reads only costs. No pairwise screen runs first: a pair becomes a trip,
-like any larger set, when some vehicle class routes it.
+its subset check. Each trip-vehicle pairing is kept as one edge, replaced
+only by a cheaper offer, and a trip is numbered when it is first routed. An
+enumerated route is kept on its edge as its distance and stop slots and
+timed only when the edge's route is read, since the assignment reads only
+costs. No pairwise screen runs first: a pair becomes a trip, like any
+larger set, when some vehicle class routes it.
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ class RtvGraph:
     edges: tuple[Edge, ...]
     request_universe: frozenset[int]
     vehicles_requiring_route: frozenset[int]
-    # edge positions forming one known-valid assignment (each vehicle's
-    # carried-over plan); lets the solver fall back to it instead of
-    # failing when its search budget runs out before any leaf
-    fallback_assignment: tuple[int, ...] = ()
+    # each vehicle's carried-over plan as an edge, or its delivery-only edge
+    # when it carries passengers and the plan no longer re-times. The solver
+    # falls back to them when its search budget runs out before any leaf,
+    # after checking they form a valid assignment: a plan that failed its
+    # re-timing can leave a must-serve request or a passenger uncovered
+    fallback_assignment: tuple[Edge, ...] = ()
 
     def trip_requests(self, trip_id: Optional[int]) -> tuple[int, ...]:
         if trip_id is None:
@@ -124,8 +128,13 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     plans are offered first, then each class grows on its own until a size
     where it finds no trip and no carried-over group has that size; since no
     two plans pick up one request, nothing larger could pass its subset
-    check. An exact route is kept as its distance and stop slots, and timed
-    only when its edge's route is first read.
+    check. Each pairing is one edge, built when an offer beats the
+    pairing's current one (lower distance, then smaller stop slots); trips
+    are numbered in the order they are first routed. An exact route is kept
+    as its distance and stop slots, and timed only when its edge's route is
+    first read. The fallback assignment is the edges of the carried-over
+    plans and, for a vehicle carrying passengers whose plan no longer
+    re-times, its delivery-only edge.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -154,16 +163,28 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                       travel, config)
     slot_of, riders = table.slot_of, table.riders
 
-    # (trip mask, vehicle_id) -> the lowest (distance, slots, route); route
-    # is a CandidateRoute or, until read, the (table, origin slot, start) its
-    # slots are timed from. The empty trip is the delivery-only edge
-    routes: dict[tuple[int, int], tuple] = {}
+    # (trip mask, vehicle_id) -> its edge of lowest (distance, slots). A
+    # trip is numbered when its mask is first offered; the empty trip is
+    # the delivery-only edge's None
+    edges: dict[tuple[int, int], Edge] = {}
+    trip_id_of: dict[int, Optional[int]] = {0: None}
+    trip_list: list[Trip] = []
 
     def offer(key: int, vids, dist: float, slots: tuple[int, ...], route) -> None:
+        if key not in trip_id_of:
+            ids = []
+            rest = key
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                ids.append(riders[bit.bit_length() - 1].id)
+            trip_id_of[key] = len(trip_list)
+            trip_list.append(Trip(len(trip_list), tuple(ids)))
+        tid = trip_id_of[key]
         for vid in vids:
-            old = routes.get((key, vid))
-            if old is None or dist < old[0] or (dist == old[0] and slots < old[1]):
-                routes[(key, vid)] = (dist, slots, route)
+            old = edges.get((key, vid))
+            if old is None or dist < old.cost or (dist == old.cost and slots < old.slots):
+                edges[(key, vid)] = Edge(tid, vid, dist, route, slots)
 
     def offer_route(key: int, vids, cand: Optional[CandidateRoute]) -> bool:
         """Offer a timed route; False when it is missing or infeasible."""
@@ -172,17 +193,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         slots = tuple([slot_of[req.id] + (kind == DROPOFF) for kind, req in cand.sequence])
         offer(key, vids, cand.total_distance, slots, cand)
         return True
-
-    def route_of(key: int, vid: int) -> Optional[CandidateRoute]:
-        """The offered route of a pairing, timed now if it is not yet."""
-        got = routes.get((key, vid))
-        if got is None:
-            return None
-        dist, slots, route = got
-        if not isinstance(route, CandidateRoute):
-            route = _timed_route(*route, slots)
-            routes[(key, vid)] = (dist, slots, route)
-        return route
 
     # the empty trip and every feasible carried-over plan's pickups are trips
     # from the start; a plan was never routed per class, so it passes every
@@ -221,7 +231,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 return False
         return True
 
-    trips = set(given)
     for rep, vids in classes:
         delivery = _dropoff_only_route(rep, travel, config, requests_by_id, table)
         offer_route(0, vids, delivery)
@@ -246,6 +255,13 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 # a carried-over group one smaller passes the subset check,
                 # so it is a base too
                 for base in {*last, *given_by_size[k - 1]}:
+                    # the rider joins the route of the base's edge for the
+                    # class's first vehicle, timed once and kept there; a
+                    # lone rider joins the delivery route, since the (0, vid)
+                    # edge may be a carried-over plan of dropoffs only
+                    base_edge = edges.get((base, vids[0]))
+                    if k > 1 and base_edge is None:
+                        continue  # no route of the first vehicle to insert into
                     top = base.bit_length()
                     rest = everyone >> top << top
                     while rest:
@@ -254,7 +270,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                         m = base | bit
                         if not subsets_known(m, known):
                             continue
-                        route = delivery if k == 1 else route_of(base, vids[0])
+                        route = delivery if k == 1 else base_edge.route
                         if route is None:
                             continue
                         cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
@@ -266,42 +282,14 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 # groups one size down, and two groups never share a rider
                 break
             known.update(found)
-            trips.update(found)
             last = found
 
-    def ids_of(m: int) -> tuple[int, ...]:
-        out = []
-        while m:
-            bit = m & -m
-            m ^= bit
-            out.append(riders[bit.bit_length() - 1].id)
-        return tuple(out)
-
-    # number trips deterministically by (size, ids); the empty trip is the
-    # delivery-only edge's None
-    ordered = sorted(((ids_of(m), m) for m in trips if m), key=lambda t: (len(t[0]), t[0]))
-    trip_id_of: dict[int, Optional[int]] = {m: i for i, (_ids, m) in enumerate(ordered)}
-    trip_id_of[0] = None
-    trip_list = tuple(Trip(i, ids) for i, (ids, _m) in enumerate(ordered))
-    edges = [
-        Edge(trip_id_of[key], vid, dist, route, slots)
-        for (key, vid), (dist, slots, route) in routes.items()
-    ]
-    edges.sort(
-        key=lambda e: (() if e.trip_id is None else trip_list[e.trip_id].request_ids,
-                       e.vehicle_id)
-    )
-
-    position_of = {(e.trip_id, e.vehicle_id): i for i, e in enumerate(edges)}
-    fallback = []
-    for key, vid in preferred_keys:
-        at = position_of.get((trip_id_of[key], vid))
-        if at is not None:
-            fallback.append(at)
+    ordered = sorted(edges.values(), key=lambda e: (
+        () if e.trip_id is None else trip_list[e.trip_id].request_ids, e.vehicle_id))
     return RtvGraph(
-        trip_list,
-        tuple(edges),
+        tuple(trip_list),
+        tuple(ordered),
         frozenset(r.id for r in requests),
         frozenset(s.vehicle_id for s in states if s.onboard),
-        tuple(sorted(fallback)),
+        tuple(edges[key] for key in preferred_keys if key in edges),
     )

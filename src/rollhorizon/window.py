@@ -8,7 +8,7 @@ sweeps up everything from the start of the horizon so nothing is skipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .model import Request, SolverConfig
 
@@ -53,27 +53,3 @@ def coverage_end(config: SolverConfig) -> int:
     """
     return min(config.horizon, config.horizon + (config.rh_factor - 1) * config.step)
 
-
-def batch_partition_check(
-    batches: Sequence[Batch], requests: Iterable[Request]
-) -> list[str]:
-    """Verify the batches form an exact partition of the given requests.
-
-    Flags requests appearing in more than one batch and requests appearing
-    in none ("never batched"). The caller chooses which requests to demand
-    coverage for (typically those with pickups up to coverage_end).
-    """
-    out = []
-    seen: dict[int, int] = {}
-    for b in batches:
-        for r in b.new_requests:
-            if r.id in seen:
-                out.append(
-                    f"request {r.id} batched at both t={seen[r.id]} and t={b.t}"
-                )
-            else:
-                seen[r.id] = b.t
-    for r in requests:
-        if r.id not in seen:
-            out.append(f"request {r.id} (pickup {r.desired_pickup_time}) never batched")
-    return out

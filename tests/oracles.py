@@ -409,6 +409,28 @@ def coverage_violations(routes, records) -> list[str]:
     return out
 
 
+def batch_partition_check(batches, requests: Iterable[Request]) -> list[str]:
+    """Verify the window batches form an exact partition of the given requests.
+
+    Flags requests appearing in more than one batch and requests appearing
+    in none ("never batched"). The caller chooses which requests to demand
+    coverage for (typically those with pickups up to coverage_end).
+    """
+    out = []
+    seen: dict[int, int] = {}
+    for b in batches:
+        for r in b.new_requests:
+            if r.id in seen:
+                out.append(
+                    f"request {r.id} batched at both t={seen[r.id]} and t={b.t}"
+                )
+            else:
+                seen[r.id] = b.t
+    for r in requests:
+        if r.id not in seen:
+            out.append(f"request {r.id} (pickup {r.desired_pickup_time}) never batched")
+    return out
+
 
 def _cheapest_placement(start_loc, start_time, base, new_stops, onboard, requests_by_id,
                         travel, config):

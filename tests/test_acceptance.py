@@ -22,6 +22,7 @@ from instgen import (
     tiny_instance,
 )
 from oracles import (
+    batch_partition_check,
     brute_force_best_route,
     coverage_violations,
     enumerate_assignments,
@@ -41,7 +42,7 @@ from rollhorizon.instance_io import write_report
 from rollhorizon.model import Location, SolverConfig
 from rollhorizon.routing import PlanStart, best_route_exhaustive, best_route_insertion
 from rollhorizon.travel import EuclideanTravel
-from rollhorizon.window import batch_partition_check, coverage_end, window_processing
+from rollhorizon.window import coverage_end, window_processing
 
 
 @pytest.fixture

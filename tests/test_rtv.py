@@ -7,6 +7,7 @@ import rollhorizon.routing as routing
 import rollhorizon.rtv as rtv
 from instgen import matrix_instance, random_instance, random_request
 from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
+from rollhorizon.assignment_ilp import solve_assignment
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -180,6 +181,33 @@ def test_previous_plan_is_rebuilt_as_an_edge():
     assert best.route.stops == plan.stops
 
 
+def test_plan_that_no_longer_times_falls_back_to_delivery():
+    # two riders aboard since time 0 at the vehicle's spot, dropped off at
+    # x = 1 and x = 10. The carried-over plan drives to x = 10 first and
+    # reaches x = 1 at 1170 s, 1110 s past its earliest dropoff (the limit
+    # is 900); the other order is feasible
+    riders = [mk(0, 0, 0, 1, 0, 0), mk(1, 0, 0, 10, 0, 0)]
+    state = VehicleState(
+        vehicle_id=0,
+        plan_location=Location(0, 0),
+        plan_time=0,
+        onboard=frozenset([0, 1]),
+        planned_suffix=((DROPOFF, riders[1]), (DROPOFF, riders[0])),
+    )
+    assert not schedule_route(state, state.planned_suffix, TRAVEL, cfg()).feasible
+    newcomer = mk(2, 1, 1, 2, 2, 120)
+    graph = build_rtv_graph([newcomer], [state], TRAVEL, cfg())
+    (fallback,) = graph.fallback_assignment
+    assert fallback.trip_id is None and fallback.vehicle_id == 0
+    assert fallback in graph.edges
+    assert [r.id for _k, r in fallback.route.sequence] == [0, 1]
+    # a search starved before its first leaf returns exactly that edge
+    sol = solve_assignment(graph, must_serve=[0, 1], budget=1)
+    assert not sol.proven_optimal
+    assert sol.chosen_edges == graph.fallback_assignment
+    assert sol.ignored_requests == frozenset({2})
+
+
 def test_carried_over_group_is_offered_to_every_vehicle():
     a = mk(0, 2, 0, 6, 0, 300)
     b = mk(1, 3, 0, 7, 0, 400)
@@ -344,7 +372,7 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
         engine.run(inst, config)
         engine.run(matrix_instance(inst, rng), config)
-    compared = carrying = planned = on_matrix = 0
+    compared = carrying = planned = on_matrix = fallbacks = 0
     for requests, states, travel, config in calls:
         if not any(s.onboard or s.planned_suffix for s in states):
             continue
@@ -356,8 +384,26 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         }
         assert got == reference_rtv_graph(requests, states, travel, config)
         assert {t.request_ids for t in graph.trips} == {trip for trip, _vid in got if trip}
+        # the fallback is graph edges: each plan that still times, else the
+        # delivery-only edge of a vehicle carrying passengers
+        edge_of = {(graph.trip_requests(e.trip_id), e.vehicle_id): e for e in graph.edges}
+        by_id = {r.id: r for r in requests}
+        by_id.update((r.id, r) for s in states for _k, r in s.planned_suffix)
+        expected = []
+        for s in states:
+            seq = [(k, r.id) for k, r in s.planned_suffix]
+            if seq and naive_schedule(s.plan_location, s.plan_time, seq, by_id, travel, config,
+                                      initial_onboard=s.onboard)[0]:
+                pickups = tuple(sorted(rid for k, rid in seq if k == PICKUP))
+                expected.append(edge_of[(pickups, s.vehicle_id)])
+            elif s.onboard and ((), s.vehicle_id) in edge_of:
+                expected.append(edge_of[((), s.vehicle_id)])
+        assert len(graph.fallback_assignment) == len(expected)
+        assert {id(e) for e in graph.fallback_assignment} == {id(e) for e in expected}
+        fallbacks += len(expected)
         compared += 1
         carrying += sum(bool(s.onboard) for s in states)
         planned += sum(bool(s.planned_suffix) for s in states)
         on_matrix += isinstance(travel, MatrixTravel)
     assert compared >= 70 and carrying >= 160 and planned >= 200 and on_matrix >= 40
+    assert fallbacks >= 200

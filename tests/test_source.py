@@ -8,6 +8,18 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rollhorizon"
 
 
+def top_level_names(tree):
+    """(node, name) for each function, class or variable a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield node, target.id
+
+
 def test_every_imported_name_is_used():
     # __init__.py imports names only to export them
     unused = []
@@ -33,16 +45,8 @@ def test_every_private_top_level_name_is_used():
     used = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined += [(path.name, node.lineno, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+        defined += [(path.name, node.lineno, name) for node, name in top_level_names(tree)
+                    if name.startswith("_") and not name.startswith("__")]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
@@ -51,6 +55,29 @@ def test_every_private_top_level_name_is_used():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert [f"{file}:{line} {name}" for file, line, name in defined if name not in used] == []
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a public top-level function, class or constant that only its own unit
+    # test reads is dead weight; a read inside its own definition (a
+    # recursive call) does not count, nor does __init__.py's re-export
+    defined = []
+    reads: dict[str, list[tuple[Path, int]]] = {}
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.parent == SRC:
+            defined += [(path, node.lineno, node.end_lineno, name)
+                        for node, name in top_level_names(tree) if not name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    unread = [f"{path.name}:{first} {name}" for path, first, last, name in defined
+              if all(at == path and first <= line <= last
+                     for at, line in reads.get(name, ()))]
+    assert unread == []
 
 
 def test_init_exports_exactly_what_it_imports():

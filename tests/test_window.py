@@ -3,13 +3,10 @@ import random
 import pytest
 
 from instgen import random_request
+from oracles import batch_partition_check
 from rollhorizon.model import SolverConfig
 from rollhorizon.travel import EuclideanTravel
-from rollhorizon.window import (
-    batch_partition_check,
-    coverage_end,
-    window_processing,
-)
+from rollhorizon.window import coverage_end, window_processing
 
 
 def cfg(rh, step=300, horizon=1800):
