@@ -10,7 +10,9 @@ solver maximizes served count and breaks ties by cost. The search state is
 bit masks over the sorted request ids; every bound term it needs is fixed
 per branching position and built once per solve, a parent bounds each
 child before entering it, and a node walks only the options still disjoint
-from the served set.
+from the served set. Vehicles that reach the most requests are branched on
+first, and a node enters its children best bound first, which shrinks the
+tree without changing a completed search's answer.
 """
 
 from __future__ import annotations
@@ -124,9 +126,17 @@ def solve_assignment(
     bound exceeds the incumbent's objective by more than a relative 1e-9:
     bounds are summed in another order than objectives, so an exact tie can
     round a few ulps above, and the answer must depend only on the leaves.
-    nodes_explored counts every node entered plus every option passed in
-    menu order, those skipped for overlapping the served set included; the
-    budget caps that count.
+
+    The search order is chosen to prove fast: vehicles are branched on
+    widest reach first (the most distinct requests their menus cover),
+    then narrowest menu, and a node enters its children in increasing
+    bound order, with leaving the vehicle idle last. Every optimal leaf is
+    entered in any order, so a search that completes returns the same
+    answer whatever the order; only a search that runs out of budget can
+    return another incumbent. nodes_explored counts every node entered
+    plus every option a node passes in menu order, those skipped for
+    overlapping the served set included; a node passes all its options
+    before entering any child, and the budget caps that count.
     """
     penalty = compute_penalty(graph)
     universe = graph.request_universe
@@ -135,11 +145,23 @@ def solve_assignment(
     all_vehicles = sorted(
         {e.vehicle_id for e in graph.edges} | set(graph.vehicles_requiring_route)
     )
-    edges_of: dict[int, list[Edge]] = {v: [] for v in all_vehicles}
+    # requests become bits, ordered by id, so request sets are ints; a menu
+    # row is (edge, its request ids, their bits), in menu order
+    bit_of = {rid: 1 << k for k, rid in enumerate(sorted(universe))}
+    menu_of: dict[int, list] = {v: [] for v in all_vehicles}
     for e in graph.edges:
-        edges_of[e.vehicle_id].append(e)
-    for v in all_vehicles:
-        edges_of[v].sort(key=lambda e: (e.cost, graph.trip_requests(e.trip_id)))
+        reqs = graph.trip_requests(e.trip_id)
+        bits = 0
+        for rid in reqs:
+            bits |= bit_of[rid]
+        menu_of[e.vehicle_id].append((e, reqs, bits))
+    reach_of = {}  # the requests the vehicle's menu covers
+    for v, menu in menu_of.items():
+        menu.sort(key=lambda row: (row[0].cost, row[1]))
+        reach = 0
+        for row in menu:
+            reach |= row[2]
+        reach_of[v] = reach
 
     # vehicles with identical menus (same trips, costs and stop orders, e.g.
     # an idle fleet parked at one depot) are interchangeable; the search
@@ -149,32 +171,32 @@ def solve_assignment(
     # although ((51,), 0), ((64,), 1) ties it with a smaller key. An edge's
     # stop slots stand for its stop order: within one graph they map one to one
     def menu_signature(v):
-        rows = tuple([(e.trip_id, e.cost, e.slots) for e in edges_of[v]])
+        rows = tuple([(e.trip_id, e.cost, e.slots) for e, _reqs, _bits in menu_of[v]])
         return (v in graph.vehicles_requiring_route, rows)
 
     sig_of = {v: menu_signature(v) for v in all_vehicles}
     group_rank: dict = {}
-    for v in sorted(all_vehicles, key=lambda v: (len(edges_of[v]), v)):
+    for v in sorted(all_vehicles, key=lambda v: (len(menu_of[v]), v)):
         group_rank.setdefault(sig_of[v], len(group_rank))
-    # branch on the narrowest choice first; the answer does not depend on
-    # the branching order, only the tree size does
-    vehicle_ids = sorted(
-        all_vehicles, key=lambda v: (len(edges_of[v]), group_rank[sig_of[v]], v)
-    )
+    # branch first on the vehicles that reach the most requests, whose
+    # choices decide the most of the rest (fail-first), then on the
+    # narrowest menus; twins share every key but the id, so they stay
+    # adjacent. The answer does not depend on the branching order, only
+    # the tree size does
+    vehicle_ids = sorted(all_vehicles, key=lambda v: (
+        -reach_of[v].bit_count(), len(menu_of[v]), group_rank[sig_of[v]], v))
     n_veh = len(vehicle_ids)
     grouped_with_prev = [
         pos > 0 and sig_of[vehicle_ids[pos]] == sig_of[vehicle_ids[pos - 1]]
         for pos in range(n_veh)
     ]
 
-    # requests become bits, ordered by id, so request sets are ints. The
-    # admissible remainder bound at position p charges each open request
-    # its term there: its cheapest share among edges at positions >= p (an
-    # edge's cost split evenly over its requests, so summing per-request
-    # minima never overshoots), capped at the penalty unless must-serve;
-    # the penalty when no such edge covers it; nothing for an uncovered
-    # must-serve one, which the vehicle before p has to take
-    bit_of = {rid: 1 << k for k, rid in enumerate(sorted(universe))}
+    # the admissible remainder bound at position p charges each open
+    # request its term there: its cheapest share among edges at positions
+    # >= p (an edge's cost split evenly over its requests, so summing
+    # per-request minima never overshoots), capped at the penalty unless
+    # must-serve; the penalty when no such edge covers it; nothing for an
+    # uncovered must-serve one, which the vehicle before p has to take
     must_bits = sum(bit_of[rid] for rid in must)
     term = [None] * n_veh + [{b: 0.0 if b & must_bits else penalty for b in bit_of.values()}]
     covered = [0] * (n_veh + 1)  # requests some edge at position >= p covers
@@ -193,21 +215,18 @@ def solve_assignment(
         nxt, cov_next = term[p + 1], covered[p + 1]
         row, cov, widest = dict(nxt), cov_next, 0
         hold, options = holding[p], options_at[p] = {}, []
-        for i, e in enumerate(edges_of[vehicle_ids[p]]):
-            reqs = graph.trip_requests(e.trip_id)
-            bits, drop = 0, 0.0
+        for i, (e, reqs, bits) in enumerate(menu_of[vehicle_ids[p]]):
+            drop = 0.0
             if len(reqs) > widest:
                 widest = len(reqs)
+            share = e.cost / len(reqs) if reqs else 0.0
             for rid in reqs:
                 b = bit_of[rid]
-                bits |= b
                 drop += nxt[b]
                 hold[b] = hold.get(b, 0) | 1 << i
-                share = e.cost / len(reqs)
-                if penalty < share and not b & must_bits:
-                    share = penalty
-                if not cov & b or share < row[b]:
-                    row[b] = share
+                t = penalty if penalty < share and not b & must_bits else share
+                if not cov & b or t < row[b]:
+                    row[b] = t
                     cov |= b
             options.append((e, bits, drop, (bits & cov_next).bit_count(),
                             (bits & cov_next & ~must_bits).bit_count()))
@@ -288,20 +307,28 @@ def solve_assignment(
             avail &= hold[b]
             m ^= b
         next_grouped = nxt < n_veh and grouped_with_prev[nxt]
-        scanned = start_idx
+        # every option from start_idx on is passed in menu order and spends
+        # budget, skipped or not
+        nodes += len(options) - start_idx
+        if nodes > budget:
+            out_of_budget = True
+            return
+        children = []
         while avail:
-            # every option passed in menu order spends budget, skipped or not
             i = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            nodes += i + 1 - scanned
-            scanned = i + 1
-            if nodes > budget:
-                out_of_budget = True
-                return
             e, bits, drop, n_comp, n_opt = options[i]
             bound = cost + e.cost + t_next - drop
             if over > n_comp:
                 bound += crowded(nxt, over - n_comp, n_optional - n_opt, open_bits & ~bits)
+            if bound <= limit:
+                children.append((bound, i, e, bits, drop))
+        # enter the most promising child first: a good early leaf lowers the
+        # limit that prunes its siblings. Every optimal leaf is still
+        # entered, so the order changes only the tree size. Ties go to menu
+        # order; option indices are distinct, so edges are never compared
+        children.sort()
+        for bound, i, e, bits, drop in children:
             if bound > limit:
                 continue
             chosen.append(e)
@@ -309,10 +336,6 @@ def solve_assignment(
             chosen.pop()
             if out_of_budget:
                 return
-        nodes += len(options) - scanned
-        if nodes > budget:
-            out_of_budget = True
-            return
         if vehicle_ids[pos] not in graph.vehicles_requiring_route and not blockers:
             bound = cost + t_next
             if over > 0:

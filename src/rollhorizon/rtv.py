@@ -92,7 +92,13 @@ class RtvGraph:
 
 
 def _dropoff_only_route(state, travel, config, requests_by_id, table):
-    """Route that only delivers the vehicle's current passengers."""
+    """Route that only delivers the vehicle's current passengers.
+
+    Searched apart only for a class whose passengers fill the exact cap
+    (exhaustive_route_limit), which runs no route enumeration; any other
+    class reads this route off its enumeration, as the route of the empty
+    rider set.
+    """
     onboard = sorted(state.onboard)
     if not onboard:
         return None
@@ -114,7 +120,9 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     Each vehicle's previously planned stops are rebuilt into an edge, so
     commitments stay representable, and the requests the plan still picks up
     are a trip from the start; vehicles with passengers get a delivery-only
-    edge. Vehicles at one place and time with the same passengers form a
+    edge, which a class reads off its exact enumeration at the empty rider
+    set, or searches apart when its passengers fill the exact cap.
+    Vehicles at one place and time with the same passengers form a
     class and share routes. Each class grows its trips one request at a
     time from the empty trip: a set is the class's trip once every
     one-smaller subset is a trip of the class or a carried-over group, and
@@ -232,8 +240,6 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         return True
 
     for rep, vids in classes:
-        delivery = _dropoff_only_route(rep, travel, config, requests_by_id, table)
-        offer_route(0, vids, delivery)
         # the class's exact routes by number of riders, timed from here
         origin = table.origin_slot[rep.plan_location]
         timing = (table, origin, rep)
@@ -242,6 +248,14 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         if cap > 0:
             for m, best in _exact_routes(table, origin, rep, requests, cap).items():
                 exact[m.bit_count()].append((m, best))
+            # the enumeration's route of no new rider is the delivery route
+            if rep.onboard and exact[0]:
+                offer(0, vids, *exact[0][0][1], timing)
+        else:
+            # passengers fill the exact cap, so no enumeration runs; a lone
+            # rider is inserted into this route
+            delivery = _dropoff_only_route(rep, travel, config, requests_by_id, table)
+            offer_route(0, vids, delivery)
         known = set(given)  # the class's trips and the carried-over groups
         last: list[int] = []  # the class's trips of the last size grown
         for k in range(1, limit + 1):

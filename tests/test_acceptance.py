@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
 )
 from rollhorizon.assignment_ilp import (
     StrandedRequestError,
+    UnprovenAssignmentWarning,
     compute_penalty,
     solve_assignment,
 )
@@ -281,6 +283,28 @@ def test_lookahead_beats_pure_online_on_the_corpus(announce):
              f"{len(CORPUS_SEEDS)} instances, mean service {mean0:.4f} online "
              f"vs {mean2:.4f} look-ahead, gap {gap_pp:.2f}pp (need >= 1.00), "
              f"{wall:.1f}s of {budget_s:.0f}s")
+
+
+def test_lookahead_serves_at_least_online_at_density(announce):
+    # 400 requests for 16 vehicles, four times the corpus density, where
+    # most look-ahead re-solves run out of their node budget: the incumbent
+    # they return must still let look-ahead serve at least what online does
+    budget_s = 120.0
+    t0 = time.perf_counter()
+    inst = make_instance(101, n_requests=400, n_vehicles=16)
+    served, unproven = {}, {}
+    for rh in (0, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UnprovenAssignmentWarning)
+            report = run(inst, corpus_config(rh_factor=rh, fleet_size=16))
+        served[rh] = report.summary.requests_served
+        unproven[rh] = sum(issubclass(w.category, UnprovenAssignmentWarning) for w in caught)
+    wall = time.perf_counter() - t0
+    ok = served[2] >= served[0] and wall < budget_s
+    announce("look-ahead serves at least online at density", ok,
+             f"400 requests / 16 vehicles, served {served[0]} online "
+             f"({unproven[0]} unproven re-solves) vs {served[2]} look-ahead "
+             f"({unproven[2]} unproven), {wall:.1f}s of {budget_s:.0f}s")
 
 
 def test_adapted_benchmark_runs_at_full_service(announce):

@@ -271,16 +271,19 @@ def test_twins_need_the_same_stop_slots():
 
 
 def test_budget_exhaustion_not_claimed_optimal():
-    # reaching the first leaf costs 3 budget units (two tree levels plus
-    # one option scan) and leaves an incumbent ({0} served, 1 ignored);
-    # scanning the second option then exhausts budget 3, so the incumbent
-    # survives uncertified
+    # vehicle 0 reaches all three requests, so it branches first, and
+    # enters {0, 2} first, its child of lowest bound; that blocks vehicle
+    # 1's only trip. The first leaf costs 7 budget units (the root and its
+    # three option scans, the node below and its one scan, the leaf) and
+    # leaves an incumbent ({0, 2} served, 1 ignored); entering the next
+    # child, {0}, then exhausts budget 7, so the incumbent survives
+    # uncertified
     g = graph_of(
-        [{0}, {0, 1}],
-        [({0}, 0, 1.0), ({0, 1}, 0, 1.0)],
-        n_req=2,
+        [{0, 2}, {0}, {1}, {1, 2}],
+        [({0, 2}, 0, 1.0), ({0}, 0, 1.5), ({1}, 0, 4.0), ({1, 2}, 1, 2.0)],
+        n_req=3,
     )
-    sol = solve_assignment(g, budget=3)
+    sol = solve_assignment(g, budget=7)
     assert not sol.proven_optimal
     assert sol.objective_value == 1.0 + compute_penalty(g)
     assert sol.ignored_requests == frozenset({1})
@@ -290,14 +293,17 @@ def test_budget_exhaustion_not_claimed_optimal():
 
 
 def test_skipped_options_spend_budget():
-    # vehicle 0 branches first (one option) and takes {0}; below it vehicle
-    # 1 passes three options holding request 0 before {1}. Each option
+    # vehicle 0 reaches as many requests as vehicle 1 with a shorter menu,
+    # so it branches first; it takes {0, 1, 2}, and below it vehicle 1
+    # passes four options, all overlapping the served set. Each option
     # passed in menu order spends budget although the search skips it, so
-    # budget 5 runs out on the third of them, before any leaf: root, its
-    # option, the node below and two skipped options spend the first five
+    # budget 5 runs out there, before any leaf: root, its option and the
+    # node below spend three, and the four skipped options overrun it.
+    # Without that charge the search would reach its leaf at the fourth
     g = graph_of(
-        [{0}, {1}, {0, 1}, {0, 2}],
-        [({0}, 0, 1.0), ({0, 1}, 1, 1.0), ({0, 2}, 1, 1.0), ({0}, 1, 2.0), ({1}, 1, 5.0)],
+        [{0, 1, 2}, {0, 1}, {0, 2}, {0}, {1}],
+        [({0, 1, 2}, 0, 1.0), ({0, 1}, 1, 1.0), ({0, 2}, 1, 1.0), ({0}, 1, 2.0),
+         ({1}, 1, 5.0)],
         n_req=3,
     )
     sol = solve_assignment(g, budget=5)

@@ -156,6 +156,48 @@ def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
     assert best.cost == 7.0
 
 
+def test_delivery_route_is_read_off_the_class_enumeration(monkeypatch):
+    # passengers aboard below the exact cap: the class's one exact
+    # enumeration also gives its delivery-only route, as the route of no
+    # new rider, so no delivery search of its own may run. Vehicle 0 plans
+    # the worst order D2 D1 D0 of three riders (distance 13); vehicle 1
+    # carries one; vehicle 2 is idle and gets no delivery edge
+    riders = [mk(0, 0, 0, 1, 0, 0), mk(1, 0, 0, -1, 0, 0), mk(2, 0, 0, 5, 0, 0),
+              mk(3, 1, 1, 4, 3, 0)]
+    states = [
+        VehicleState(vehicle_id=0, plan_location=Location(0, 0), plan_time=0,
+                     onboard=frozenset([0, 1, 2]),
+                     planned_suffix=tuple((DROPOFF, riders[i]) for i in (2, 1, 0))),
+        VehicleState(vehicle_id=1, plan_location=Location(1, 1), plan_time=60,
+                     onboard=frozenset([3]), planned_suffix=((DROPOFF, riders[3]),)),
+        fresh_state(2),
+    ]
+    newcomers = [mk(10, 1, 0, 3, 0, 200), mk(11, 0, 1, 0, 4, 300)]
+    config = cfg(capacity=4, exhaustive_route_limit=4)
+    real = rtv.best_route_exhaustive
+
+    def searched_apart(*args, **kwargs):
+        raise AssertionError("a class with room ran a delivery search of its own")
+
+    monkeypatch.setattr(rtv, "best_route_exhaustive", searched_apart)
+    graph = build_rtv_graph(newcomers, states, TRAVEL, config)
+    by_id = {r.id: r for r in riders + newcomers}
+    # the graph's table numbers every rider in id order, pickup at slot 2i
+    # and dropoff at 2i + 1
+    rank = {rid: i for i, rid in enumerate(sorted(by_id))}
+    delivery = {e.vehicle_id: e for e in graph.edges if e.trip_id is None}
+    assert sorted(delivery) == [0, 1]
+    assert any(graph.trip_requests(e.trip_id) == (10,) and e.vehicle_id == 0
+               for e in graph.edges)  # vehicle 0 has room for a rider
+    for state in states[:2]:
+        alone = real(state, [], TRAVEL, config, by_id)
+        edge = delivery[state.vehicle_id]
+        assert edge.cost == alone.total_distance
+        assert edge.slots == tuple(2 * rank[r.id] + (k == DROPOFF) for k, r in alone.sequence)
+        assert edge.route == alone
+    assert delivery[0].cost == 7.0  # D1 D0 D2 beats the plan
+
+
 def test_previous_plan_is_rebuilt_as_an_edge():
     a = mk(0, 2, 0, 6, 0, 300)
     b = mk(1, 3, 0, 7, 0, 400)
