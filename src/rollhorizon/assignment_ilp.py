@@ -12,7 +12,11 @@ per branching position and built once per solve, a parent bounds each
 child before entering it, and a node walks only the options still disjoint
 from the served set. Vehicles that reach the most requests are branched on
 first, and a node enters its children best bound first, which shrinks the
-tree without changing a completed search's answer.
+tree without changing a completed search's answer. The recursive search
+closure holds itself through its cell, so its name is deleted in a
+finally once the root call returns or raises: a solve's menus, bound
+terms and the graph records they reach are then freed by reference
+counting, not left for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -344,8 +348,14 @@ def solve_assignment(
                 # an idle twin after a skipped twin must also skip
                 dfs(nxt, cost, served, t_next, len(options) if next_grouped else 0)
 
-    if len(must) <= coverable[0]:  # the root's own bound: must-serve requests fit
-        dfs(0, 0.0, 0, sum(term[0].values()), 0)
+    try:
+        if len(must) <= coverable[0]:  # the root's own bound: must-serve requests fit
+            dfs(0, 0.0, 0, sum(term[0].values()), 0)
+    finally:
+        # dfs holds itself through its closure cell; dropping the name
+        # breaks that cycle, so the menus, bound terms and graph records it
+        # reaches are freed by reference counting, not by the cyclic collector
+        del dfs
     if best is None and out_of_budget:
         best = _fallback_incumbent(graph, must, penalty, solution_key)
         if best is None:

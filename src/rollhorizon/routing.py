@@ -13,7 +13,10 @@ slots one new request into an existing order once exact search would be
 too wide: the same search, owing the base route's stops and the new ones
 as two chains, with no rider to join. schedule_route times a fixed stop
 sequence. The search times stops inline over slots, for speed; it and the
-kernel are the only stop timing here.
+kernel are the only stop timing here. A recursive closure holds itself
+through its cell, so _exact_routes deletes its dfs in a finally as the
+root call returns or raises: each search's state is then freed by
+reference counting, not left for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -385,7 +388,13 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
                     pending[key] = pos
             path.pop()
 
-    dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
+    try:
+        dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
+    finally:
+        # dfs holds itself through its closure cell; dropping the name
+        # breaks that cycle, so the search state is freed by reference
+        # counting on return, not left for the cyclic collector
+        del dfs
     return best
 
 

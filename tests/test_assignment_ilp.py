@@ -1,11 +1,14 @@
+import gc
 import itertools
 import random
 
 import pytest
 
+from collector import collector_off
 from instgen import random_rtv_graph
 from oracles import enumerate_assignments
 from rollhorizon.assignment_ilp import (
+    AssignmentBudgetError,
     StrandedRequestError,
     compute_penalty,
     solve_assignment,
@@ -270,7 +273,7 @@ def test_twins_need_the_same_stop_slots():
     assert solve((2, 4, 5, 3)) == [((0,), 0), ((1, 2), 1)]
 
 
-def test_budget_exhaustion_not_claimed_optimal():
+def blocking_graph():
     # vehicle 0 reaches all three requests, so it branches first, and
     # enters {0, 2} first, its child of lowest bound; that blocks vehicle
     # 1's only trip. The first leaf costs 7 budget units (the root and its
@@ -278,11 +281,15 @@ def test_budget_exhaustion_not_claimed_optimal():
     # leaves an incumbent ({0, 2} served, 1 ignored); entering the next
     # child, {0}, then exhausts budget 7, so the incumbent survives
     # uncertified
-    g = graph_of(
+    return graph_of(
         [{0, 2}, {0}, {1}, {1, 2}],
         [({0, 2}, 0, 1.0), ({0}, 0, 1.5), ({1}, 0, 4.0), ({1, 2}, 1, 2.0)],
         n_req=3,
     )
+
+
+def test_budget_exhaustion_not_claimed_optimal():
+    g = blocking_graph()
     sol = solve_assignment(g, budget=7)
     assert not sol.proven_optimal
     assert sol.objective_value == 1.0 + compute_penalty(g)
@@ -292,7 +299,7 @@ def test_budget_exhaustion_not_claimed_optimal():
     assert full.ignored_requests == frozenset()
 
 
-def test_skipped_options_spend_budget():
+def skipping_graph(requiring=()):
     # vehicle 0 reaches as many requests as vehicle 1 with a shorter menu,
     # so it branches first; it takes {0, 1, 2}, and below it vehicle 1
     # passes four options, all overlapping the served set. Each option
@@ -300,13 +307,40 @@ def test_skipped_options_spend_budget():
     # budget 5 runs out there, before any leaf: root, its option and the
     # node below spend three, and the four skipped options overrun it.
     # Without that charge the search would reach its leaf at the fourth
-    g = graph_of(
+    return graph_of(
         [{0, 1, 2}, {0, 1}, {0, 2}, {0}, {1}],
         [({0, 1, 2}, 0, 1.0), ({0, 1}, 1, 1.0), ({0, 2}, 1, 1.0), ({0}, 1, 2.0),
          ({1}, 1, 5.0)],
         n_req=3,
+        requiring=requiring,
     )
-    sol = solve_assignment(g, budget=5)
+
+
+def test_skipped_options_spend_budget():
+    sol = solve_assignment(skipping_graph(), budget=5)
     assert sol.nodes_explored == 6
     assert not sol.proven_optimal
     assert sol.ignored_requests == frozenset({0, 1, 2})  # the empty fallback
+
+
+def test_unwound_searches_leave_no_cyclic_garbage():
+    # a search cut short by its budget drops its recursive closure on the
+    # way out, as a completed one does: whether it keeps its incumbent,
+    # adopts the fallback or raises for want of one
+    outcomes = []
+    left = []
+    with collector_off():
+        sol = solve_assignment(blocking_graph(), budget=7)
+        outcomes.append(sol.proven_optimal or sol.ignored_requests)
+        left.append(gc.collect())
+        sol = solve_assignment(skipping_graph(), budget=5)
+        outcomes.append(sol.proven_optimal or sol.ignored_requests)
+        left.append(gc.collect())
+        # vehicle 1 needs a route, which the empty fallback does not give it
+        try:
+            solve_assignment(skipping_graph(requiring={1}), budget=5)
+        except AssignmentBudgetError:
+            outcomes.append("raised")
+        left.append(gc.collect())
+    assert outcomes == [frozenset({1}), frozenset({0, 1, 2}), "raised"]
+    assert left == [0, 0, 0]

@@ -1,11 +1,13 @@
 import dataclasses
+import gc
 import random
 import re
 import warnings
 
 import pytest
 
-from instgen import random_instance
+from collector import collector_off
+from instgen import matrix_instance, random_instance
 from rollhorizon import engine
 from rollhorizon.assignment_ilp import AssignmentBudgetError, UnprovenAssignmentWarning
 from rollhorizon.corpus import corpus_config, make_instance
@@ -222,3 +224,26 @@ def test_exhaustive_route_limit_one_runs():
     inst, cfg = two_request_instance()
     rep = run(inst, dataclasses.replace(cfg, exhaustive_route_limit=1))
     assert [(r.served, r.vehicle_id) for r in rep.records] == [(True, 0), (True, 0)]
+
+
+def test_runs_leave_no_cyclic_garbage():
+    # the route and assignment searches recurse through closures, each
+    # dropped as its root call returns, so every re-solve is freed by
+    # reference counting and a run leaves the cyclic collector nothing
+    inst, cfg = two_request_instance()
+    rng = random.Random(0)  # 13 requests, 2 vehicles, all served
+    planar, matrix_cfg = random_instance(rng, max_requests=20, max_vehicles=3)
+    runs = [
+        (make_instance(101), corpus_config(0)),
+        (make_instance(101), corpus_config(2)),
+        # insertion, and the separate delivery-only search
+        (inst, dataclasses.replace(cfg, exhaustive_route_limit=1)),
+        # no late-stop kill off the triangle inequality
+        (matrix_instance(planar, rng), matrix_cfg),
+    ]
+    left = []
+    with collector_off():
+        for instance, config in runs:
+            run(instance, config)
+            left.append(gc.collect())
+    assert left == [0, 0, 0, 0]

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collector import collector_off
 from instgen import random_plan_start, random_request
 from oracles import (
     brute_force_best_route,
@@ -31,7 +33,7 @@ from rollhorizon.routing import (
     best_route_insertion,
     schedule_route,
 )
-from rollhorizon.travel import EuclideanTravel
+from rollhorizon.travel import EuclideanTravel, MatrixTravel, TravelError
 from strategies import MINUTE, travel_case
 
 TRAVEL = EuclideanTravel(1.0)
@@ -550,3 +552,23 @@ def test_candidate_routes_pass_independent_validator():
             start_location=start.plan_location, start_time=start.plan_time,
         )
         assert probs == []
+
+
+def test_search_raising_mid_walk_leaves_no_cyclic_garbage():
+    # a travel error thrown inside the search unwinds through the finally
+    # that drops its recursive closure, so the search state is freed with
+    # the traceback
+    travel = MatrixTravel([[0, 60, 120], [60, 0, 60], [120, 60, 0]],
+                          [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    req = derive_earliest_dropoff(
+        Request(0, Location(1, 0, node_id=1), Location(2, 0, node_id=2), 60, 0), travel)
+    start = PlanStart(Location(0, 0), 0)  # no node_id to look up
+    with collector_off():
+        try:
+            best_route_exhaustive(start, [req], travel, cfg())
+            raised = False
+        except TravelError:
+            raised = True
+        left = gc.collect()
+    assert raised
+    assert left == 0

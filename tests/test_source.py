@@ -6,6 +6,18 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rollhorizon"
+FUNCTION = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def own_nodes(func):
+    """Every node of func's body outside the functions, lambdas and classes
+    it defines (their def and class statements included)."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (*FUNCTION, ast.Lambda, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
 
 
 def top_level_names(tree):
@@ -91,6 +103,28 @@ def test_init_exports_exactly_what_it_imports():
                   and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets))
     assert len(listed) == len(set(listed))
     assert sorted(listed) == sorted(imported)
+
+
+def test_recursive_closures_are_dropped():
+    # a nested function that loads its own name holds itself through its
+    # closure cell: unless the enclosing function deletes that name in a
+    # finally, every call leaves the cycle, and the search state the
+    # closure reaches, to the cyclic collector
+    kept = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, FUNCTION):
+                continue
+            dropped = {target.id for node in own_nodes(func) if isinstance(node, ast.Try)
+                       for stmt in node.finalbody for d in ast.walk(stmt)
+                       if isinstance(d, ast.Delete)
+                       for target in d.targets if isinstance(target, ast.Name)}
+            for inner in own_nodes(func):
+                if isinstance(inner, FUNCTION) and inner.name not in dropped and any(
+                        isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                        and node.id == inner.name for node in ast.walk(inner)):
+                    kept.append(f"{path.name}:{inner.lineno} {func.name}.{inner.name}")
+    assert kept == []
 
 
 def test_bench_tracer_names_exist():
