@@ -51,7 +51,7 @@ from .routing import (
     best_route_insertion,
     schedule_route,
 )
-from .rtv import Edge, RtvGraph, Trip, build_rtv_graph
+from .rtv import Edge, RtvGraph, build_rtv_graph
 from .simulator import SimulationError, VehicleState, simulate_step
 from .travel import EuclideanTravel, MatrixTravel, TravelError
 from .window import Batch, coverage_end, window_processing
@@ -86,7 +86,6 @@ __all__ = [
     "Stop",
     "StrandedRequestError",
     "TravelError",
-    "Trip",
     "UnprovenAssignmentWarning",
     "Vehicle",
     "VehicleState",

@@ -69,11 +69,10 @@ def compute_penalty(graph: RtvGraph) -> float:
     return 1.0 + sum(worst[v] for v in sorted(worst))
 
 
-def canonical_objective(chosen: Iterable[Edge], ignored: Iterable[int],
-                        penalty: float, graph: RtvGraph) -> float:
+def canonical_objective(chosen: Iterable[Edge], ignored: Iterable[int], penalty: float) -> float:
     """Accumulate the objective in a fixed order for bit-stable totals."""
     total = 0.0
-    ordered = sorted(chosen, key=lambda e: (graph.trip_requests(e.trip_id), e.vehicle_id))
+    ordered = sorted(chosen, key=lambda e: (e.requests, e.vehicle_id))
     for e in ordered:
         total += e.cost
     for _rid in sorted(ignored):
@@ -81,7 +80,13 @@ def canonical_objective(chosen: Iterable[Edge], ignored: Iterable[int],
     return total
 
 
-def _fallback_incumbent(graph, must, penalty, solution_key):
+def _solution_key(chosen, ignored):
+    """The tie-break key: the sorted (request ids, vehicle id) pairs, then
+    the sorted ignored request ids."""
+    return (tuple(sorted((e.requests, e.vehicle_id) for e in chosen)), tuple(sorted(ignored)))
+
+
+def _fallback_incumbent(graph, must, penalty):
     """Adopt the graph's fallback edges when the search found no assignment.
 
     Returns a (objective, key, chosen, ignored) incumbent, or None when the
@@ -95,16 +100,15 @@ def _fallback_incumbent(graph, must, penalty, solution_key):
     seen_vehicles = set()
     covered: set[int] = set()
     for e in edges:
-        reqs = graph.trip_requests(e.trip_id)
-        if e.vehicle_id in seen_vehicles or not covered.isdisjoint(reqs):
+        if e.vehicle_id in seen_vehicles or not covered.isdisjoint(e.requests):
             return None
         seen_vehicles.add(e.vehicle_id)
-        covered.update(reqs)
+        covered.update(e.requests)
     if not graph.vehicles_requiring_route <= seen_vehicles or not must <= covered:
         return None
     ignored = frozenset(graph.request_universe - covered)
-    obj = canonical_objective(edges, ignored, penalty, graph)
-    return (obj, solution_key(edges, ignored), tuple(edges), ignored)
+    obj = canonical_objective(edges, ignored, penalty)
+    return (obj, _solution_key(edges, ignored), tuple(edges), ignored)
 
 
 def solve_assignment(
@@ -123,7 +127,7 @@ def solve_assignment(
     orders) are twins, and the search keeps one labeling of them: twins in
     id order take options in increasing menu position (cost, then trip
     request ids), and idle twins come after busy ones. Among the
-    assignments so kept, the lexicographically smallest (trip request ids,
+    assignments so kept, the lexicographically smallest (request ids,
     vehicle id) edge set wins. A tie between two labelings of twins
     therefore goes to the one whose lower-id twin drives the cheaper trip,
     which need not be the smaller edge set. A branch is pruned only when its
@@ -154,11 +158,10 @@ def solve_assignment(
     bit_of = {rid: 1 << k for k, rid in enumerate(sorted(universe))}
     menu_of: dict[int, list] = {v: [] for v in all_vehicles}
     for e in graph.edges:
-        reqs = graph.trip_requests(e.trip_id)
         bits = 0
-        for rid in reqs:
+        for rid in e.requests:
             bits |= bit_of[rid]
-        menu_of[e.vehicle_id].append((e, reqs, bits))
+        menu_of[e.vehicle_id].append((e, e.requests, bits))
     reach_of = {}  # the requests the vehicle's menu covers
     for v, menu in menu_of.items():
         menu.sort(key=lambda row: (row[0].cost, row[1]))
@@ -175,7 +178,7 @@ def solve_assignment(
     # although ((51,), 0), ((64,), 1) ties it with a smaller key. An edge's
     # stop slots stand for its stop order: within one graph they map one to one
     def menu_signature(v):
-        rows = tuple([(e.trip_id, e.cost, e.slots) for e, _reqs, _bits in menu_of[v]])
+        rows = tuple([(e.requests, e.cost, e.slots) for e, _reqs, _bits in menu_of[v]])
         return (v in graph.vehicles_requiring_route, rows)
 
     sig_of = {v: menu_signature(v) for v in all_vehicles}
@@ -242,12 +245,6 @@ def solve_assignment(
     if stranded:
         raise StrandedRequestError(stranded)
 
-    def solution_key(chosen, ignored):
-        return (
-            tuple(sorted((graph.trip_requests(e.trip_id), e.vehicle_id) for e in chosen)),
-            tuple(sorted(ignored)),
-        )
-
     best: Optional[tuple[float, tuple, tuple[Edge, ...], frozenset]] = None
     # prune a bound above this: bounds are summed in another order than
     # objectives, so an exact tie may round a few ulps above the incumbent;
@@ -278,8 +275,8 @@ def solve_assignment(
             return
         if pos == n_veh:
             ignored = frozenset(rid for rid, b in bit_of.items() if not served & b)
-            obj = canonical_objective(chosen, ignored, penalty, graph)
-            key = solution_key(chosen, ignored)
+            obj = canonical_objective(chosen, ignored, penalty)
+            key = _solution_key(chosen, ignored)
             if best is None or (obj, key) < (best[0], best[1]):
                 best = (obj, key, tuple(chosen), ignored)
                 limit = obj + 1e-9 * abs(obj)
@@ -357,7 +354,7 @@ def solve_assignment(
         # reaches are freed by reference counting, not by the cyclic collector
         del dfs
     if best is None and out_of_budget:
-        best = _fallback_incumbent(graph, must, penalty, solution_key)
+        best = _fallback_incumbent(graph, must, penalty)
         if best is None:
             raise AssignmentBudgetError(
                 "assignment search exhausted its budget with no incumbent"
@@ -365,8 +362,6 @@ def solve_assignment(
     if best is None:
         raise StrandedRequestError(sorted(must))
     obj, _key, chosen, ignored = best
-    ordered = tuple(
-        sorted(chosen, key=lambda e: (graph.trip_requests(e.trip_id), e.vehicle_id))
-    )
+    ordered = tuple(sorted(chosen, key=lambda e: (e.requests, e.vehicle_id)))
     # skipped options are charged in bulk, which can overshoot the budget
     return IlpSolution(ordered, ignored, obj, not out_of_budget, min(nodes, budget + 1))

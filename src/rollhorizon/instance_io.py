@@ -19,6 +19,9 @@ from .model import (
     Stop,
     Vehicle,
     derive_earliest_dropoff,
+    routes_cover_records,
+    validate_record,
+    validate_route,
 )
 from .travel import EuclideanTravel, TravelError
 
@@ -417,8 +420,6 @@ def report_violations(doc: dict) -> list[str]:
     declares planar travel; matrix-based reports skip that part because the
     matrix itself is not embedded.
     """
-    from .model import validate_record, validate_route, routes_cover_records
-
     problems: list[str] = []
     try:
         cfg = doc["config"]

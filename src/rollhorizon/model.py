@@ -148,7 +148,8 @@ def validate_route(
 ) -> list[str]:
     """Independently check a route against every service constraint.
 
-    Verifies pickup-before-dropoff pairing, seat capacity at every stop,
+    Verifies pickup-before-dropoff pairing, that every passenger aboard at
+    the start or picked up is dropped off, seat capacity at every stop,
     waiting within [0, max_wait], delay within [0, max_delay], non-decreasing
     service times, and that each service start is reachable given travel
     times and dwell. Returns a list of violation strings; empty means valid.
@@ -159,7 +160,8 @@ def validate_route(
     """
     out = []
     v = route.vehicle_id
-    onboard = set(initial_onboard)
+    start_onboard = frozenset(initial_onboard)
+    onboard = set(start_onboard)
     picked = set()
     dropped = set()
     load = 0
@@ -231,6 +233,8 @@ def validate_route(
 
     for rid in picked - dropped:
         out.append(f"vehicle {v}: request {rid} picked up but never dropped off")
+    for rid in sorted(start_onboard - dropped):
+        out.append(f"vehicle {v}: passenger {rid} aboard at the start never dropped off")
     if route.committed_prefix_len < 0 or route.committed_prefix_len > len(route.stops):
         out.append(f"vehicle {v}: committed_prefix_len out of range")
     return out

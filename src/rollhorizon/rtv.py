@@ -13,7 +13,7 @@ past the cap, trips grow by a higher request, routed by insertion. Each
 class grows in a loop of its own and stops at the first size where it finds
 no trip and no carried-over group has that size: nothing larger could pass
 its subset check. Each trip-vehicle pairing is kept as one edge, replaced
-only by a cheaper offer, and a trip is numbered when it is first routed. An
+only by a cheaper offer, and the edge names its trip by its request ids. An
 enumerated route is kept on its edge as its distance and stop slots and
 timed only when the edge's route is read, since the assignment reads only
 costs. No pairwise screen runs first: a pair becomes a trip, like any
@@ -40,23 +40,18 @@ from .routing import (
 
 
 @dataclass(frozen=True)
-class Trip:
-    id: int
-    request_ids: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class Edge:
-    """A feasible pairing: vehicle drives route, serving trip's requests.
+    """A feasible pairing: vehicle drives route, serving the trip's requests.
 
-    trip_id None marks a delivery-only edge that serves no new requests and
-    just drops off the vehicle's current passengers; every vehicle carrying
-    passengers has at least one such edge, so the assignment step can always
-    route them. slots are the route's stops as StopTable slots, which within
-    one graph spell exactly one stop sequence.
+    requests are the trip's request ids in ascending order. () marks a
+    delivery-only edge that serves no new requests and just drops off the
+    vehicle's current passengers; every vehicle carrying passengers has at
+    least one such edge, so the assignment step can always route them. slots
+    are the route's stops as StopTable slots, which within one graph spell
+    exactly one stop sequence.
     """
 
-    trip_id: Optional[int]
+    requests: tuple[int, ...]
     vehicle_id: int
     cost: float
     # the timed route, or the (table, origin slot, start) that route times
@@ -74,7 +69,6 @@ class Edge:
 
 @dataclass(frozen=True)
 class RtvGraph:
-    trips: tuple[Trip, ...]
     edges: tuple[Edge, ...]
     request_universe: frozenset[int]
     vehicles_requiring_route: frozenset[int]
@@ -85,10 +79,13 @@ class RtvGraph:
     # re-timing can leave a must-serve request or a passenger uncovered
     fallback_assignment: tuple[Edge, ...] = ()
 
-    def trip_requests(self, trip_id: Optional[int]) -> tuple[int, ...]:
-        if trip_id is None:
-            return ()
-        return self.trips[trip_id].request_ids
+    @property
+    def trips(self) -> tuple[tuple[int, ...], ...]:
+        """The distinct non-empty request sets of the edges, in edge order.
+
+        Nothing in the solver reads it; the benchmark's tracer counts it.
+        """
+        return tuple(dict.fromkeys(e.requests for e in self.edges if e.requests))
 
 
 def _dropoff_only_route(state, travel, config, requests_by_id, table):
@@ -137,8 +134,8 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     where it finds no trip and no carried-over group has that size; since no
     two plans pick up one request, nothing larger could pass its subset
     check. Each pairing is one edge, built when an offer beats the
-    pairing's current one (lower distance, then smaller stop slots); trips
-    are numbered in the order they are first routed. An exact route is kept
+    pairing's current one (lower distance, then smaller stop slots); edges
+    are sorted by their request ids, then vehicle id. An exact route is kept
     as its distance and stop slots, and timed only when its edge's route is
     first read. The fallback assignment is the edges of the carried-over
     plans and, for a vehicle carrying passengers whose plan no longer
@@ -171,28 +168,25 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                       travel, config)
     slot_of, riders = table.slot_of, table.riders
 
-    # (trip mask, vehicle_id) -> its edge of lowest (distance, slots). A
-    # trip is numbered when its mask is first offered; the empty trip is
-    # the delivery-only edge's None
+    # (trip mask, vehicle_id) -> its edge of lowest (distance, slots); a
+    # mask's request ids, ascending, are spelled once and shared by its edges
     edges: dict[tuple[int, int], Edge] = {}
-    trip_id_of: dict[int, Optional[int]] = {0: None}
-    trip_list: list[Trip] = []
+    ids_of: dict[int, tuple[int, ...]] = {0: ()}
 
     def offer(key: int, vids, dist: float, slots: tuple[int, ...], route) -> None:
-        if key not in trip_id_of:
-            ids = []
+        ids = ids_of.get(key)
+        if ids is None:
+            rids = []
             rest = key
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                ids.append(riders[bit.bit_length() - 1].id)
-            trip_id_of[key] = len(trip_list)
-            trip_list.append(Trip(len(trip_list), tuple(ids)))
-        tid = trip_id_of[key]
+                rids.append(riders[bit.bit_length() - 1].id)
+            ids = ids_of[key] = tuple(rids)
         for vid in vids:
             old = edges.get((key, vid))
             if old is None or dist < old.cost or (dist == old.cost and slots < old.slots):
-                edges[(key, vid)] = Edge(tid, vid, dist, route, slots)
+                edges[(key, vid)] = Edge(ids, vid, dist, route, slots)
 
     def offer_route(key: int, vids, cand: Optional[CandidateRoute]) -> bool:
         """Offer a timed route; False when it is missing or infeasible."""
@@ -298,10 +292,8 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             known.update(found)
             last = found
 
-    ordered = sorted(edges.values(), key=lambda e: (
-        () if e.trip_id is None else trip_list[e.trip_id].request_ids, e.vehicle_id))
+    ordered = sorted(edges.values(), key=lambda e: (e.requests, e.vehicle_id))
     return RtvGraph(
-        tuple(trip_list),
         tuple(ordered),
         frozenset(r.id for r in requests),
         frozenset(s.vehicle_id for s in states if s.onboard),

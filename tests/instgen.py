@@ -18,7 +18,7 @@ from rollhorizon.model import (
     derive_earliest_dropoff,
 )
 from rollhorizon.routing import PlanStart
-from rollhorizon.rtv import Edge, RtvGraph, Trip
+from rollhorizon.rtv import Edge, RtvGraph
 from rollhorizon.travel import EuclideanTravel, MatrixTravel
 
 
@@ -183,29 +183,25 @@ def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> tuple[RtvGraph,
         all_sets[: rng.randint(1, min(len(all_sets), 6))],
         key=lambda s: (len(s), s),
     )
-    trips = tuple(Trip(i, tuple(s)) for i, s in enumerate(trip_sets))
 
     n_edges = rng.randint(1, max_edges)
-    combos = [(t.id, v) for t in trips for v in range(n_veh)]
+    combos = [(trip, v) for trip in trip_sets for v in range(n_veh)]
     # a vehicle may also get a serve-nothing edge, mirroring delivery-only
-    combos += [(None, v) for v in range(n_veh)]
+    combos += [((), v) for v in range(n_veh)]
     rng.shuffle(combos)
     chosen = combos[:n_edges]
     edges = tuple(
-        Edge(tid, vid, round(rng.uniform(0.5, 20.0), 3), None)
-        for tid, vid in sorted(chosen, key=lambda c: (() if c[0] is None
-                                                      else trips[c[0]].request_ids, c[1]))
+        Edge(trip, vid, round(rng.uniform(0.5, 20.0), 3), None) for trip, vid in sorted(chosen)
     )
     requiring = frozenset(
         v for v in range(n_veh)
         if any(e.vehicle_id == v for e in edges) and rng.random() < 0.25
     )
     graph = RtvGraph(
-        trips=trips,
         edges=edges,
         request_universe=frozenset(universe),
         vehicles_requiring_route=requiring,
     )
-    coverable = sorted({rid for e in edges for rid in graph.trip_requests(e.trip_id)})
+    coverable = sorted({rid for e in edges for rid in e.requests})
     must = [rid for rid in coverable if rng.random() < 0.3]
     return graph, must

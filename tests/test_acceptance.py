@@ -99,7 +99,7 @@ def test_assignment_search_matches_exhaustive_enumeration(announce):
         rng = random.Random(10_000 + trial)
         graph, must = random_rtv_graph(rng)
         penalty = compute_penalty(graph)
-        edges = [(frozenset(graph.trip_requests(e.trip_id)), e.vehicle_id, e.cost)
+        edges = [(frozenset(e.requests), e.vehicle_id, e.cost)
                  for e in graph.edges]
         want = enumerate_assignments(
             edges,

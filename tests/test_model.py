@@ -156,6 +156,27 @@ def test_validate_route_capacity_and_precedence():
     assert any("never dropped off" in p for p in probs)
 
 
+def test_validate_route_needs_every_start_passenger_dropped_off():
+    travel = EuclideanTravel(1.0)
+    config = good_config(dwell=0)
+    a = derive_earliest_dropoff(Request(0, Location(0, 0), Location(2, 0), 0, 0), travel)
+    b = derive_earliest_dropoff(Request(1, Location(1, 0), Location(3, 0), 60, 0), travel)
+    by_id = {0: a, 1: b}
+    serve_b = (Stop(PICKUP, 1, b.pickup, 60, 3), Stop(DROPOFF, 1, b.dropoff, 180, 2))
+    probs = validate_route(Route(0, serve_b), by_id, travel, config,
+                           start_location=Location(0, 0), initial_onboard=[0, 2])
+    assert [p for p in probs if "aboard at the start" in p] == [
+        "vehicle 0: passenger 0 aboard at the start never dropped off",
+        "vehicle 0: passenger 2 aboard at the start never dropped off",
+    ]
+    deliver_a = serve_b + (Stop(DROPOFF, 0, a.dropoff, 240, 1),)
+    probs = validate_route(Route(0, deliver_a), by_id, travel, config,
+                           start_location=Location(0, 0), initial_onboard=[0, 2])
+    assert [p for p in probs if "aboard at the start" in p] == [
+        "vehicle 0: passenger 2 aboard at the start never dropped off",
+    ]
+
+
 def test_validate_route_without_travel_skips_reachability_only():
     config = good_config(dwell=0)
     travel = EuclideanTravel(1.0)

@@ -45,7 +45,7 @@ def test_rv_pair_requires_reachability():
     near = mk(0, 1, 0, 2, 0, 120)
     far = mk(1, 30, 0, 31, 0, 120)  # 30 minutes away, wait cap 10 minutes
     graph = build_rtv_graph([near, far], [fresh_state(0)], TRAVEL, cfg())
-    rv = {(graph.trip_requests(e.trip_id), e.vehicle_id) for e in graph.edges}
+    rv = {(e.requests, e.vehicle_id) for e in graph.edges}
     assert ((0,), 0) in rv
     assert ((1,), 0) not in rv
 
@@ -57,7 +57,7 @@ def test_only_requests_one_vehicle_can_serve_together_form_a_pair_trip():
     # a vehicle at each end of town, so every request alone is a trip
     states = [fresh_state(0, 0, 0), fresh_state(1, 28, 28)]
     graph = build_rtv_graph([a, b, c], states, TRAVEL, cfg())
-    trips = {t.request_ids for t in graph.trips}
+    trips = set(graph.trips)
     assert {(0,), (1,), (2,), (0, 1)} <= trips
     assert (0, 2) not in trips
     assert (1, 2) not in trips
@@ -68,15 +68,12 @@ def test_graph_trips_and_edges_small_instance():
     b = mk(1, 1.5, 1, 3.5, 3, 120)
     states = [fresh_state(0, 0, 0), fresh_state(1, 10, 10)]
     graph = build_rtv_graph([a, b], states, TRAVEL, cfg())
-    sets = {frozenset(t.request_ids) for t in graph.trips}
+    sets = {frozenset(t) for t in graph.trips}
     assert frozenset((0,)) in sets
     assert frozenset((1,)) in sets
     assert frozenset((0, 1)) in sets
     assert graph.request_universe == frozenset((0, 1))
     assert graph.vehicles_requiring_route == frozenset()
-    # ids are positional
-    for i, t in enumerate(graph.trips):
-        assert t.id == i
 
 
 def test_graph_subset_closure():
@@ -85,7 +82,7 @@ def test_graph_subset_closure():
     reqs = [random_request(rng, rid, 6.0, 400, TRAVEL) for rid in range(6)]
     states = [fresh_state(0, 3, 3), fresh_state(1, 1, 5)]
     graph = build_rtv_graph(reqs, states, TRAVEL, config)
-    sets = {frozenset(t.request_ids) for t in graph.trips}
+    sets = {frozenset(t) for t in graph.trips}
     for s in sets:
         if len(s) < 2:
             continue
@@ -98,10 +95,10 @@ def test_trip_size_never_exceeds_capacity_or_cap():
     reqs = [random_request(rng, rid, 4.0, 200, TRAVEL) for rid in range(5)]
     states = [fresh_state(0, 2, 2)]
     solo = build_rtv_graph(reqs, states, TRAVEL, cfg(capacity=1))
-    assert all(len(t.request_ids) == 1 for t in solo.trips)
+    assert all(len(t) == 1 for t in solo.trips)
     capped = build_rtv_graph(reqs, states, TRAVEL,
                              cfg(capacity=3, trip_size_limit=2))
-    assert all(len(t.request_ids) <= 2 for t in capped.trips)
+    assert all(len(t) <= 2 for t in capped.trips)
 
 
 def test_onboard_vehicle_gets_delivery_only_edge():
@@ -116,15 +113,12 @@ def test_onboard_vehicle_gets_delivery_only_edge():
     newcomer = mk(0, 2, 2, 4, 4, 400)
     graph = build_rtv_graph([newcomer], [state], TRAVEL, cfg())
     assert 0 in graph.vehicles_requiring_route
-    none_edges = [e for e in graph.edges if e.trip_id is None and e.vehicle_id == 0]
+    none_edges = [e for e in graph.edges if e.requests == () and e.vehicle_id == 0]
     assert len(none_edges) == 1
     drop = none_edges[0].route
     assert [(k, r.id) for k, r in drop.sequence] == [(DROPOFF, 9)]
     # and the newcomer can still ride along
-    assert any(
-        e.trip_id is not None and graph.trip_requests(e.trip_id) == (0,)
-        for e in graph.edges
-    )
+    assert any(e.requests == (0,) for e in graph.edges)
 
 
 def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
@@ -141,7 +135,7 @@ def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
     )
     config = cfg(exhaustive_route_limit=2)
     graph = build_rtv_graph([], [state], TRAVEL, config)
-    (edge,) = [e for e in graph.edges if e.trip_id is None]
+    (edge,) = [e for e in graph.edges if e.requests == ()]
     # D0 first; D1 ties before or after it at distance 3, and the smaller
     # stop keys put it after; D2 then goes last
     assert [(k, r.id) for k, r in edge.route.sequence] == [
@@ -151,7 +145,7 @@ def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
     assert edge.cost == edge.route.total_distance == 9.0
     # exact search over the same riders finds D1 D0 D2 at distance 7
     exact = build_rtv_graph([], [state], TRAVEL, cfg(exhaustive_route_limit=3))
-    (best,) = [e for e in exact.edges if e.trip_id is None]
+    (best,) = [e for e in exact.edges if e.requests == ()]
     assert [r.id for _k, r in best.route.sequence] == [1, 0, 2]
     assert best.cost == 7.0
 
@@ -185,9 +179,9 @@ def test_delivery_route_is_read_off_the_class_enumeration(monkeypatch):
     # the graph's table numbers every rider in id order, pickup at slot 2i
     # and dropoff at 2i + 1
     rank = {rid: i for i, rid in enumerate(sorted(by_id))}
-    delivery = {e.vehicle_id: e for e in graph.edges if e.trip_id is None}
+    delivery = {e.vehicle_id: e for e in graph.edges if e.requests == ()}
     assert sorted(delivery) == [0, 1]
-    assert any(graph.trip_requests(e.trip_id) == (10,) and e.vehicle_id == 0
+    assert any(e.requests == (10,) and e.vehicle_id == 0
                for e in graph.edges)  # vehicle 0 has room for a rider
     for state in states[:2]:
         alone = real(state, [], TRAVEL, config, by_id)
@@ -214,7 +208,7 @@ def test_previous_plan_is_rebuilt_as_an_edge():
     graph = build_rtv_graph([a, b], [state], TRAVEL, config)
     pair_edges = [
         e for e in graph.edges
-        if e.vehicle_id == 3 and graph.trip_requests(e.trip_id) == (0, 1)
+        if e.vehicle_id == 3 and e.requests == (0, 1)
     ]
     assert pair_edges
     # the rebuilt plan must reproduce the old schedule, not just its cost
@@ -240,7 +234,7 @@ def test_plan_that_no_longer_times_falls_back_to_delivery():
     newcomer = mk(2, 1, 1, 2, 2, 120)
     graph = build_rtv_graph([newcomer], [state], TRAVEL, cfg())
     (fallback,) = graph.fallback_assignment
-    assert fallback.trip_id is None and fallback.vehicle_id == 0
+    assert fallback.requests == () and fallback.vehicle_id == 0
     assert fallback in graph.edges
     assert [r.id for _k, r in fallback.route.sequence] == [0, 1]
     # a search starved before its first leaf returns exactly that edge
@@ -265,7 +259,7 @@ def test_carried_over_group_is_offered_to_every_vehicle():
     pair_costs = {
         e.vehicle_id: e.cost
         for e in graph.edges
-        if graph.trip_requests(e.trip_id) == (0, 1)
+        if e.requests == (0, 1)
     }
     # the idle vehicle one unit closer drives the planner's group for less
     assert pair_costs == {0: 7.0, 1: 6.0}
@@ -296,11 +290,11 @@ def test_a_carried_over_pair_may_share_in_larger_trips():
     carrier = VehicleState(vehicle_id=0, plan_location=node[A], plan_time=0,
                            onboard=frozenset([3]), planned_suffix=plan)
     graph = build_rtv_graph([a, x, b], [carrier], travel, config)
-    routes = {graph.trip_requests(e.trip_id): [(k, r.id) for k, r in e.route.sequence]
+    routes = {e.requests: [(k, r.id) for k, r in e.route.sequence]
               for e in graph.edges}
     # the enumeration finds a route as cheap as the plan with smaller stop
     # keys: it drops a off before the passenger, the plan after
-    costs = {graph.trip_requests(e.trip_id): e.cost for e in graph.edges}
+    costs = {e.requests: e.cost for e in graph.edges}
     assert routes[(0, 2)] == [(PICKUP, 0), (DROPOFF, 0), (DROPOFF, 3), (PICKUP, 2), (DROPOFF, 2)]
     assert costs[(0, 2)] == 4.0
     assert routes[(0, 1, 2)] == [(PICKUP, 0), (PICKUP, 1), (DROPOFF, 0), (DROPOFF, 1),
@@ -328,7 +322,7 @@ def test_edge_costs_match_independent_walk():
         assert [s.scheduled_time for s in stops] == [
             s.scheduled_time for s in e.route.stops
         ]
-        assert set(graph.trip_requests(e.trip_id)) == {
+        assert set(e.requests) == {
             r for k, r in seq if k == PICKUP
         }
 
@@ -357,10 +351,7 @@ def test_edges_sorted_and_build_deterministic():
             assert e1.route.sequence == e2.route.sequence
             assert e1.route.schedule == e2.route.schedule
             assert e1.route.feasible == e2.route.feasible
-        keys = [
-            ((() if e.trip_id is None else g1.trips[e.trip_id].request_ids), e.vehicle_id)
-            for e in g1.edges
-        ]
+        keys = [(e.requests, e.vehicle_id) for e in g1.edges]
         assert keys == sorted(keys)
 
 
@@ -381,7 +372,7 @@ def test_exact_routes_are_timed_only_when_read(monkeypatch):
     # idle vehicles with no carried plan: every trip is read from the exact
     # enumeration, and building the graph times none of them
     graph = build_rtv_graph(reqs, states, TRAVEL, config)
-    assert any(len(t.request_ids) >= 2 for t in graph.trips)
+    assert any(len(t) >= 2 for t in graph.trips)
     assert timed == []
     by_vid = {s.vehicle_id: s for s in states}
     for edge in graph.edges:
@@ -420,15 +411,16 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
             continue
         graph = real(requests, states, travel, config)
         got = {
-            (graph.trip_requests(e.trip_id), e.vehicle_id):
+            (e.requests, e.vehicle_id):
                 (e.cost, tuple(stop_sort_key(k, r.id) for k, r in e.route.sequence))
             for e in graph.edges
         }
         assert got == reference_rtv_graph(requests, states, travel, config)
-        assert {t.request_ids for t in graph.trips} == {trip for trip, _vid in got if trip}
+        # each trip once, in edge order
+        assert list(graph.trips) == sorted({trip for trip, _vid in got if trip})
         # the fallback is graph edges: each plan that still times, else the
         # delivery-only edge of a vehicle carrying passengers
-        edge_of = {(graph.trip_requests(e.trip_id), e.vehicle_id): e for e in graph.edges}
+        edge_of = {(e.requests, e.vehicle_id): e for e in graph.edges}
         by_id = {r.id: r for r in requests}
         by_id.update((r.id, r) for s in states for _k, r in s.planned_suffix)
         expected = []

@@ -8,7 +8,7 @@ from rollhorizon.model import (
     SolverConfig,
     derive_earliest_dropoff,
 )
-from rollhorizon.routing import PlanStart, best_route_exhaustive, schedule_route
+from rollhorizon.routing import PlanStart, StopTable, best_route_exhaustive, schedule_route
 from rollhorizon.simulator import SimulationError, VehicleState, simulate_step
 from rollhorizon.travel import EuclideanTravel, MatrixTravel
 
@@ -149,6 +149,22 @@ def test_rejects_invalid_route():
     liar = VehicleState(0, Location(50, 50), 0)
     with pytest.raises(SimulationError):
         simulate_step([liar], {0: route}, 0, 300, TRAVEL, config)
+
+
+def test_rejects_route_that_leaves_a_passenger_aboard():
+    # passenger 0 is aboard at the start; the route only serves newcomer 1,
+    # and times feasibly with the seat 0 takes, but never delivers 0
+    config = cfg()
+    aboard = mk(0, 0, 0, 2, 0, 0)
+    newcomer = mk(1, 1, 0, 3, 0, 120)
+    state = VehicleState(0, Location(0, 0), 0, onboard=frozenset({0}))
+    table = StopTable([aboard, newcomer], [state.plan_location], TRAVEL, config)
+    route = schedule_route(state, [(PICKUP, newcomer), (DROPOFF, newcomer)], TRAVEL, config,
+                           table=table)
+    assert route.feasible
+    assert [s.onboard_after for s in route.stops] == [2, 1]
+    with pytest.raises(SimulationError, match="passenger 0 aboard at the start"):
+        simulate_step([state], {0: route}, 0, 600, TRAVEL, config)
 
 
 def test_window_must_advance():

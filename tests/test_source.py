@@ -2,7 +2,11 @@
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
+
+from rollhorizon.engine import run
+from rollhorizon.instance_io import report_to_dict
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "rollhorizon"
@@ -127,13 +131,36 @@ def test_recursive_closures_are_dropped():
     assert kept == []
 
 
+def load_bench(name):
+    """Import bench/<name>.py as a module, without putting bench/ on the path."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up while the class is built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
 def test_bench_tracer_names_exist():
     # the layer tracer patches solver names from outside, so a refactor
     # that drops one must fail here rather than in a traced benchmark run
-    spec = importlib.util.spec_from_file_location("layer_trace",
-                                                  ROOT / "bench" / "layer_trace.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_bench("layer_trace")
     missing = [f"{module.__name__}.{attr}" for module, attr, _span in tracer.WRAPPED
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_bench_tracer_runs_a_corpus_case():
+    # the tracer also reads fields of the results it wraps (graph trips and
+    # edges, assignment nodes, batch requests), so one traced run must count
+    # every layer and leave the report as an untraced run writes it
+    case = load_bench("workloads").corpus_cases(2)[0]
+    tracer = load_bench("layer_trace").Tracer()
+    traced = tracer.run(case)
+    metrics = tracer.layer_metrics()
+    for key in ("rtv.trips", "rtv.edges", "assignment.nodes", "engine.iterations"):
+        assert metrics[key] > 0, key
+    assert report_to_dict(traced) == report_to_dict(run(case.instance, case.config))
