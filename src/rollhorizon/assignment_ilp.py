@@ -45,7 +45,7 @@ class UnprovenAssignmentWarning(RuntimeWarning):
     """The search ran out of nodes and returned a plan not proven optimal."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class IlpSolution:
     chosen_edges: tuple[Edge, ...]
     ignored_requests: frozenset[int]

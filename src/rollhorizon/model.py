@@ -3,6 +3,14 @@
 All times are integer seconds on a single absolute clock starting at 0.
 Minute-valued inputs are converted once, at ingest, so schedule arithmetic
 is exact and runs are reproducible.
+
+Location, Request, Vehicle and SolverConfig are frozen: they are built
+once per run, shared by every re-solve, and locations key dicts. Stop,
+Route and ServiceRecord are plain dataclasses, since a run builds
+thousands of them and a frozen dataclass sets each field through
+object.__setattr__, about three times the cost of building a plain one.
+They still compare by value, are not hashable, and no code assigns to a
+record once built.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ class Request:
     load: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass
 class ServiceRecord:
     """Outcome for one request; times are None when served is False."""
 
@@ -54,7 +62,7 @@ class Vehicle:
     depot: Location
 
 
-@dataclass(frozen=True)
+@dataclass
 class Stop:
     """A scheduled pickup or dropoff visit; scheduled_time is service start."""
 
@@ -65,7 +73,7 @@ class Stop:
     onboard_after: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class Route:
     vehicle_id: int
     stops: tuple[Stop, ...]
@@ -149,7 +157,8 @@ def validate_route(
     """Independently check a route against every service constraint.
 
     Verifies pickup-before-dropoff pairing, that every passenger aboard at
-    the start or picked up is dropped off, seat capacity at every stop,
+    the start is a known request, that every passenger aboard at the start
+    or picked up is dropped off, seat capacity at every stop,
     waiting within [0, max_wait], delay within [0, max_delay], non-decreasing
     service times, and that each service start is reachable given travel
     times and dwell. Returns a list of violation strings; empty means valid.
@@ -165,9 +174,12 @@ def validate_route(
     picked = set()
     dropped = set()
     load = 0
-    for rid in onboard:
+    for rid in sorted(start_onboard):
         req = requests_by_id.get(rid)
-        load += req.load if req is not None else 1
+        if req is None:
+            out.append(f"vehicle {v}: passenger {rid} aboard is an unknown request")
+        else:
+            load += req.load
     if load > config.capacity:
         out.append(f"vehicle {v}: initial onboard load {load} over capacity")
 

@@ -17,12 +17,19 @@ kernel are the only stop timing here. A recursive closure holds itself
 through its cell, so _exact_routes deletes its dfs in a finally as the
 root call returns or raises: each search's state is then freed by
 reference counting, not left for the cyclic collector.
+
+CandidateRoute is a plain dataclass, not a frozen one, since a re-solve
+builds thousands and a frozen one sets each field through
+object.__setattr__. Its stops are built on first read and kept in its
+_stops field, which takes no part in comparing routes: only the routes an
+assignment picks are ever read that way. A plain property with that field
+stands in for functools.cached_property, whose first read takes a lock on
+Python 3.11.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -38,7 +45,7 @@ class PlanStart:
     onboard: frozenset[int] = frozenset()
 
 
-@dataclass(frozen=True)
+@dataclass
 class CandidateRoute:
     """A timed stop sequence for one vehicle with its feasibility verdict."""
 
@@ -49,11 +56,16 @@ class CandidateRoute:
     feasible: bool
     sequence: tuple[tuple[str, Request], ...] = field(repr=False)
     start_load: int = field(repr=False)  # seats the passengers aboard take
+    _stops: Optional[tuple[Stop, ...]] = field(default=None, init=False,
+                                               compare=False, repr=False)
 
-    @cached_property
+    @property
     def stops(self) -> tuple[Stop, ...]:
-        """The sequence as Stop records; built on first read, since only
-        the few routes an assignment picks are ever read this way."""
+        """The sequence as Stop records; built on first read and kept in
+        _stops, since only the few routes an assignment picks are ever read
+        this way."""
+        if self._stops is not None:
+            return self._stops
         load = self.start_load
         out = []
         for (kind, req), (_arrival, service, _depart) in zip(self.sequence, self.schedule):
@@ -63,7 +75,8 @@ class CandidateRoute:
             else:
                 load -= req.load
                 out.append(Stop(kind, req.id, req.dropoff, service, load))
-        return tuple(out)
+        self._stops = tuple(out)
+        return self._stops
 
 
 _request_id = attrgetter("id")

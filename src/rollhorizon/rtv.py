@@ -18,12 +18,19 @@ enumerated route is kept on its edge as its distance and stop slots and
 timed only when the edge's route is read, since the assignment reads only
 costs. No pairwise screen runs first: a pair becomes a trip, like any
 larger set, when some vehicle class routes it.
+
+Edge and RtvGraph are plain dataclasses, not frozen ones, since a
+re-solve builds thousands of edges and a frozen dataclass sets each field
+through object.__setattr__. Edge.route is a plain property, not a
+functools.cached_property, which takes a lock on its first read on
+Python 3.11: the first read times the route and stores it in the edge's
+timing in place of the (table, origin slot, start) tuple it was timed
+from, and later reads return it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Union
 
 from .model import DROPOFF, PICKUP, SolverConfig
@@ -39,7 +46,7 @@ from .routing import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass
 class Edge:
     """A feasible pairing: vehicle drives route, serving the trip's requests.
 
@@ -59,15 +66,17 @@ class Edge:
     timing: Union[CandidateRoute, tuple, None] = field(compare=False, repr=False)
     slots: Optional[tuple[int, ...]] = None
 
-    @cached_property
+    @property
     def route(self) -> Optional[CandidateRoute]:
-        """The route, timed by the one kernel on first read and then kept."""
-        if isinstance(self.timing, tuple):
-            return _timed_route(*self.timing, self.slots)
-        return self.timing
+        """The route, timed by the one kernel on first read and then kept
+        in timing in place of the tuple it was timed from."""
+        timing = self.timing
+        if isinstance(timing, tuple):
+            timing = self.timing = _timed_route(*timing, self.slots)
+        return timing
 
 
-@dataclass(frozen=True)
+@dataclass
 class RtvGraph:
     edges: tuple[Edge, ...]
     request_universe: frozenset[int]

@@ -9,7 +9,6 @@ one still dwelling or waiting at a node may be replanned from there.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -30,7 +29,7 @@ class SimulationError(RuntimeError):
     """An assigned route failed validation; indicates an upstream bug."""
 
 
-@dataclass(frozen=True)
+@dataclass
 class VehicleState:
     """One vehicle between iterations.
 
@@ -91,8 +90,14 @@ def simulate_step(
         if route is None:
             # nothing assigned: stand at the plan origin until the window ends
             new_states.append(
-                dataclasses.replace(
-                    state, planned_suffix=(), plan_time=max(state.plan_time, t_to)
+                VehicleState(
+                    state.vehicle_id,
+                    state.plan_location,
+                    max(state.plan_time, t_to),
+                    state.onboard,
+                    state.committed,
+                    (),
+                    state.pickup_times,
                 )
             )
             continue

@@ -13,7 +13,7 @@ from typing import Iterable
 from .model import Request, SolverConfig
 
 
-@dataclass(frozen=True)
+@dataclass
 class Batch:
     """Requests entering the active set at iteration time t."""
 

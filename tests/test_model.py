@@ -177,6 +177,21 @@ def test_validate_route_needs_every_start_passenger_dropped_off():
     ]
 
 
+def test_validate_route_names_an_unknown_passenger_aboard_without_seating_it():
+    # a passenger aboard with no request to read a load from takes no
+    # guessed seat: the auditor names it instead of blaming the stops
+    travel = EuclideanTravel(1.0)
+    config = good_config(dwell=0, capacity=1)
+    r = derive_earliest_dropoff(Request(1, Location(1, 0), Location(3, 0), 60, 0), travel)
+    stops = (Stop(PICKUP, 1, r.pickup, 60, 1), Stop(DROPOFF, 1, r.dropoff, 180, 0))
+    probs = validate_route(Route(0, stops, 0), {1: r}, travel, config,
+                           start_location=Location(0, 0), initial_onboard={7})
+    assert probs == [
+        "vehicle 0: passenger 7 aboard is an unknown request",
+        "vehicle 0: passenger 7 aboard at the start never dropped off",
+    ]
+
+
 def test_validate_route_without_travel_skips_reachability_only():
     config = good_config(dwell=0)
     travel = EuclideanTravel(1.0)

@@ -375,11 +375,27 @@ def test_exact_routes_are_timed_only_when_read(monkeypatch):
     assert any(len(t) >= 2 for t in graph.trips)
     assert timed == []
     by_vid = {s.vehicle_id: s for s in states}
+    built = []
+    real_stop = routing.Stop
+
+    def count_stop(*args):
+        built.append(args)
+        return real_stop(*args)
+
+    monkeypatch.setattr(routing, "Stop", count_stop)
     for edge in graph.edges:
         route = edge.route
         assert edge.route is route
-        assert route == schedule_route(by_vid[edge.vehicle_id], route.sequence, TRAVEL, config)
+        unread = schedule_route(by_vid[edge.vehicle_id], route.sequence, TRAVEL, config)
+        assert route == unread
         assert route.feasible and edge.cost == route.total_distance
+        # a route's Stop records are built on its first read and then kept,
+        # and the kept records take no part in comparing routes
+        built.clear()
+        stops = route.stops
+        assert route.stops is stops
+        assert len(built) == len(stops) == len(route.sequence)
+        assert route == unread and unread == route
     assert len(timed) == 2 * len(graph.edges)  # each read once, then the check
 
 

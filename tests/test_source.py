@@ -164,3 +164,32 @@ def test_bench_tracer_runs_a_corpus_case():
     for key in ("rtv.trips", "rtv.edges", "assignment.nodes", "engine.iterations"):
         assert metrics[key] > 0, key
     assert report_to_dict(traced) == report_to_dict(run(case.instance, case.config))
+
+
+def test_records_are_never_assigned_to():
+    # the records a re-solve builds are plain dataclasses, for speed, so
+    # nothing but a method of the object itself may store or delete one of
+    # its attributes, by name, through setattr or through its __dict__.
+    # functools.cached_property stays out too: on Python 3.11 its first
+    # read takes a lock, several times the cost of a plain cache
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                bad = not (isinstance(node.value, ast.Name) and node.value.id == "self")
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                bad = isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"
+            elif isinstance(node, ast.Call):
+                func = node.func
+                bad = (isinstance(func, ast.Name) and func.id in ("setattr", "delattr")
+                       or isinstance(func, ast.Attribute)
+                       and (func.attr in ("__setattr__", "__delattr__")
+                            or isinstance(func.value, ast.Attribute)
+                            and func.value.attr == "__dict__"))
+            else:
+                bad = (isinstance(node, ast.Name) and node.id == "cached_property"
+                       or isinstance(node, ast.Attribute) and node.attr == "cached_property"
+                       or isinstance(node, ast.alias) and node.name == "cached_property")
+            if bad:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
