@@ -47,10 +47,7 @@ def make_instance(
     n_vehicles: int = FLEET_SIZE,
     *,
     area: float = AREA,
-    speed: float = SPEED,
     horizon: int = HORIZON_S,
-    step: int = STEP_S,
-    capacity: int = CAPACITY,
 ) -> Instance:
     """Build one deterministic instance from its seed.
 
@@ -61,8 +58,8 @@ def make_instance(
     instance.
     """
     rng = random.Random(seed)
-    travel = EuclideanTravel(speed)
-    latest_pickup = horizon - step
+    travel = EuclideanTravel(SPEED)
+    latest_pickup = horizon - STEP_S
     requests = []
     for rid in range(n_requests):
         px = rng.uniform(0.0, area)
@@ -82,7 +79,7 @@ def make_instance(
         )
         requests.append(derive_earliest_dropoff(req, travel))
     depot = Location(area / 2.0, area / 2.0)
-    vehicles = tuple(Vehicle(i, capacity, depot) for i in range(n_vehicles))
+    vehicles = tuple(Vehicle(i, CAPACITY, depot) for i in range(n_vehicles))
     return Instance(
         requests=tuple(requests),
         vehicles=vehicles,

@@ -48,17 +48,21 @@ def run(
     left on a vehicle's plan is promised: the next re-solve must serve it,
     and it does not expire. Passengers aboard are delivered through their
     vehicle's route. A run still busy after the drain step at horizon +
-    DRAIN_ITERATION_CAP * step raises EngineError.
+    DRAIN_ITERATION_CAP * step raises EngineError. Duplicate vehicle or
+    request ids raise ConfigError before the run starts.
     """
     problems = validate_config(config)
     if problems:
         raise ConfigError("; ".join(problems))
-    if len(instance.vehicles) != config.fleet_size:
+    vehicles = tuple(sorted(instance.vehicles, key=lambda v: v.id))
+    if len(vehicles) != config.fleet_size:
         raise ConfigError(
             f"config fleet_size={config.fleet_size} but instance has "
-            f"{len(instance.vehicles)} vehicles"
+            f"{len(vehicles)} vehicles"
         )
-    for v in instance.vehicles:
+    if len({v.id for v in vehicles}) != len(vehicles):
+        raise ConfigError("duplicate vehicle ids in instance")
+    for v in vehicles:
         if v.capacity != config.capacity:
             raise ConfigError(
                 f"vehicle {v.id} capacity {v.capacity} != config capacity {config.capacity}"
@@ -85,27 +89,20 @@ def run(
             stacklevel=2,
         )
 
-    states: dict[int, VehicleState] = {
-        v.id: VehicleState(vehicle_id=v.id, plan_location=v.depot, plan_time=0)
-        for v in sorted(instance.vehicles, key=lambda v: v.id)
-    }
+    # one state per vehicle, in id order, as simulate_step returns them
+    states = tuple(VehicleState(v.id, v.depot, 0) for v in vehicles)
     active: dict[int, Request] = {}  # revealed, not yet picked up or finalized
     promised: set[int] = set()  # active ids some vehicle's plan still picks up
     records: dict[int, ServiceRecord] = {r.request_id: r for r in pre_rejected}
     iteration_times: list[float] = []
     t = 0
-    while t < config.horizon or active or any(st.onboard for st in states.values()):
+    while t < config.horizon or active or any(st.onboard for st in states):
         if t < config.horizon:
             for r in window_processing(t, in_scope, config).new_requests:
                 active[r.id] = r
         # an iteration's compute time counts from its revealed batch
         started = time.perf_counter()
-        graph = build_rtv_graph(
-            sorted(active.values(), key=lambda r: r.id),
-            [states[vid] for vid in sorted(states)],
-            travel,
-            config,
-        )
+        graph = build_rtv_graph(active.values(), states, travel, config)
         # passengers aboard are no graph requests: their vehicle's rule of
         # exactly one route delivers them
         solution = solve_assignment(graph, must_serve=sorted(promised))
@@ -116,21 +113,17 @@ def run(
                 UnprovenAssignmentWarning,
                 stacklevel=2,
             )
-        routes_by_vehicle: dict[int, object] = {vid: None for vid in states}
-        for edge in solution.chosen_edges:
-            routes_by_vehicle[edge.vehicle_id] = edge.route
-        advanced, boarded, new_records = simulate_step(
-            [states[vid] for vid in sorted(states)],
-            routes_by_vehicle, t, t + config.step, travel, config,
+        routes = {edge.vehicle_id: edge.route for edge in solution.chosen_edges}
+        states, boarded, new_records = simulate_step(
+            states, routes, t, t + config.step, travel, config
         )
-        states = {st.vehicle_id: st for st in advanced}
         for rec in new_records:
             records[rec.request_id] = rec
         for rid in boarded:
             active.pop(rid, None)
         # a chosen trip's requests not yet aboard are the pickups left on
         # its vehicle's plan
-        promised = {req.id for st in advanced for kind, req in st.planned_suffix
+        promised = {req.id for st in states for kind, req in st.planned_suffix
                     if kind == PICKUP}
         # an unpromised request whose waiting allowance cannot survive to the
         # next solve is settled now rather than dragged along
@@ -141,7 +134,7 @@ def run(
                 del active[rid]
         iteration_times.append(time.perf_counter() - started)
         if iteration_hook is not None:
-            iteration_hook(t, dict(states))
+            iteration_hook(t, {st.vehicle_id: st for st in states})
         if t >= config.horizon + DRAIN_ITERATION_CAP * config.step:
             raise EngineError(
                 f"fleet failed to drain after {DRAIN_ITERATION_CAP} extra steps; "
@@ -154,26 +147,21 @@ def run(
         raise EngineError(f"run finished without records for requests {missing}")
 
     final_routes = tuple(
-        Route(
-            vehicle_id=vid,
-            stops=states[vid].committed,
-            committed_prefix_len=len(states[vid].committed),
-        )
-        for vid in sorted(states)
+        Route(st.vehicle_id, st.committed, len(st.committed)) for st in states
     )
     record_list = tuple(records[rid] for rid in sorted(records))
     summary = metrics.summarize(
         record_list,
         final_routes,
         requests,
-        instance.vehicles,
+        vehicles,
         travel,
         total_compute_s=sum(iteration_times),
         iterations=len(iteration_times),
     )
     return RunReport(
         requests=requests,
-        vehicles=tuple(sorted(instance.vehicles, key=lambda v: v.id)),
+        vehicles=vehicles,
         records=record_list,
         routes=final_routes,
         config=config,

@@ -1,10 +1,13 @@
 """Discrete-event execution of assigned routes between iterations.
 
-Each step advances every vehicle through the stops whose service starts
-inside the step window, boards and delivers passengers, and fixes those
-stops permanently. Later stops stay open for reoptimization. A vehicle
-that already left a node finishes that leg before it can be redirected;
-one still dwelling or waiting at a node may be replanned from there.
+Each step commits, for every vehicle, the stops of its route whose service
+starts by the step's end, in order: it boards and delivers their
+passengers and fixes those stops permanently. A vehicle with no route has
+no stops. Later stops stay open for reoptimization. One rule places the
+next plan's start: a vehicle that left for its next stop before the step
+ends finishes that leg first; otherwise it is replanned from where it is
+free, once the step has ended. A route that fails validation, or a
+vehicle left with passengers aboard and no route, raises SimulationError.
 """
 
 from __future__ import annotations
@@ -75,10 +78,17 @@ def simulate_step(
 ) -> tuple[tuple[VehicleState, ...], tuple[int, ...], tuple[ServiceRecord, ...]]:
     """Advance all vehicles from t_from to t_to along their assigned routes.
 
-    Executes every stop with service start <= t_to, extending each
-    vehicle's committed stops by exactly that prefix. Returns the updated
-    states, ids of newly boarded requests, and service records for
-    completed dropoffs.
+    A vehicle with no route has no stops. Each vehicle executes its stops
+    in order up to the first whose service starts after t_to, extending
+    its committed stops by exactly that prefix. Its next plan then starts
+    at the next stop's location, at its arrival or t_to if later, when it
+    left for that stop before t_to, and otherwise where and when it is
+    free, or t_to if later. Returns the updated states in id order, ids of
+    newly boarded requests, and service records for completed dropoffs.
+
+    Raises SimulationError for a route that fails validation and for a
+    vehicle with passengers aboard but no route, and ValueError for a
+    passenger aboard with no pickup time, before that vehicle's stops run.
     """
     if t_to <= t_from:
         raise ValueError("step window must move forward")
@@ -86,88 +96,53 @@ def simulate_step(
     boarded: list[int] = []
     records: list[ServiceRecord] = []
     for state in sorted(states, key=lambda s: s.vehicle_id):
-        route = routes.get(state.vehicle_id)
-        if route is None:
-            # nothing assigned: stand at the plan origin until the window ends
-            new_states.append(
-                VehicleState(
-                    state.vehicle_id,
-                    state.plan_location,
-                    max(state.plan_time, t_to),
-                    state.onboard,
-                    state.committed,
-                    (),
-                    state.pickup_times,
-                )
+        vid = state.vehicle_id
+        route = routes.get(vid)
+        if route is not None:
+            _check_route(state, route, travel, config)
+            stops, schedule, sequence = route.stops, route.schedule, route.sequence
+        elif state.onboard:
+            raise SimulationError(
+                f"vehicle {vid} has passengers {sorted(state.onboard)} aboard but no route"
             )
-            continue
-        _check_route(state, route, travel, config)
-
-        executed = 0
-        for (arrival, service, depart) in route.schedule:
-            if service <= t_to:
-                executed += 1
-            else:
-                break
+        else:
+            stops = schedule = sequence = ()
+        unknown = state.onboard - state.pickup_times.keys()
+        if unknown:
+            raise ValueError(
+                f"vehicle {vid}: passengers {sorted(unknown)} aboard have no pickup time"
+            )
 
         onboard = set(state.onboard)
         pickup_times = dict(state.pickup_times)
-        committed = list(state.committed)
-        for idx in range(executed):
-            stop = route.stops[idx]
-            service = route.schedule[idx][1]
+        done: list[Stop] = []
+        free_at, free_time = state.plan_location, state.plan_time
+        for stop, (_arrival, service, depart) in zip(stops, schedule):
+            if service > t_to:
+                break
+            rid = stop.request_id
             if stop.kind == PICKUP:
-                onboard.add(stop.request_id)
-                pickup_times[stop.request_id] = service
-                boarded.append(stop.request_id)
+                onboard.add(rid)
+                pickup_times[rid] = service
+                boarded.append(rid)
             else:
-                onboard.discard(stop.request_id)
-                records.append(
-                    ServiceRecord(
-                        stop.request_id,
-                        True,
-                        state.vehicle_id,
-                        pickup_times.pop(stop.request_id),
-                        service,
-                    )
-                )
-            committed.append(stop)
+                onboard.discard(rid)
+                records.append(ServiceRecord(rid, True, vid, pickup_times.pop(rid), service))
+            done.append(stop)
+            free_at, free_time = stop.location, depart
 
-        remaining = route.sequence[executed:]
-        if executed:
-            prev_loc = route.stops[executed - 1].location
-            prev_depart = route.schedule[executed - 1][2]
-        else:
-            prev_loc = state.plan_location
-            prev_depart = state.plan_time
-
-        if not remaining:
-            plan_loc = prev_loc
-            plan_time = max(prev_depart, t_to)
-        else:
-            next_stop = route.stops[executed]
-            next_arrival = route.schedule[executed][0]
-            if prev_depart >= t_to:
-                # still dwelling (or not yet free) at the node: replannable here
-                plan_loc = prev_loc
-                plan_time = prev_depart
-            elif next_arrival > t_to:
-                # in flight: must finish the leg before any new plan
-                plan_loc = next_stop.location
-                plan_time = next_arrival
-            else:
-                # arrived early and is waiting for the service time
-                plan_loc = next_stop.location
-                plan_time = t_to
-
+        n = len(done)
+        if n < len(stops) and free_time < t_to:
+            # left for the next stop: it must finish that leg first
+            free_at, free_time = stops[n].location, schedule[n][0]
         new_states.append(
             VehicleState(
-                state.vehicle_id,
-                plan_loc,
-                plan_time,
+                vid,
+                free_at,
+                max(free_time, t_to),
                 frozenset(onboard),
-                tuple(committed),
-                tuple(remaining),
+                state.committed + tuple(done),
+                sequence[n:],
                 pickup_times,
             )
         )

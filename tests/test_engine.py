@@ -175,6 +175,14 @@ def test_config_errors():
         run(dup, cfg)
 
 
+def test_duplicate_vehicle_ids_are_a_config_error():
+    # two vehicles both numbered 0 would share one state and one route
+    inst = make_instance(101, n_requests=20, n_vehicles=2)
+    twins = tuple(dataclasses.replace(v, id=0) for v in inst.vehicles)
+    with pytest.raises(ConfigError, match="duplicate vehicle ids"):
+        run(dataclasses.replace(inst, vehicles=twins), corpus_config(0, fleet_size=2))
+
+
 def test_same_input_same_report():
     rng = random.Random(7)
     inst, cfg = random_instance(rng, max_requests=15, max_vehicles=3)

@@ -167,6 +167,24 @@ def test_rejects_route_that_leaves_a_passenger_aboard():
         simulate_step([state], {0: route}, 0, 600, TRAVEL, config)
 
 
+def test_a_loaded_vehicle_with_no_route_is_an_error():
+    # with no route, passenger 0 would ride on, standing still, forever
+    state = VehicleState(0, Location(0, 0), 0, onboard=frozenset({0}))
+    with pytest.raises(SimulationError, match=r"vehicle 0 has passengers \[0\] aboard"):
+        simulate_step([state], {0: None}, 0, 600, TRAVEL, cfg())
+
+
+def test_a_passenger_aboard_with_no_pickup_time_is_named():
+    config = cfg()
+    aboard = mk(0, 0, 0, 2, 0, 0)
+    state = VehicleState(0, Location(0, 0), 0, onboard=frozenset({0}))
+    table = StopTable([aboard], [state.plan_location], TRAVEL, config)
+    route = schedule_route(state, [(DROPOFF, aboard)], TRAVEL, config, table=table)
+    assert route.feasible and route.schedule[0][1] <= 600
+    with pytest.raises(ValueError, match=r"vehicle 0: passengers \[0\] aboard have no pickup"):
+        simulate_step([state], {0: route}, 0, 600, TRAVEL, config)
+
+
 def test_window_must_advance():
     state = VehicleState(0, Location(0, 0), 0)
     with pytest.raises(ValueError):
