@@ -300,7 +300,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
         doc = load_report_dict(args.report)
-    except (FileNotFoundError, OSError) as e:
+    except OSError as e:
         print(f"error: cannot read report: {e}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:

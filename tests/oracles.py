@@ -2,7 +2,13 @@
 
 Everything here is deliberately written from the constraint definitions,
 not by calling the library's routing, assignment, or engine code, so tests
-compare two separately derived answers.
+compare two separately derived answers. What stays here are answers the
+solver must reproduce: brute-force route orders and schedules, exhaustive
+assignments, the whole-horizon optimum and the trip-vehicle graph.
+Whether a run's batches partition the requests and its report obeys the
+service rules is audited by the benchmark's `bench/check.py`, which the
+end-to-end gates load through `benchcode.load_bench`, so those rules are
+written out once outside the solver.
 """
 
 from __future__ import annotations
@@ -276,160 +282,6 @@ def global_best_service(
             best = (served, total, assignment)
     assert best is not None  # serving nobody is always valid
     return best
-
-
-def route_violations(route, requests_by_id: Mapping[int, Request], depot: Location,
-                     travel, config: SolverConfig) -> list[str]:
-    """Everything wrong with one executed route, as human-readable strings.
-
-    Walks the recorded stop list against the raw constraint definitions:
-    stops must pair up and respect pickup-before-dropoff, the vehicle must
-    be able to physically reach each stop by its recorded time starting
-    from the depot at time zero, nobody is served before their window
-    opens, waiting and delay stay inside their limits, and the load never
-    exceeds capacity. Empty list means the route is clean.
-    """
-    out = []
-    vid = route.vehicle_id
-    onboard: set[int] = set()
-    done: set[int] = set()
-    load = 0
-    loc = depot
-    free = 0
-    for i, s in enumerate(route.stops):
-        req = requests_by_id.get(s.request_id)
-        if req is None:
-            out.append(f"vehicle {vid}: stop {i} names unknown request {s.request_id}")
-            return out
-        if s.kind == PICKUP:
-            if s.request_id in onboard or s.request_id in done:
-                out.append(f"vehicle {vid}: request {s.request_id} picked up twice")
-            if s.location != req.pickup:
-                out.append(f"vehicle {vid}: pickup of {s.request_id} at the wrong place")
-            wait = s.scheduled_time - req.desired_pickup_time
-            if wait < 0:
-                out.append(f"vehicle {vid}: request {s.request_id} picked up early")
-            elif wait > config.max_wait:
-                out.append(f"vehicle {vid}: request {s.request_id} waits {wait}s, "
-                           f"limit {config.max_wait}")
-            onboard.add(s.request_id)
-            load += req.load
-            if load > config.capacity:
-                out.append(f"vehicle {vid}: load {load} over capacity at stop {i}")
-        elif s.kind == DROPOFF:
-            if s.request_id not in onboard:
-                out.append(f"vehicle {vid}: request {s.request_id} dropped off "
-                           "before any pickup")
-                return out
-            if s.location != req.dropoff:
-                out.append(f"vehicle {vid}: dropoff of {s.request_id} at the wrong place")
-            delay = s.scheduled_time - req.earliest_dropoff_time
-            if delay < 0:
-                out.append(f"vehicle {vid}: request {s.request_id} delivered "
-                           "impossibly early")
-            elif delay > config.max_delay:
-                out.append(f"vehicle {vid}: request {s.request_id} delayed {delay}s, "
-                           f"limit {config.max_delay}")
-            onboard.discard(s.request_id)
-            done.add(s.request_id)
-            load -= req.load
-        else:
-            out.append(f"vehicle {vid}: stop {i} has unknown kind {s.kind!r}")
-            return out
-        earliest = free + travel.travel_time(loc, s.location)
-        if s.scheduled_time < earliest:
-            out.append(f"vehicle {vid}: stop {i} scheduled at {s.scheduled_time}s "
-                       f"but unreachable before {earliest}s")
-        if s.onboard_after != load:
-            out.append(f"vehicle {vid}: recorded load {s.onboard_after} at stop {i}, "
-                       f"walk says {load}")
-        loc = s.location
-        free = s.scheduled_time + config.dwell
-    if onboard:
-        out.append(f"vehicle {vid}: picked up but never delivered: {sorted(onboard)}")
-    return out
-
-
-def record_violations(record, requests_by_id: Mapping[int, Request],
-                      config: SolverConfig) -> list[str]:
-    """Constraint breaches visible in one passenger's service record."""
-    out = []
-    rid = record.request_id
-    req = requests_by_id.get(rid)
-    if req is None:
-        return [f"record for unknown request {rid}"]
-    details = (record.vehicle_id, record.actual_pickup_time, record.actual_dropoff_time)
-    if not record.served:
-        if any(d is not None for d in details):
-            out.append(f"unserved request {rid} carries service details")
-        return out
-    if any(d is None for d in details):
-        return [f"served request {rid} is missing service details"]
-    wait = record.actual_pickup_time - req.desired_pickup_time
-    if wait < 0 or wait > config.max_wait:
-        out.append(f"request {rid}: waiting time {wait}s outside [0, {config.max_wait}]")
-    delay = record.actual_dropoff_time - req.earliest_dropoff_time
-    if delay < 0 or delay > config.max_delay:
-        out.append(f"request {rid}: delay {delay}s outside [0, {config.max_delay}]")
-    if record.actual_dropoff_time < record.actual_pickup_time:
-        out.append(f"request {rid}: delivered before pickup")
-    return out
-
-
-def coverage_violations(routes, records) -> list[str]:
-    """Cross-checks between the route plans and the passenger records.
-
-    A served passenger must appear exactly once, on the vehicle the record
-    names, at the recorded times; an unserved one must appear nowhere.
-    """
-    out = []
-    where: dict[tuple[str, int], list[tuple[int, int]]] = {}
-    for rt in routes:
-        for s in rt.stops:
-            where.setdefault((s.kind, s.request_id), []).append(
-                (rt.vehicle_id, s.scheduled_time))
-    for rec in records:
-        picks = where.get((PICKUP, rec.request_id), [])
-        drops = where.get((DROPOFF, rec.request_id), [])
-        if not rec.served:
-            if picks or drops:
-                out.append(f"unserved request {rec.request_id} appears in a route")
-            continue
-        if len(picks) != 1 or len(drops) != 1:
-            out.append(f"request {rec.request_id} appears {len(picks)}x/{len(drops)}x "
-                       "across routes, want exactly one pickup and dropoff")
-            continue
-        (pv, pt), (dv, dt) = picks[0], drops[0]
-        if pv != rec.vehicle_id or dv != rec.vehicle_id:
-            out.append(f"request {rec.request_id} recorded on vehicle "
-                       f"{rec.vehicle_id} but routed by {pv} and {dv}")
-        if pt != rec.actual_pickup_time or dt != rec.actual_dropoff_time:
-            out.append(f"request {rec.request_id}: record times disagree "
-                       "with the route")
-    return out
-
-
-def batch_partition_check(batches, requests: Iterable[Request]) -> list[str]:
-    """Verify the window batches form an exact partition of the given requests.
-
-    Flags requests appearing in more than one batch and requests appearing
-    in none ("never batched"). The caller chooses which requests to demand
-    coverage for (typically those with pickups up to coverage_end).
-    """
-    out = []
-    seen: dict[int, int] = {}
-    for b in batches:
-        for r in b.new_requests:
-            if r.id in seen:
-                out.append(
-                    f"request {r.id} batched at both t={seen[r.id]} and t={b.t}"
-                )
-            else:
-                seen[r.id] = b.t
-    for r in requests:
-        if r.id not in seen:
-            out.append(f"request {r.id} (pickup {r.desired_pickup_time}) never batched")
-    return out
 
 
 def _cheapest_placement(start_loc, start_time, base, new_stops, onboard, requests_by_id,

@@ -1,5 +1,6 @@
 """End-to-end checks of the command line, run in-process via main(argv)."""
 
+import csv
 import json
 from pathlib import Path
 
@@ -80,6 +81,11 @@ def test_validate_rejects_bad_json(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_validate_rejects_an_unreadable_report(tmp_path, capsys):
+    assert main(["validate", "--report", str(tmp_path / "missing.json")]) == 2
+    assert "error: cannot read report:" in capsys.readouterr().err
+
+
 def test_sweep_corpus_grid_is_deterministic(tmp_path, capsys):
     args = [
         "sweep", "--corpus", "2", "--corpus-requests", "8",
@@ -96,6 +102,26 @@ def test_sweep_corpus_grid_is_deterministic(tmp_path, capsys):
     # grid sorted by instance then fleet then factor
     names = [ln.split(",")[0] for ln in lines[1:]]
     assert names == sorted(names)
+
+
+def test_sweep_runs_each_cell_of_a_file(tmp_path, capsys):
+    # a cell that cannot run becomes a row with its error; the others run
+    # as `solve` would, with the cell's fleet size and factor
+    out = tmp_path / "grid.csv"
+    argv = ["sweep", "--instance", str(FIXTURE), "--fleet-sizes", "0,2", "--rh-factors", "0,1",
+            "--output", str(out)]
+    assert main(argv) == 0
+    assert "4 runs, 2 failed" in capsys.readouterr().out
+    with open(out, newline="") as fh:
+        rows = {(r["fleet_size"], r["rh_factor"]): r for r in csv.DictReader(fh)}
+    assert len(rows) == 4
+    for rh in "01":
+        assert rows[("0", rh)]["status"] == "config error: fleet_size must be >= 1"
+    assert (rows[("2", "1")]["service_rate"], rows[("2", "1")]["vmt"]) == ("1.0000", "17.469")
+    assert main(["solve", "--instance", str(FIXTURE), "--fleet-size", "2", "--rh-factor", "1",
+                 "--output", str(tmp_path / "r.json")]) == 0
+    summary = capsys.readouterr().out
+    assert "service_rate=1.0000 " in summary and " vmt=17.469 " in summary
 
 
 def test_sweep_needs_a_target(capsys):

@@ -20,6 +20,7 @@ from rollhorizon.model import (
     SolverConfig,
     derive_earliest_dropoff,
 )
+from rollhorizon.routing import schedule_route
 from rollhorizon.travel import EuclideanTravel
 
 
@@ -160,6 +161,43 @@ def test_must_serve_is_the_pickups_left_on_the_plans(monkeypatch):
         assert not {rid for st in states.values() for rid in st.onboard} & set(served)
     assert any(must_serve)
     assert any(st.onboard for states in before for st in states.values())
+
+
+def test_each_step_leaves_a_plan_that_keeps_its_committed_times(monkeypatch):
+    # the stitching contract: the plan a step leaves a vehicle re-times from
+    # its new start as feasible, at the service and departure times the
+    # chosen route gave those stops; only the first stop's arrival may move,
+    # to the step's end, when the vehicle left for it and got there early
+    real = engine.simulate_step
+    plans = moved = 0
+    broken = []
+
+    def stitching(states, routes, t_from, t_to, travel, config):
+        nonlocal plans, moved
+        out = real(states, routes, t_from, t_to, travel, config)
+        for st in out[0]:
+            if not st.planned_suffix:
+                continue
+            plans += 1
+            old = routes[st.vehicle_id].schedule[-len(st.planned_suffix):]
+            new = schedule_route(st, st.planned_suffix, travel, config)
+            (a0, s0, d0), (a1, s1, d1) = old[0], new.schedule[0]
+            moved += a1 != a0
+            if not (new.feasible and (s1, d1) == (s0, d0) and (a1 == a0 or a0 < a1 == t_to)
+                    and new.schedule[1:] == old[1:]):
+                broken.append(f"t={t_to} vehicle {st.vehicle_id}: {old} re-timed as "
+                              f"{new.schedule}, feasible {new.feasible}")
+        return out
+
+    monkeypatch.setattr(engine, "simulate_step", stitching)
+    run(make_instance(101), corpus_config(2))
+    assert plans == 147
+    for seed in range(4):
+        rng = random.Random(seed)
+        planar, cfg = random_instance(rng, max_requests=20, max_vehicles=3)
+        run(matrix_instance(planar, rng), cfg)
+    assert broken == []
+    assert plans > 147 and moved > 0
 
 
 def test_config_errors():

@@ -1,10 +1,9 @@
 """Static checks over the package source."""
 
 import ast
-import importlib.util
-import sys
 from pathlib import Path
 
+from benchcode import load_bench
 from rollhorizon.engine import run
 from rollhorizon.instance_io import report_to_dict
 
@@ -129,19 +128,6 @@ def test_recursive_closures_are_dropped():
                         and node.id == inner.name for node in ast.walk(inner)):
                     kept.append(f"{path.name}:{inner.lineno} {func.name}.{inner.name}")
     assert kept == []
-
-
-def load_bench(name):
-    """Import bench/<name>.py as a module, without putting bench/ on the path."""
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "bench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # a dataclass looks its module up while the class is built
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_bench_tracer_names_exist():

@@ -3,7 +3,6 @@ import random
 import pytest
 
 from instgen import random_request
-from oracles import batch_partition_check
 from rollhorizon.model import SolverConfig
 from rollhorizon.travel import EuclideanTravel
 from rollhorizon.window import coverage_end, window_processing
@@ -74,17 +73,6 @@ def test_batches_partition_covered_requests(rh):
         covered = [r for r in reqs if r.desired_pickup_time <= coverage_end(config)]
         batches = [window_processing(t, covered, config)
                    for t in range(0, config.horizon, config.step)]
-        assert batch_partition_check(batches, covered) == []
         seen = [r.id for b in batches for r in b.new_requests]
         assert sorted(seen) == sorted(r.id for r in covered)
         assert len(set(seen)) == len(seen)
-
-
-def test_partition_check_reports_duplicates_and_missing():
-    config = cfg(rh=1)
-    reqs = [req_at(0, 100), req_at(1, 400)]
-    b0 = window_processing(0, reqs, config)
-    dup = [b0, b0]
-    assert any("batched at both" in p
-               for p in batch_partition_check(dup, [reqs[0]]))
-    assert any("never" in p for p in batch_partition_check([b0], reqs))
