@@ -8,6 +8,10 @@ stop sequence from a vehicle's start that visits the stops it owes, each
 chain of them in its order, and keeps the best route of each set of riders
 it can serve, so the graph runs it once per vehicle class; which riders may
 share a vehicle is whatever that walk finds, with no pair test ahead of it.
+Its riders arrive as the caller's StopTable.mask, and each node of the walk
+carries the stops still owed as a set of slot bits; a route's distance is
+summed in route order, so the order the walk visits stops in cannot change
+the result.
 best_route_exhaustive reads it for a single request set. best_route_insertion
 slots one new request into an existing order once exact search would be
 too wide: the same search, owing the base route's stops and the new ones
@@ -276,29 +280,32 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
             if r.id in start.onboard:
                 raise ValueError(f"request {r.id} is already onboard")
     table, origin, _slots = _on_table(table, first_stops, start.plan_location, travel, config)
-    best = _exact_routes(table, origin, start, new, len(new)).get(
-        table.mask(r.id for r in new))
+    riders = table.mask(r.id for r in new)
+    best = _exact_routes(table, origin, start, riders, len(new)).get(riders)
     if best is None:
         return None
     return _timed_route(table, origin, start, best[1])
 
 
-def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request],
-                  max_new: int, owed: Optional[Iterable[Sequence[int]]] = None
+def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: int,
+                  owed: Optional[Iterable[Sequence[int]]] = None
                   ) -> dict[int, tuple[float, tuple[int, ...]]]:
     """The exact routes of every set of riders the start can serve, in one DFS.
 
     Walks every feasible stop sequence from the start, at origin slot
-    origin, that visits every owed stop and serves riders, none of them
-    aboard. owed holds chains of slots, each visited in its given order;
-    by default there is one chain per passenger aboard, holding that
-    passenger's dropoff. A rider may join while fewer than max_new have.
+    origin, that visits every owed stop and serves riders, a StopTable.mask
+    of riders none of whom is aboard. owed holds chains of slots, each
+    visited in its given order; by default there is one chain per passenger
+    aboard, holding that passenger's dropoff. Each node carries its owed
+    stops as a set of slot bits: each chain's next stop and each joined
+    rider's dropoff. A rider may join while fewer than max_new have.
     Wherever nothing is left owed, the sequence so far is a route for the
     riders it picked. Returns, per set of riders (a StopTable.mask), the
     lowest (distance, slots) over its routes; slots order like stop keys,
     so that is the stop-key tie-break. Distances are added in route order
     from 0.0, as _timed_route adds them, so each distance is bit-identical
-    to the kernel's total. A set no sequence serves, or of more than
+    to the kernel's total and the order a node visits its children in
+    cannot change the result. A set no sequence serves, or of more than
     max_new riders, is never a key.
     """
     config, travel = table.config, table.travel
@@ -313,20 +320,19 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
         return {}
     if owed is None:
         owed = [(table.slot_of[rid] + 1,) for rid in sorted(start.onboard)]
-    # each chain's next stop is pending; visiting it pends its successor,
-    # where -1 means the chain ends there
-    pending: list[int] = []
-    successor = [-1] * width
+    # each chain's first stop is owed from the start; visiting a stop owes
+    # the bit of its successor, 0 at a chain's end
+    first = 0
+    successor = [0] * width
     for chain in owed:
         if chain:
-            pending.append(chain[0])
+            first |= 1 << chain[0]
             for slot, after in zip(chain, chain[1:]):
-                successor[slot] = after
-    everyone = table.mask(r.id for r in riders)
+                successor[slot] = 1 << after
     path: list[int] = []
     best: dict[int, tuple[float, tuple[int, ...]]] = {}
 
-    def dfs(here, free, load, cost, picked, joinable, n_new):
+    def dfs(here, free, load, cost, pending, picked, joinable):
         # stop timing is _timed_route spelled out over slots: this runs at
         # every node, and a call per stop costs more than the arithmetic.
         # A late stop's leg gets its time but not its distance, so a leg's
@@ -337,10 +343,14 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
                 best[picked] = (cost, tuple(path))
         row = width * here
         room = cap - load
-        # (slot, its index in pending or, for a rider joining, ~its rider
-        # bit, departure, distance)
+        # (slot, the child's pending set, its rider bit or 0 for an owed
+        # stop, departure, distance)
         steps = []
-        for i, pos in enumerate(pending):
+        rest = pending
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            pos = bit.bit_length() - 1
             leg = row + pos
             tt = times[leg]
             if tt is None:
@@ -357,8 +367,8 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
             dist = dists[leg]
             if dist is None:
                 dist = dists[leg] = dist_of(points[here], points[pos])
-            steps.append((pos, i, service + dwell, dist))
-        if n_new < max_new:
+            steps.append((pos, pending ^ bit | successor[pos], 0, service + dwell, dist))
+        if joinable and picked.bit_count() < max_new:
             rest = joinable
             while rest:
                 bit = rest & -rest
@@ -380,29 +390,14 @@ def _exact_routes(table: StopTable, origin: int, start, riders: Iterable[Request
                 dist = dists[leg]
                 if dist is None:
                     dist = dists[leg] = dist_of(points[here], points[pos])
-                steps.append((pos, ~bit, service + dwell, dist))
-        for pos, key, depart, dist in steps:
+                steps.append((pos, pending | 2 << pos, bit, service + dwell, dist))
+        for pos, owes, bit, depart, dist in steps:
             path.append(pos)
-            if key < 0:
-                bit = ~key
-                pending.append(pos + 1)
-                dfs(pos, depart, load + deltas[pos], cost + dist, picked | bit, joinable ^ bit,
-                    n_new + 1)
-                pending.pop()
-            else:
-                after = successor[pos]
-                if after < 0:
-                    del pending[key]
-                    dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
-                    pending.insert(key, pos)
-                else:
-                    pending[key] = after
-                    dfs(pos, depart, load + deltas[pos], cost + dist, picked, joinable, n_new)
-                    pending[key] = pos
+            dfs(pos, depart, load + deltas[pos], cost + dist, owes, picked | bit, joinable ^ bit)
             path.pop()
 
     try:
-        dfs(origin, start.plan_time, start_load, 0.0, 0, everyone, 0)
+        dfs(origin, start.plan_time, start_load, 0.0, first, 0, riders)
     finally:
         # dfs holds itself through its closure cell; dropping the name
         # breaks that cycle, so the search state is freed by reference
@@ -455,7 +450,7 @@ def _insert_stops(start, base_route: CandidateRoute, new_stops: Sequence[tuple[s
     table, origin, slots = _on_table(table, (*base, *new_stops), start.plan_location, travel,
                                      config)
     n = len(base)
-    best = _exact_routes(table, origin, start, (), 0, (slots[:n], slots[n:])).get(0)
+    best = _exact_routes(table, origin, start, 0, 0, (slots[:n], slots[n:])).get(0)
     if best is None:
         return None
     return _timed_route(table, origin, start, best[1])

@@ -249,7 +249,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         cap = min(limit, config.exhaustive_route_limit - len(rep.onboard))
         exact: list[list] = [[] for _ in range(max(cap, 0) + 1)]
         if cap > 0:
-            for m, best in _exact_routes(table, origin, rep, requests, cap).items():
+            for m, best in _exact_routes(table, origin, rep, everyone, cap).items():
                 exact[m.bit_count()].append((m, best))
             # the enumeration's route of no new rider is the delivery route
             if rep.onboard and exact[0]:

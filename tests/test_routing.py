@@ -251,14 +251,16 @@ def test_searches_sharing_a_table_equal_one_off_searches(case):
 
 @st.composite
 def enumeration_case(draw):
-    # 1-5 riders who may join and 0-2 passengers aboard, ids interleaved,
-    # on a few shared points; the caps of an exact route are drawn as the
-    # graph derives them
+    # 1-5 riders who may join, 0-2 passengers aboard and 0-2 riders of the
+    # table who are neither, as a re-solve's table holds other vehicles'
+    # plan riders, ids interleaved, on a few shared points; the caps of an
+    # exact route are drawn as the graph derives them
     travel, points = draw(travel_case(draw(st.integers(1, 5))))
     point = st.sampled_from(points)
     n_new = draw(st.integers(1, 5))
     n_onboard = draw(st.integers(0, 2))
-    ids = draw(st.permutations(range(n_new + n_onboard)))
+    n_other = draw(st.integers(0, 2))
+    ids = draw(st.permutations(range(n_new + n_onboard + n_other)))
     reqs = {}
     for rid in ids:
         req = Request(rid, draw(point), draw(point), draw(st.integers(0, 20)) * MINUTE,
@@ -274,7 +276,7 @@ def enumeration_case(draw):
     )
     new = sorted(ids[:n_new])
     start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE,
-                      frozenset(ids[n_new:]))
+                      frozenset(ids[n_new:n_new + n_onboard]))
     return travel, config, start, [reqs[rid] for rid in new], reqs
 
 
@@ -285,7 +287,9 @@ def test_one_enumeration_equals_brute_force_for_every_rider_set(case):
     table = StopTable(by_id.values(), [start.plan_location], travel, config)
     max_new = min(config.effective_trip_size_limit,
                   config.exhaustive_route_limit - len(start.onboard))
-    got = _exact_routes(table, table.origin_slot[start.plan_location], start, new, max_new)
+    riders = table.mask(r.id for r in new)
+    got = _exact_routes(table, table.origin_slot[start.plan_location], start, riders, max_new)
+    assert all(key & ~riders == 0 for key in got)
     onboard = sorted(start.onboard)
     for size in range(len(new) + 1):
         for trip in itertools.combinations([r.id for r in new], size):
