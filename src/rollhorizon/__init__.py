@@ -2,8 +2,9 @@
 
 The library decomposes a full service day into overlapping sliding windows,
 solves each window's matching problem exactly on a request-trip-vehicle
-graph, commits one step of every vehicle's route, and replans; finished
-route prefixes are final and promised requests are never dropped.
+graph, commits every stop each vehicle has left for by the step's end, and
+replans; committed stops are final, and only passengers aboard bind the
+next plan.
 """
 
 from .assignment_ilp import (

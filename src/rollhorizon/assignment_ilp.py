@@ -2,8 +2,9 @@
 
 Minimizes summed route cost plus a per-request penalty for leaving a
 request unserved, subject to: at most one route per vehicle (exactly one
-for vehicles carrying passengers), each request in at most one chosen
-trip, and no penalty allowed for requests the caller marks must-serve.
+for vehicles carrying passengers) and each request in at most one chosen
+trip. Any request may go unserved: passengers aboard are no graph
+requests, and their vehicle's exactly-one-route rule delivers them.
 Solved by depth-first branch and bound over per-vehicle choices; the
 penalty construction makes serving more requests always win, so the
 solver maximizes served count and breaks ties by cost. The search state is
@@ -22,7 +23,6 @@ counting, not left for the cyclic collector.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -30,11 +30,14 @@ from .rtv import Edge, RtvGraph
 
 
 class StrandedRequestError(RuntimeError):
-    """A must-serve request has no way to be covered; upstream bug."""
+    """No assignment gives a route to every vehicle carrying passengers, so
+    some passengers aboard cannot be delivered; upstream bug."""
 
-    def __init__(self, request_ids):
-        self.request_ids = tuple(sorted(request_ids))
-        super().__init__(f"must-serve requests with no covering edge: {self.request_ids}")
+    def __init__(self, vehicle_ids):
+        self.vehicle_ids = tuple(sorted(vehicle_ids))
+        super().__init__(
+            f"no assignment gives a route to every vehicle carrying passengers: "
+            f"vehicles {list(self.vehicle_ids)}")
 
 
 class AssignmentBudgetError(RuntimeError):
@@ -86,15 +89,14 @@ def _solution_key(chosen, ignored):
     return (tuple(sorted((e.requests, e.vehicle_id) for e in chosen)), tuple(sorted(ignored)))
 
 
-def _fallback_incumbent(graph, must, penalty):
+def _fallback_incumbent(graph, penalty):
     """Adopt the graph's fallback edges when the search found no assignment.
 
     Returns a (objective, key, chosen, ignored) incumbent, or None when the
     edges are no valid assignment: two for one vehicle, two sharing a
-    request, a vehicle that needs a route left without one, or a must-serve
-    request left uncovered. A carried-over plan that failed its re-timing
-    leaves such a gap; no fallback edges at all are valid only when no
-    vehicle needs a route and no request must be served.
+    request, or a vehicle that needs a route left without one. A
+    carried-over plan that failed its re-timing leaves such a gap; no
+    fallback edges at all are valid only when no vehicle needs a route.
     """
     edges = graph.fallback_assignment
     seen_vehicles = set()
@@ -104,7 +106,7 @@ def _fallback_incumbent(graph, must, penalty):
             return None
         seen_vehicles.add(e.vehicle_id)
         covered.update(e.requests)
-    if not graph.vehicles_requiring_route <= seen_vehicles or not must <= covered:
+    if not graph.vehicles_requiring_route <= seen_vehicles:
         return None
     ignored = frozenset(graph.request_universe - covered)
     obj = canonical_objective(edges, ignored, penalty)
@@ -113,27 +115,26 @@ def _fallback_incumbent(graph, must, penalty):
 
 def solve_assignment(
     graph: RtvGraph,
-    must_serve: Iterable[int] = (),
     budget: int = 2_000_000,
 ) -> IlpSolution:
     """Find the cost-minimal valid assignment of vehicles to trips.
 
-    must_serve ids outside the graph's request universe are taken to be
-    passengers already aboard; their delivery is enforced through the
-    exactly-one-route rule for their vehicle rather than a variable here.
     Exceeding the node budget returns the incumbent flagged not proven
-    optimal. Ties are broken deterministically, so results are
-    reproducible. Vehicles with identical menus (same trips, costs and stop
-    orders) are twins, and the search keeps one labeling of them: twins in
-    id order take options in increasing menu position (cost, then trip
-    request ids), and idle twins come after busy ones. Among the
-    assignments so kept, the lexicographically smallest (request ids,
-    vehicle id) edge set wins. A tie between two labelings of twins
-    therefore goes to the one whose lower-id twin drives the cheaper trip,
-    which need not be the smaller edge set. A branch is pruned only when its
-    bound exceeds the incumbent's objective by more than a relative 1e-9:
-    bounds are summed in another order than objectives, so an exact tie can
-    round a few ulps above, and the answer must depend only on the leaves.
+    optimal, or the graph's fallback edges when the search found none; a
+    graph where no assignment gives every vehicle carrying passengers a
+    route raises StrandedRequestError. Ties are broken deterministically,
+    so results are reproducible. Vehicles with identical menus (same
+    trips, costs and stop orders) are twins, and the search keeps one
+    labeling of them: twins in id order take options in increasing menu
+    position (cost, then trip request ids), and idle twins come after busy
+    ones. Among the assignments so kept, the lexicographically smallest
+    (request ids, vehicle id) edge set wins. A tie between two labelings
+    of twins therefore goes to the one whose lower-id twin drives the
+    cheaper trip, which need not be the smaller edge set. A branch is
+    pruned only when its bound exceeds the incumbent's objective by more
+    than a relative 1e-9: bounds are summed in another order than
+    objectives, so an exact tie can round a few ulps above, and the answer
+    must depend only on the leaves.
 
     The search order is chosen to prove fast: vehicles are branched on
     widest reach first (the most distinct requests their menus cover),
@@ -148,7 +149,6 @@ def solve_assignment(
     """
     penalty = compute_penalty(graph)
     universe = graph.request_universe
-    must = frozenset(must_serve) & universe
 
     all_vehicles = sorted(
         {e.vehicle_id for e in graph.edges} | set(graph.vehicles_requiring_route)
@@ -201,22 +201,20 @@ def solve_assignment(
     # the admissible remainder bound at position p charges each open
     # request its term there: its cheapest share among edges at positions
     # >= p (an edge's cost split evenly over its requests, so summing
-    # per-request minima never overshoots), capped at the penalty unless
-    # must-serve; the penalty when no such edge covers it; nothing for an
-    # uncovered must-serve one, which the vehicle before p has to take
-    must_bits = sum(bit_of[rid] for rid in must)
-    term = [None] * n_veh + [{b: 0.0 if b & must_bits else penalty for b in bit_of.values()}]
+    # per-request minima never overshoots), capped at the penalty; the
+    # penalty when no such edge covers it
+    term = [None] * n_veh + [dict.fromkeys(bit_of.values(), penalty)]
     covered = [0] * (n_veh + 1)  # requests some edge at position >= p covers
     # seats still reachable from position p on: each remaining vehicle can
     # absorb at most its largest incident trip, so any surplus of open
     # requests beyond this sum is guaranteed to pay the full penalty
     coverable = [0] * (n_veh + 1)
-    ranked = [None] * (n_veh + 1)  # (term, bit) of optional covered requests, largest first
+    ranked = [None] * (n_veh + 1)  # (term, bit) of covered requests, largest first
     step = [None] * n_veh  # bit -> its term at p + 1 minus at p, where they differ
     touched = [0] * n_veh  # requests the vehicle at p can take
     holding = [None] * n_veh  # bit -> bits of the options holding it
     # per option: edge, request bits, the sum of their terms at p + 1, and
-    # how many of them compete for seats from p + 1 on, and how many optional
+    # how many of them compete for seats from p + 1 on
     options_at = [None] * n_veh
     for p in range(n_veh - 1, -1, -1):
         nxt, cov_next = term[p + 1], covered[p + 1]
@@ -231,38 +229,30 @@ def solve_assignment(
                 b = bit_of[rid]
                 drop += nxt[b]
                 hold[b] = hold.get(b, 0) | 1 << i
-                t = penalty if penalty < share and not b & must_bits else share
+                t = penalty if penalty < share else share
                 if not cov & b or t < row[b]:
                     row[b] = t
                     cov |= b
-            options.append((e, bits, drop, (bits & cov_next).bit_count(),
-                            (bits & cov_next & ~must_bits).bit_count()))
+            options.append((e, bits, drop, (bits & cov_next).bit_count()))
         term[p], covered[p], coverable[p] = row, cov, coverable[p + 1] + widest
         touched[p] = sum(hold)
         step[p] = {b: nxt[b] - row[b] for b in hold if nxt[b] != row[b]}
-    # every request some edge covers is covered from position 0 on
-    stranded = sorted(rid for rid in must if not covered[0] & bit_of[rid])
-    if stranded:
-        raise StrandedRequestError(stranded)
 
     best: Optional[tuple[float, tuple, tuple[Edge, ...], frozenset]] = None
     # prune a bound above this: bounds are summed in another order than
-    # objectives, so an exact tie may round a few ulps above the incumbent;
-    # finite before the first leaf, so that an infinite bound still prunes
-    limit = sys.float_info.max
+    # objectives, so an exact tie may round a few ulps above the incumbent
+    limit = math.inf
     nodes = 0
     out_of_budget = False
     chosen: list[Edge] = []
 
-    def crowded(q: int, over: int, n_optional: int, open_bits: int) -> float:
+    def crowded(q: int, over: int, open_bits: int) -> float:
         """Bound term for the over open requests that no seat from q on holds."""
-        if over > n_optional:
-            return math.inf  # a must-serve request would be crowded out
         if ranked[q] is None:
-            ranked[q] = sorted(((t, b) for b, t in term[q].items()
-                                if covered[q] & b & ~must_bits), reverse=True)
+            ranked[q] = sorted(((t, b) for b, t in term[q].items() if covered[q] & b),
+                               reverse=True)
         # each costs at least the gap between the penalty and the largest
-        # capped share among the optional ones
+        # capped share among the open ones
         return over * (penalty - next(t for t, b in ranked[q] if open_bits & b))
 
     def dfs(pos: int, cost: float, served: int, t_here: float, start_idx: int):
@@ -291,9 +281,7 @@ def solve_assignment(
                 t_next += d
         competing = open_bits & covered[nxt]
         over = competing.bit_count() - coverable[nxt]
-        n_optional = (competing & ~must_bits).bit_count()
-        blockers = open_bits & must_bits & ~covered[nxt]  # only this vehicle can take them
-        # the options disjoint from served that hold every blocker
+        # the options disjoint from served
         hold = holding[pos]
         options = options_at[pos]
         avail = (1 << len(options)) - 1 >> start_idx << start_idx
@@ -301,11 +289,6 @@ def solve_assignment(
         while m:
             b = m & -m
             avail &= ~hold[b]
-            m ^= b
-        m = blockers
-        while m:
-            b = m & -m
-            avail &= hold[b]
             m ^= b
         next_grouped = nxt < n_veh and grouped_with_prev[nxt]
         # every option from start_idx on is passed in menu order and spends
@@ -318,10 +301,10 @@ def solve_assignment(
         while avail:
             i = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            e, bits, drop, n_comp, n_opt = options[i]
+            e, bits, drop, n_comp = options[i]
             bound = cost + e.cost + t_next - drop
             if over > n_comp:
-                bound += crowded(nxt, over - n_comp, n_optional - n_opt, open_bits & ~bits)
+                bound += crowded(nxt, over - n_comp, open_bits & ~bits)
             if bound <= limit:
                 children.append((bound, i, e, bits, drop))
         # enter the most promising child first: a good early leaf lowers the
@@ -337,30 +320,29 @@ def solve_assignment(
             chosen.pop()
             if out_of_budget:
                 return
-        if vehicle_ids[pos] not in graph.vehicles_requiring_route and not blockers:
+        if vehicle_ids[pos] not in graph.vehicles_requiring_route:
             bound = cost + t_next
             if over > 0:
-                bound += crowded(nxt, over, n_optional, open_bits)
+                bound += crowded(nxt, over, open_bits)
             if bound <= limit:
                 # an idle twin after a skipped twin must also skip
                 dfs(nxt, cost, served, t_next, len(options) if next_grouped else 0)
 
     try:
-        if len(must) <= coverable[0]:  # the root's own bound: must-serve requests fit
-            dfs(0, 0.0, 0, sum(term[0].values()), 0)
+        dfs(0, 0.0, 0, sum(term[0].values()), 0)
     finally:
         # dfs holds itself through its closure cell; dropping the name
         # breaks that cycle, so the menus, bound terms and graph records it
         # reaches are freed by reference counting, not by the cyclic collector
         del dfs
     if best is None and out_of_budget:
-        best = _fallback_incumbent(graph, must, penalty)
+        best = _fallback_incumbent(graph, penalty)
         if best is None:
             raise AssignmentBudgetError(
                 "assignment search exhausted its budget with no incumbent"
             )
     if best is None:
-        raise StrandedRequestError(sorted(must))
+        raise StrandedRequestError(graph.vehicles_requiring_route)
     obj, _key, chosen, ignored = best
     ordered = tuple(sorted(chosen, key=lambda e: (e.requests, e.vehicle_id)))
     # skipped options are charged in bulk, which can overshoot the budget

@@ -9,7 +9,7 @@ from typing import Callable, Mapping, Optional
 from . import metrics
 from .assignment_ilp import UnprovenAssignmentWarning, solve_assignment
 from .instance_io import Instance, RunReport
-from .model import PICKUP, Request, Route, ServiceRecord, SolverConfig, validate_config
+from .model import Request, Route, ServiceRecord, SolverConfig, validate_config
 from .rtv import build_rtv_graph
 from .simulator import VehicleState, simulate_step
 from .window import coverage_end, window_processing
@@ -44,12 +44,13 @@ def run(
     t is below the horizon, matches the active requests to vehicles through
     the trip graph and the assignment search, and commits one step. Past
     the horizon the same loop drains the fleet with no new arrivals, and it
-    stops once no request is active and no passenger is aboard. A pickup
-    left on a vehicle's plan is promised: the next re-solve must serve it,
-    and it does not expire. Passengers aboard are delivered through their
-    vehicle's route. A run still busy after the drain step at horizon +
-    DRAIN_ITERATION_CAP * step raises EngineError. Duplicate vehicle or
-    request ids raise ConfigError before the run starts.
+    stops once no request is active and no passenger is aboard. A step
+    commits every stop a vehicle has left for, so the next re-solve may
+    drop or reassign any pickup left on a plan; only passengers aboard are
+    bound to their vehicle, which delivers them through its route. A run
+    still busy after the drain step at horizon + DRAIN_ITERATION_CAP * step
+    raises EngineError. Duplicate vehicle or request ids raise ConfigError
+    before the run starts.
     """
     problems = validate_config(config)
     if problems:
@@ -92,7 +93,6 @@ def run(
     # one state per vehicle, in id order, as simulate_step returns them
     states = tuple(VehicleState(v.id, v.depot, 0) for v in vehicles)
     active: dict[int, Request] = {}  # revealed, not yet picked up or finalized
-    promised: set[int] = set()  # active ids some vehicle's plan still picks up
     records: dict[int, ServiceRecord] = {r.request_id: r for r in pre_rejected}
     iteration_times: list[float] = []
     t = 0
@@ -105,7 +105,7 @@ def run(
         graph = build_rtv_graph(active.values(), states, travel, config)
         # passengers aboard are no graph requests: their vehicle's rule of
         # exactly one route delivers them
-        solution = solve_assignment(graph, must_serve=sorted(promised))
+        solution = solve_assignment(graph)
         if not solution.proven_optimal:
             warnings.warn(
                 f"assignment at t={t}s stopped after {solution.nodes_explored} "
@@ -121,14 +121,11 @@ def run(
             records[rec.request_id] = rec
         for rid in boarded:
             active.pop(rid, None)
-        # a chosen trip's requests not yet aboard are the pickups left on
-        # its vehicle's plan
-        promised = {req.id for st in states for kind, req in st.planned_suffix
-                    if kind == PICKUP}
-        # an unpromised request whose waiting allowance cannot survive to the
-        # next solve is settled now rather than dragged along
+        # a request whose waiting allowance cannot survive to the next solve
+        # is settled now rather than dragged along; a pickup left on a plan
+        # starts its leg at or after the step's end, so it never expires here
         deadline = t + config.step
-        for rid in sorted(set(active) - promised):
+        for rid in sorted(active):
             if active[rid].desired_pickup_time + config.max_wait < deadline:
                 records[rid] = ServiceRecord(rid, served=False)
                 del active[rid]

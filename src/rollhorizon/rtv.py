@@ -85,7 +85,7 @@ class RtvGraph:
     # when it carries passengers and the plan no longer re-times. The solver
     # falls back to them when its search budget runs out before any leaf,
     # after checking they form a valid assignment: a plan that failed its
-    # re-timing can leave a must-serve request or a passenger uncovered
+    # re-timing can leave a passenger uncovered
     fallback_assignment: tuple[Edge, ...] = ()
 
     @property

@@ -1,13 +1,14 @@
 """Discrete-event execution of assigned routes between iterations.
 
-Each step commits, for every vehicle, the stops of its route whose service
-starts by the step's end, in order: it boards and delivers their
-passengers and fixes those stops permanently. A vehicle with no route has
-no stops. Later stops stay open for reoptimization. One rule places the
-next plan's start: a vehicle that left for its next stop before the step
-ends finishes that leg first; otherwise it is replanned from where it is
-free, once the step has ended. A route that fails validation, or a
-vehicle left with passengers aboard and no route, raises SimulationError.
+Each step commits, for every vehicle, every stop of its route that the
+vehicle has left for by the step's end, in order: it boards and delivers
+their passengers and fixes those stops permanently. A vehicle with no
+route has no stops. Later stops stay open for reoptimization. So no
+vehicle is ever mid-leg toward an open stop, every leg it drives ends at a
+committed stop, and its next plan starts where it is free after its last
+committed stop, once the step has ended. A route that fails validation,
+or a vehicle left with passengers aboard and no route, raises
+SimulationError.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ class VehicleState:
     """One vehicle between iterations.
 
     plan_location/plan_time give where and when the next plan may begin:
-    the current node once the vehicle is free there, or the end of the leg
-    in flight.
+    where the vehicle is free after its last committed stop, or where it
+    stands with none, and never before the step that made the state ends.
     """
 
     vehicle_id: int
@@ -79,12 +80,12 @@ def simulate_step(
     """Advance all vehicles from t_from to t_to along their assigned routes.
 
     A vehicle with no route has no stops. Each vehicle executes its stops
-    in order up to the first whose service starts after t_to, extending
-    its committed stops by exactly that prefix. Its next plan then starts
-    at the next stop's location, at its arrival or t_to if later, when it
-    left for that stop before t_to, and otherwise where and when it is
-    free, or t_to if later. Returns the updated states in id order, ids of
-    newly boarded requests, and service records for completed dropoffs.
+    in order up to the first whose leg starts at or after t_to, that is,
+    the first it has not left for by then, extending its committed stops
+    by exactly that prefix. Its next plan then starts where and when it is
+    free after the last of them, or t_to if later. Returns the updated
+    states in id order, ids of newly boarded requests, and service records
+    for completed dropoffs.
 
     Raises SimulationError for a route that fails validation and for a
     vehicle with passengers aboard but no route, and ValueError for a
@@ -118,7 +119,7 @@ def simulate_step(
         done: list[Stop] = []
         free_at, free_time = state.plan_location, state.plan_time
         for stop, (_arrival, service, depart) in zip(stops, schedule):
-            if service > t_to:
+            if free_time >= t_to:
                 break
             rid = stop.request_id
             if stop.kind == PICKUP:
@@ -131,10 +132,6 @@ def simulate_step(
             done.append(stop)
             free_at, free_time = stop.location, depart
 
-        n = len(done)
-        if n < len(stops) and free_time < t_to:
-            # left for the next stop: it must finish that leg first
-            free_at, free_time = stops[n].location, schedule[n][0]
         new_states.append(
             VehicleState(
                 vid,
@@ -142,7 +139,7 @@ def simulate_step(
                 max(free_time, t_to),
                 frozenset(onboard),
                 state.committed + tuple(done),
-                sequence[n:],
+                sequence[len(done):],
                 pickup_times,
             )
         )

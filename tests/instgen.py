@@ -163,12 +163,10 @@ def random_plan_start(rng: random.Random, area: float) -> PlanStart:
     )
 
 
-def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> tuple[RtvGraph, list[int]]:
+def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> RtvGraph:
     """A structurally valid trip-vehicle graph with made-up costs.
 
     Routes are irrelevant to the assignment search, so edges carry None.
-    Returns the graph plus a must_serve list drawn from requests that at
-    least one edge covers (so the instance is not trivially unsolvable).
     """
     n_req = rng.randint(1, 5)
     n_veh = rng.randint(1, 4)
@@ -197,11 +195,8 @@ def random_rtv_graph(rng: random.Random, max_edges: int = 12) -> tuple[RtvGraph,
         v for v in range(n_veh)
         if any(e.vehicle_id == v for e in edges) and rng.random() < 0.25
     )
-    graph = RtvGraph(
+    return RtvGraph(
         edges=edges,
         request_universe=frozenset(universe),
         vehicles_requiring_route=requiring,
     )
-    coverable = sorted({rid for e in edges for rid in e.requests})
-    must = [rid for rid in coverable if rng.random() < 0.3]
-    return graph, must

@@ -170,7 +170,6 @@ def enumerate_assignments(
     edges: Sequence[tuple[frozenset, int, float]],
     request_ids: Iterable[int],
     vehicle_ids: Sequence[int],
-    must_serve: Iterable[int],
     penalty: float,
     vehicles_requiring_route: Iterable[int] = (),
 ):
@@ -178,12 +177,11 @@ def enumerate_assignments(
 
     Each vehicle picks one of its edges or none (vehicles listed in
     vehicles_requiring_route may not pick none). Chosen trips must be
-    pairwise disjoint; requests outside every chosen trip pay the penalty
-    and may not be in must_serve. Returns (objective, chosen, ignored) or
-    None when no valid combination exists.
+    pairwise disjoint; requests outside every chosen trip pay the penalty.
+    Returns (objective, chosen, ignored) or None when no valid combination
+    exists.
     """
     request_ids = set(request_ids)
-    must = set(must_serve) & request_ids
     requiring = set(vehicles_requiring_route)
     per_vehicle: dict[int, list] = {v: [] for v in vehicle_ids}
     for e in edges:
@@ -208,8 +206,6 @@ def enumerate_assignments(
         if not valid:
             continue
         ignored = request_ids - served
-        if must & ignored:
-            continue
         chosen = tuple(e for e in combo if e is not None)
         obj = canonical_objective(chosen, ignored, penalty)
         key = (

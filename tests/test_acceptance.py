@@ -85,6 +85,24 @@ def test_random_runs_respect_every_service_constraint(announce):
     announce("every route and record within limits", not bad and wall < budget_s, detail)
 
 
+def test_matrix_runs_drive_every_committed_leg(announce):
+    # the benchmark's matrix-lookahead cases: corpus instances on asymmetric
+    # tables that break the triangle inequality, where a leg driven toward
+    # a stop no committed stop records could reach a later stop sooner
+    # than its committed legs allow. The auditor re-times every committed
+    # route over its own copy of the tables
+    check, workloads = load_bench("check"), load_bench("workloads")
+    bad: list[str] = []
+    cases = workloads.matrix_cases(1)
+    for case in cases:
+        late, out = check.check_report(case, run(case.instance, case.config))
+        bad += [f"{case.name}: {v}" for v in late + out]
+    detail = f"{len(cases)} matrix cases, {len(bad)} violations"
+    if bad:
+        detail += f"; first: {bad[0]}"
+    announce("matrix runs drive every committed leg", len(cases) == 20 and not bad, detail)
+
+
 def test_assignment_search_matches_exhaustive_enumeration(announce):
     budget_s = 60.0
     t0 = time.perf_counter()
@@ -92,7 +110,7 @@ def test_assignment_search_matches_exhaustive_enumeration(announce):
     solvable = 0
     for trial in range(100):
         rng = random.Random(10_000 + trial)
-        graph, must = random_rtv_graph(rng)
+        graph = random_rtv_graph(rng)
         penalty = compute_penalty(graph)
         edges = [(frozenset(e.requests), e.vehicle_id, e.cost)
                  for e in graph.edges]
@@ -101,12 +119,11 @@ def test_assignment_search_matches_exhaustive_enumeration(announce):
             graph.request_universe,
             sorted({e.vehicle_id for e in graph.edges}
                    | set(graph.vehicles_requiring_route)),
-            must,
             penalty,
             graph.vehicles_requiring_route,
         )
         try:
-            got = solve_assignment(graph, must_serve=must)
+            got = solve_assignment(graph)
         except StrandedRequestError:
             got = None
         if (want is None) != (got is None):

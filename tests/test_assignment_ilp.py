@@ -68,30 +68,14 @@ def test_disjointness_forces_a_choice():
     assert sol.objective_value == 4.0
 
 
-def test_must_serve_overrides_served_count():
-    # one vehicle, one slot: serving 0 means giving up the pair {1, 2}
-    g = graph_of(
-        [({0}, 0, 5.0), ({1, 2}, 0, 5.0)],
-        n_req=3,
-    )
-    free = solve_assignment(g)
-    assert free.ignored_requests == frozenset({0})  # two served beats one
-    forced = solve_assignment(g, must_serve=[0])
-    assert forced.ignored_requests == frozenset({1, 2})
-    assert forced.chosen_edges[0].requests == (0,)
-
-
-def test_must_serve_uncoverable_raises():
-    g = graph_of([({0}, 0, 1.0)], n_req=2)
-    with pytest.raises(StrandedRequestError) as exc:
-        solve_assignment(g, must_serve=[1])
-    assert exc.value.request_ids == (1,)
-
-
-def test_must_serve_ids_outside_universe_are_onboard_and_skipped():
-    g = graph_of([({0}, 0, 1.0)], n_req=1, requiring=[0])
-    sol = solve_assignment(g, must_serve=[99])
-    assert sol.ignored_requests == frozenset()
+def test_loaded_vehicles_with_no_joint_assignment_are_named():
+    # vehicles 3 and 5 carry passengers, so each needs a route, but their
+    # only edges share request 0: no assignment gives both a route
+    g = graph_of([({0}, 3, 1.0), ({0}, 5, 2.0), ({1}, 4, 1.0)], n_req=2,
+                 requiring=[5, 3])
+    with pytest.raises(StrandedRequestError, match=r"vehicles \[3, 5\]") as exc:
+        solve_assignment(g)
+    assert exc.value.vehicle_ids == (3, 5)
 
 
 def test_requiring_vehicle_never_left_idle():
@@ -112,19 +96,18 @@ def test_requiring_vehicle_never_left_idle():
 def test_matches_exhaustive_enumeration_on_random_graphs():
     rng = random.Random(60601)
     for trial in range(200):
-        graph, must = random_rtv_graph(rng)
+        graph = random_rtv_graph(rng)
         penalty = compute_penalty(graph)
         want = enumerate_assignments(
             oracle_edges(graph),
             graph.request_universe,
             sorted({e.vehicle_id for e in graph.edges}
                    | set(graph.vehicles_requiring_route)),
-            must,
             penalty,
             graph.vehicles_requiring_route,
         )
         try:
-            got = solve_assignment(graph, must_serve=must)
+            got = solve_assignment(graph)
         except StrandedRequestError:
             got = None
         if want is None:
@@ -152,9 +135,7 @@ def tie_prone_graph(rng):
              for s, v in rng.sample(combos, rng.randint(2, min(24, len(combos))))]
     with_edges = sorted({v for _s, v, _c in specs})
     requiring = [v for v in with_edges if rng.random() < 0.25]
-    g = graph_of(specs, n_req, requiring)
-    covered = sorted({rid for s, _v, _c in specs if s for rid in s})
-    return g, [rid for rid in covered if rng.random() < 0.3]
+    return graph_of(specs, n_req, requiring)
 
 
 def has_twins(g):
@@ -173,18 +154,18 @@ def test_exact_ties_are_not_pruned_by_rounding():
     rng = random.Random(1)
     checked = 0
     for _trial in range(2000):
-        g, must = tie_prone_graph(rng)
+        g = tie_prone_graph(rng)
         if has_twins(g):
             continue
         want = enumerate_assignments(
             oracle_edges(g), g.request_universe, sorted({e.vehicle_id for e in g.edges}),
-            must, compute_penalty(g), g.vehicles_requiring_route,
+            compute_penalty(g), g.vehicles_requiring_route,
         )
         if want is None:
             with pytest.raises(StrandedRequestError):
-                solve_assignment(g, must_serve=must)
+                solve_assignment(g)
             continue
-        got = solve_assignment(g, must_serve=must)
+        got = solve_assignment(g)
         assert got.proven_optimal
         assert got.objective_value == want[0]
         assert sorted((e.requests, e.vehicle_id, e.cost)

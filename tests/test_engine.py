@@ -5,7 +5,10 @@ import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from benchcode import load_bench
 from collector import collector_off
 from instgen import matrix_instance, random_instance
 from rollhorizon import engine
@@ -14,14 +17,18 @@ from rollhorizon.corpus import corpus_config, make_instance
 from rollhorizon.engine import ConfigError, EngineError, run
 from rollhorizon.instance_io import Instance, make_fleet
 from rollhorizon.model import (
-    PICKUP,
     Location,
     Request,
     SolverConfig,
+    Vehicle,
     derive_earliest_dropoff,
 )
 from rollhorizon.routing import schedule_route
-from rollhorizon.travel import EuclideanTravel
+from rollhorizon.travel import EuclideanTravel, MatrixTravel
+from rollhorizon.window import coverage_end
+from strategies import MINUTE, travel_case
+
+CHECK, WORKLOADS = load_bench("check"), load_bench("workloads")
 
 
 def two_request_instance():
@@ -110,14 +117,16 @@ def test_pickup_beyond_coverage_is_rejected_up_front():
 
 
 def late_ride_instance():
-    # desired right at the last grid step: dropoff can only land in the drain
+    # desired right at the last grid step, and a minute's dwell after the
+    # pickup puts the dropoff's leg past the horizon: only a drain step
+    # can commit the dropoff
     travel = EuclideanTravel(1.0)
     req = derive_earliest_dropoff(
         Request(0, Location(0.5, 0), Location(8, 0), 870, 0), travel)
     inst = Instance(requests=(req,), vehicles=make_fleet(1, 2, Location(0, 0)),
                     travel=travel)
     cfg = SolverConfig(horizon=900, step=300, rh_factor=1, max_wait=600,
-                       max_delay=900, dwell=0, fleet_size=1, capacity=2)
+                       max_delay=900, dwell=60, fleet_size=1, capacity=2)
     return inst, cfg
 
 
@@ -127,6 +136,7 @@ def test_drain_finishes_rides_started_late():
     (rec,) = rep.records
     assert rec.served
     assert rec.actual_dropoff_time > cfg.horizon
+    assert rep.summary.iterations == cfg.horizon // cfg.step + 1
 
 
 def test_drain_past_its_cap_is_an_engine_error(monkeypatch):
@@ -139,65 +149,76 @@ def test_drain_past_its_cap_is_an_engine_error(monkeypatch):
     assert run(inst, cfg).summary.service_rate == 1.0
 
 
-def test_must_serve_is_the_pickups_left_on_the_plans(monkeypatch):
-    # a re-solve must serve what the last step left on the vehicles' plans to
-    # pick up; passengers aboard are no graph requests and are not passed
-    real = engine.solve_assignment
-    must_serve = []
+def _stitched_runs(monkeypatch, check):
+    """Run corpus case 101 at rh_factor 2, then four small matrix instances,
+    calling check(states before, routes, t_to, states after, travel, config)
+    after every step; both state lists are in vehicle id order."""
+    real = engine.simulate_step
 
-    def recording(graph, **kwargs):
-        must_serve.append(list(kwargs["must_serve"]))
-        return real(graph, **kwargs)
+    def stitching(states, routes, t_from, t_to, travel, config):
+        out = real(states, routes, t_from, t_to, travel, config)
+        check(sorted(states, key=lambda s: s.vehicle_id), routes, t_to, out[0], travel, config)
+        return out
 
-    monkeypatch.setattr(engine, "solve_assignment", recording)
-    before = [{}]  # the vehicles' states each re-solve starts from
-    rep = run(make_instance(101), corpus_config(2),
-              iteration_hook=lambda t, states: before.append(states))
-    assert len(must_serve) == len(rep.iteration_times_s) == len(before) - 1
-    for served, states in zip(must_serve, before):
-        pickups = sorted(req.id for st in states.values()
-                         for kind, req in st.planned_suffix if kind == PICKUP)
-        assert served == pickups
-        assert not {rid for st in states.values() for rid in st.onboard} & set(served)
-    assert any(must_serve)
-    assert any(st.onboard for states in before for st in states.values())
+    monkeypatch.setattr(engine, "simulate_step", stitching)
+    run(make_instance(101), corpus_config(2))
+    for seed in range(4):
+        rng = random.Random(seed)
+        planar, cfg = random_instance(rng, max_requests=20, max_vehicles=3)
+        run(matrix_instance(planar, rng), cfg)
+
+
+def test_each_step_commits_every_stop_its_vehicle_left_for(monkeypatch):
+    # the stitching rule: a step commits a route's stops up to the first
+    # whose leg starts at or after the step's end. The next plan starts
+    # where the vehicle is free after its last committed stop, or, with no
+    # stop committed, where it stood; never before the step's end. A stop
+    # left on the plan has not been left for, so no leg is in flight
+    counts = {"committed": 0, "stood": 0, "planned": 0}
+    broken = []
+
+    def check(before, routes, t_to, after, _travel, _config):
+        for old, new in zip(before, after):
+            n = len(new.committed) - len(old.committed)
+            if n:
+                route = routes[old.vehicle_id]
+                at, free = route.stops[n - 1].location, route.schedule[n - 1][2]
+            else:
+                at, free = old.plan_location, old.plan_time
+            counts["committed" if n else "stood"] += 1
+            counts["planned"] += bool(new.planned_suffix)
+            if (new.plan_location, new.plan_time) != (at, max(free, t_to)) or (
+                    new.planned_suffix and free < t_to):
+                broken.append(f"t={t_to} vehicle {new.vehicle_id}: plan starts at "
+                              f"{new.plan_location} {new.plan_time}, want {at} {free}")
+
+    _stitched_runs(monkeypatch, check)
+    assert broken == []
+    assert counts["committed"] > 100 and counts["stood"] > 50 and counts["planned"] > 100
 
 
 def test_each_step_leaves_a_plan_that_keeps_its_committed_times(monkeypatch):
     # the stitching contract: the plan a step leaves a vehicle re-times from
-    # its new start as feasible, at the service and departure times the
-    # chosen route gave those stops; only the first stop's arrival may move,
-    # to the step's end, when the vehicle left for it and got there early
-    real = engine.simulate_step
-    plans = moved = 0
+    # its new start as feasible, at exactly the times the chosen route gave
+    # those stops, since the vehicle has not yet left for the first of them
+    plans = 0
     broken = []
 
-    def stitching(states, routes, t_from, t_to, travel, config):
-        nonlocal plans, moved
-        out = real(states, routes, t_from, t_to, travel, config)
-        for st in out[0]:
+    def check(_before, routes, t_to, after, travel, config):
+        nonlocal plans
+        for st in after:
             if not st.planned_suffix:
                 continue
             plans += 1
             old = routes[st.vehicle_id].schedule[-len(st.planned_suffix):]
             new = schedule_route(st, st.planned_suffix, travel, config)
-            (a0, s0, d0), (a1, s1, d1) = old[0], new.schedule[0]
-            moved += a1 != a0
-            if not (new.feasible and (s1, d1) == (s0, d0) and (a1 == a0 or a0 < a1 == t_to)
-                    and new.schedule[1:] == old[1:]):
+            if not (new.feasible and new.schedule == old):
                 broken.append(f"t={t_to} vehicle {st.vehicle_id}: {old} re-timed as "
                               f"{new.schedule}, feasible {new.feasible}")
-        return out
 
-    monkeypatch.setattr(engine, "simulate_step", stitching)
-    run(make_instance(101), corpus_config(2))
-    assert plans == 147
-    for seed in range(4):
-        rng = random.Random(seed)
-        planar, cfg = random_instance(rng, max_requests=20, max_vehicles=3)
-        run(matrix_instance(planar, rng), cfg)
+    _stitched_runs(monkeypatch, check)
     assert broken == []
-    assert plans > 147 and moved > 0
+    assert plans == 156
 
 
 def test_config_errors():
@@ -293,3 +314,40 @@ def test_runs_leave_no_cyclic_garbage():
             run(instance, config)
             left.append(gc.collect())
     assert left == [0, 0, 0, 0]
+
+
+@st.composite
+def hostile_case(draw):
+    # a few nodes on an asymmetric table that breaks the triangle
+    # inequality, or co-located integer points; loads above 1 at tiny
+    # capacities; pickups at the first and the last batched instant
+    travel, points = draw(travel_case(draw(st.integers(1, 6))))
+    point = st.sampled_from(points)
+    step = draw(st.integers(1, 15)) * MINUTE
+    n_vehicles = draw(st.integers(1, 3))
+    config = SolverConfig(
+        horizon=draw(st.integers(1, 4)) * step, step=step, rh_factor=draw(st.integers(0, 3)),
+        max_wait=draw(st.integers(0, 10)) * MINUTE, max_delay=draw(st.integers(0, 20)) * MINUTE,
+        dwell=draw(st.sampled_from((0, MINUTE))), fleet_size=n_vehicles,
+        capacity=draw(st.integers(1, 3)),
+    )
+    last = coverage_end(config)
+    desired = st.one_of(st.sampled_from((0, last)), st.integers(0, last))
+    requests = tuple(
+        derive_earliest_dropoff(
+            Request(rid, draw(point), draw(point), draw(desired), 0, draw(st.integers(1, 2))),
+            travel)
+        for rid in range(draw(st.integers(1, 6)))
+    )
+    vehicles = tuple(Vehicle(vid, config.capacity, draw(point)) for vid in range(n_vehicles))
+    tables = (travel.times, travel.distances) if isinstance(travel, MatrixTravel) else None
+    return WORKLOADS.Case("hostile", Instance(requests, vehicles, travel), config, tables)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_case())
+def test_runs_on_hostile_inputs_keep_every_service_rule(case):
+    # the benchmark's auditor re-times each committed route over the case's
+    # own tables or points: every committed leg must be drivable, and every
+    # wait, delay, capacity and record rule must hold
+    assert CHECK.check_report(case, run(case.instance, case.config)) == ([], [])

@@ -39,8 +39,11 @@ def test_executes_only_stops_inside_the_window():
     req = mk(0, 1, 0, 4, 4, 120)
     state = VehicleState(0, Location(0, 0), 0)
     route = plan_for(state, [req], config)
-    # schedule: pickup at 120, dropoff at 450
-    new, boarded, records = simulate_step([state], {0: route}, 0, 300, TRAVEL, config)
+    assert route.schedule == ((60, 120, 150), (450, 450, 480))
+    # the vehicle left for the pickup at 0, inside the window, so the pickup
+    # commits although its service at 120 falls after the window's end; the
+    # dropoff's leg starts at 150, after it
+    new, boarded, records = simulate_step([state], {0: route}, 0, 100, TRAVEL, config)
     st = new[0]
     assert boarded == (0,)
     assert records == ()
@@ -48,10 +51,11 @@ def test_executes_only_stops_inside_the_window():
     assert st.onboard == frozenset([0])
     assert st.pickup_times == {0: 120}
     assert [k for k, _r in st.planned_suffix] == [DROPOFF]
+    assert (st.plan_location, st.plan_time) == (req.pickup, 150)
 
     new2, boarded2, records2 = simulate_step(
         new, {0: schedule_route(st, st.planned_suffix, TRAVEL, config)},
-        300, 600, TRAVEL, config,
+        100, 600, TRAVEL, config,
     )
     st2 = new2[0]
     assert boarded2 == ()
@@ -90,25 +94,35 @@ def test_plan_origin_in_flight_interpolates():
     req = mk(0, 10, 0, 20, 0, 0)
     state = VehicleState(0, Location(0, 0), 0)
     route = plan_for(state, [req], config)
-    # pickup at 600; at t=300 the vehicle is halfway there and committed
-    new, _b, _r = simulate_step([state], {0: route}, 0, 300, TRAVEL, config)
+    # pickup at 600; at t=300 the vehicle is halfway there, so the pickup is
+    # committed, and the next plan starts at it, not at a point on the leg
+    new, boarded, _r = simulate_step([state], {0: route}, 0, 300, TRAVEL, config)
     st = new[0]
+    assert boarded == (0,)
+    assert [s.kind for s in st.committed] == [PICKUP]
+    assert st.committed[0].scheduled_time == 600
     assert st.plan_location == req.pickup
     assert st.plan_time == 600
 
 
 def test_plan_origin_arrived_and_waiting_is_replannable_now():
-    config = cfg(dwell=0)
-    req = mk(0, 1, 0, 2, 0, 900)
-    state = VehicleState(0, Location(0, 0), 0)
-    route = plan_for(state, [req], config)
-    # arrives at 60, pickup not until 900: at 600 it stands at the stop
-    new, boarded, _r = simulate_step([state], {0: route}, 0, 600, TRAVEL, config)
-    st = new[0]
-    assert boarded == ()
-    assert st.committed == ()
-    assert st.plan_location == req.pickup
-    assert st.plan_time == 600
+    config = cfg(dwell=0, fleet_size=2)
+    # vehicle 0's ride ends at 120, so at 600 it waits at the dropoff with
+    # nothing left to drive and is replannable now. Vehicle 1 arrives at its
+    # pickup at 60 and waits there for service at 900: it left for that
+    # stop, so the stop is committed and its next plan starts at 900
+    done, waiting = mk(0, 1, 0, 2, 0, 0), mk(1, 1, 0, 2, 0, 900)
+    states = [VehicleState(0, Location(0, 0), 0), VehicleState(1, Location(0, 0), 0)]
+    routes = {0: plan_for(states[0], [done], config), 1: plan_for(states[1], [waiting], config)}
+    assert routes[1].schedule[0] == (60, 900, 900)
+    new, boarded, records = simulate_step(states, routes, 0, 600, TRAVEL, config)
+    assert boarded == (0, 1)
+    assert [r.request_id for r in records] == [0]
+    idle, busy = new
+    assert (idle.plan_location, idle.plan_time) == (done.dropoff, 600)
+    assert idle.planned_suffix == ()
+    assert [s.kind for s in busy.committed] == [PICKUP]
+    assert (busy.plan_location, busy.plan_time) == (waiting.pickup, 900)
 
 
 def test_matrix_mode_holds_position_at_last_node():
