@@ -9,15 +9,19 @@ Solved by depth-first branch and bound over per-vehicle choices; the
 penalty construction makes serving more requests always win, so the
 solver maximizes served count and breaks ties by cost. The search state is
 bit masks over the sorted request ids; every bound term it needs is fixed
-per branching position and built once per solve, a parent bounds each
-child before entering it, and a node walks only the options still disjoint
-from the served set. Vehicles that reach the most requests are branched on
-first, and a node enters its children best bound first, which shrinks the
-tree without changing a completed search's answer. The recursive search
-closure holds itself through its cell, so its name is deleted in a
-finally once the root call returns or raises: a solve's menus, bound
-terms and the graph records they reach are then freed by reference
-counting, not left for the cyclic collector.
+per branching position and built once per solve, and a parent bounds each
+child before entering it. Each position's options are sorted once by their
+own share of a child's bound, so a node walks the options still disjoint
+from the served set in bound order and stops at the first one past the
+incumbent; the options past it cost the node no work, though its budget
+is charged as if it passed every option in menu order. Vehicles that
+reach the most requests are branched on first, and a node enters its
+children best bound first, which shrinks the tree without changing a
+completed search's answer. The recursive search closure holds itself
+through its cell, so its name is deleted in a finally once the root call
+returns or raises: a solve's menus, bound terms and the graph records
+they reach are then freed by reference counting, not left for the cyclic
+collector.
 """
 
 from __future__ import annotations
@@ -142,10 +146,15 @@ def solve_assignment(
     bound order, with leaving the vehicle idle last. Every optimal leaf is
     entered in any order, so a search that completes returns the same
     answer whatever the order; only a search that runs out of budget can
-    return another incumbent. nodes_explored counts every node entered
-    plus every option a node passes in menu order, those skipped for
-    overlapping the served set included; a node passes all its options
-    before entering any child, and the budget caps that count.
+    return another incumbent. A node walks its options in bound order and
+    stops at the first whose bound, before its never negative seat term,
+    exceeds the incumbent's objective by more than the pruning slack
+    again, so no child the limit would keep is left unwalked.
+    nodes_explored counts every node entered plus every option from the
+    node's first menu position on, as if it passed them all in menu
+    order: those skipped for overlapping the served set and those past
+    the walk's stop included. A node charges its options before entering
+    any child, and the budget caps that count.
     """
     penalty = compute_penalty(graph)
     universe = graph.request_universe
@@ -210,16 +219,22 @@ def solve_assignment(
     # requests beyond this sum is guaranteed to pay the full penalty
     coverable = [0] * (n_veh + 1)
     ranked = [None] * (n_veh + 1)  # (term, bit) of covered requests, largest first
-    step = [None] * n_veh  # bit -> its term at p + 1 minus at p, where they differ
+    step = [None] * n_veh  # (bit, its term at p + 1 minus at p) where they differ
     touched = [0] * n_veh  # requests the vehicle at p can take
     holding = [None] * n_veh  # bit -> bits of the options holding it
-    # per option: edge, request bits, the sum of their terms at p + 1, and
-    # how many of them compete for seats from p + 1 on
+    # per option, in walk order: its bound's own term (cost minus drop), its
+    # menu index, edge, request bits, drop (the sum of their terms at p + 1)
+    # and how many of them compete for seats from p + 1 on. A child's bound
+    # is the node's cost plus terms at p + 1, plus that own term, plus a
+    # seat term that is never negative, so a walk in this order may stop at
+    # the first option whose bound without the seat term exceeds the limit
     options_at = [None] * n_veh
+    # for a later twin: menu index -> bits of the options at or past it
+    from_index = [None] * n_veh
     for p in range(n_veh - 1, -1, -1):
         nxt, cov_next = term[p + 1], covered[p + 1]
         row, cov, widest = dict(nxt), cov_next, 0
-        hold, options = holding[p], options_at[p] = {}, []
+        hold, options = {}, []
         for i, (e, reqs, bits) in enumerate(menu_of[vehicle_ids[p]]):
             drop = 0.0
             if len(reqs) > widest:
@@ -228,37 +243,43 @@ def solve_assignment(
             for rid in reqs:
                 b = bit_of[rid]
                 drop += nxt[b]
-                hold[b] = hold.get(b, 0) | 1 << i
+                hold[b] = 0  # keys in menu order, the order step sums its terms in
                 t = penalty if penalty < share else share
                 if not cov & b or t < row[b]:
                     row[b] = t
                     cov |= b
-            options.append((e, bits, drop, (bits & cov_next).bit_count()))
+            options.append((e.cost - drop, i, e, bits, drop, (bits & cov_next).bit_count()))
+        options.sort()  # menu indices are distinct, so edges are never compared
+        for k, (_v, _i, e, _b, _d, _n) in enumerate(options):
+            for rid in e.requests:
+                hold[bit_of[rid]] |= 1 << k
+        if grouped_with_prev[p]:
+            at_or_past = [0] * (len(options) + 1)
+            for k, option in enumerate(options):
+                at_or_past[option[1]] = 1 << k
+            for i in range(len(options) - 1, -1, -1):
+                at_or_past[i] |= at_or_past[i + 1]
+            from_index[p] = at_or_past
         term[p], covered[p], coverable[p] = row, cov, coverable[p + 1] + widest
+        holding[p], options_at[p] = hold, options
         touched[p] = sum(hold)
-        step[p] = {b: nxt[b] - row[b] for b in hold if nxt[b] != row[b]}
+        step[p] = tuple([(b, nxt[b] - row[b]) for b in hold if nxt[b] != row[b]])
 
     best: Optional[tuple[float, tuple, tuple[Edge, ...], frozenset]] = None
     # prune a bound above this: bounds are summed in another order than
     # objectives, so an exact tie may round a few ulps above the incumbent
     limit = math.inf
+    # stop a node's walk at a partial bound above this: it is summed in yet
+    # another order, so it carries the same relative slack again
+    stop = math.inf
     nodes = 0
     out_of_budget = False
     chosen: list[Edge] = []
 
-    def crowded(q: int, over: int, open_bits: int) -> float:
-        """Bound term for the over open requests that no seat from q on holds."""
-        if ranked[q] is None:
-            ranked[q] = sorted(((t, b) for b, t in term[q].items() if covered[q] & b),
-                               reverse=True)
-        # each costs at least the gap between the penalty and the largest
-        # capped share among the open ones
-        return over * (penalty - next(t for t, b in ranked[q] if open_bits & b))
-
     def dfs(pos: int, cost: float, served: int, t_here: float, start_idx: int):
         """Enter a node whose bound its parent checked; t_here sums the
         bound's terms at pos over the open requests."""
-        nonlocal best, limit, nodes, out_of_budget
+        nonlocal best, limit, stop, nodes, out_of_budget
         nodes += 1
         if nodes > budget:
             out_of_budget = True
@@ -270,41 +291,60 @@ def solve_assignment(
             if best is None or (obj, key) < (best[0], best[1]):
                 best = (obj, key, tuple(chosen), ignored)
                 limit = obj + 1e-9 * abs(obj)
+                stop = limit + 1e-9 * abs(limit)
             return
         # bound each child here, from the terms at pos + 1: a node-constant
         # total minus the terms struck out by the option's own requests
         nxt = pos + 1
         open_bits = ~served
         t_next = t_here
-        for b, d in step[pos].items():
+        for b, d in step[pos]:
             if open_bits & b:
                 t_next += d
         competing = open_bits & covered[nxt]
         over = competing.bit_count() - coverable[nxt]
-        # the options disjoint from served
+        # the options from start_idx on that are disjoint from served
         hold = holding[pos]
         options = options_at[pos]
-        avail = (1 << len(options)) - 1 >> start_idx << start_idx
+        avail = from_index[pos][start_idx] if start_idx else (1 << len(options)) - 1
         m = served & touched[pos]
         while m:
             b = m & -m
             avail &= ~hold[b]
             m ^= b
         next_grouped = nxt < n_veh and grouped_with_prev[nxt]
-        # every option from start_idx on is passed in menu order and spends
-        # budget, skipped or not
+        # every option from start_idx on is charged as if passed in menu
+        # order, whether bounded, skipped or left past the walk's stop
         nodes += len(options) - start_idx
         if nodes > budget:
             out_of_budget = True
             return
+        # more open requests compete for seats from pos + 1 on than there
+        # are seats: each one over costs at least the penalty minus the
+        # largest term at pos + 1 among the open ones
+        if over > 0:
+            ranks = ranked[nxt]
+            if ranks is None:
+                ranks = ranked[nxt] = sorted(
+                    ((t, b) for b, t in term[nxt].items() if covered[nxt] & b), reverse=True)
+            top = 0
+            while not open_bits & ranks[top][1]:
+                top += 1
+        base = cost + t_next
         children = []
         while avail:
-            i = (avail & -avail).bit_length() - 1
+            k = (avail & -avail).bit_length() - 1
             avail &= avail - 1
-            e, bits, drop, n_comp = options[i]
+            v, i, e, bits, drop, n_comp = options[k]
+            if base + v > stop:
+                break
             bound = cost + e.cost + t_next - drop
             if over > n_comp:
-                bound += crowded(nxt, over - n_comp, open_bits & ~bits)
+                # an option holding the largest open term leaves the next
+                k = top
+                while bits & ranks[k][1] or not open_bits & ranks[k][1]:
+                    k += 1
+                bound += (over - n_comp) * (penalty - ranks[k][0])
             if bound <= limit:
                 children.append((bound, i, e, bits, drop))
         # enter the most promising child first: a good early leaf lowers the
@@ -321,9 +361,9 @@ def solve_assignment(
             if out_of_budget:
                 return
         if vehicle_ids[pos] not in graph.vehicles_requiring_route:
-            bound = cost + t_next
+            bound = base
             if over > 0:
-                bound += crowded(nxt, over, open_bits)
+                bound += over * (penalty - ranks[top][0])
             if bound <= limit:
                 # an idle twin after a skipped twin must also skip
                 dfs(nxt, cost, served, t_next, len(options) if next_grouped else 0)

@@ -23,6 +23,7 @@ from .instance_io import (
     load_csv_requests,
     load_lilim,
     load_report_dict,
+    load_travel_tables,
     make_fleet,
     report_violations,
     scale_to_native_day,
@@ -306,7 +307,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    problems = report_violations(doc)
+    try:
+        tables = load_travel_tables(args.instance) if args.instance else None
+    except (OSError, ParseError) as e:
+        return _fail(e)
+    problems = report_violations(doc, tables)
     for p in problems:
         print(f"violation: {p}")
     if problems:
@@ -398,6 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("validate", help="audit a report against all constraints")
     pv.add_argument("--report", required=True, help="report JSON path")
+    pv.add_argument("--instance", default=None,
+                    help="JSON travel tables (times, distances) of a matrix report's "
+                         "instance, to re-time its legs")
     pv.set_defaults(func=cmd_validate)
 
     pa = sub.add_parser("adapt", help="show derived settings for a benchmark file")

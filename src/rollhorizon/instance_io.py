@@ -23,7 +23,7 @@ from .model import (
     validate_record,
     validate_route,
 )
-from .travel import EuclideanTravel, TravelError
+from .travel import EuclideanTravel, MatrixTravel, TravelError
 
 REFERENCE_DAY_S = 720 * 60  # the 12-hour day the standard settings refer to
 WAIT_REF_MIN = 30  # waiting/delay allowance on that reference day
@@ -405,6 +405,18 @@ def write_report(report: RunReport, path, format: str = "json",
         w.writerow(row)
 
 
+def load_travel_tables(path) -> MatrixTravel:
+    """Read an instance's travel tables: a JSON object whose "times" and
+    "distances" are the n x n lists MatrixTravel takes, indexed by node id."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        return MatrixTravel(doc["times"], doc["distances"])
+    except json.JSONDecodeError as e:
+        raise ParseError(f"{path}: not valid JSON ({e})") from None
+    except (KeyError, TypeError, TravelError) as e:
+        raise ParseError(f"{path}: no travel tables ({e!r})") from None
+
+
 def load_report_dict(path) -> dict:
     try:
         return json.loads(Path(path).read_text())
@@ -412,13 +424,15 @@ def load_report_dict(path) -> dict:
         raise ParseError(f"{path}: not valid JSON ({e})") from None
 
 
-def report_violations(doc: dict) -> list[str]:
+def report_violations(doc: dict, tables: Optional[MatrixTravel] = None) -> list[str]:
     """Re-check a serialized report against the service constraints.
 
     Rebuilds requests, records, and routes from the document and runs the
-    independent validators. Leg reachability is checked when the report
-    declares planar travel; matrix-based reports skip that part because the
-    matrix itself is not embedded.
+    independent validators. Leg reachability, from each vehicle's depot at
+    time 0 on, is checked when the report declares planar travel, or when
+    the tables of a matrix report are given; a report does not hold its
+    matrix, so without them a matrix report skips that part. Tables whose
+    size differs from the report's declared matrix are a violation.
     """
     problems: list[str] = []
     try:
@@ -457,10 +471,19 @@ def report_violations(doc: dict) -> list[str]:
                 for s in rt["stops"]
             )
             routes.append(Route(rt["vehicle_id"], stops, rt["committed_prefix_len"]))
+        depots = {
+            v["id"]: Location(v["depot"]["x"], v["depot"]["y"], v["depot"].get("node_id"))
+            for v in doc["vehicles"]
+        }
         travel = None
         tinfo = doc.get("travel", {})
         if tinfo.get("mode") == "euclidean":
             travel = EuclideanTravel(tinfo.get("speed", 1.0))
+        if tables is not None:
+            if tinfo != {"mode": "matrix", "size": tables.n}:
+                return [f"travel tables of {tables.n} nodes do not fit the report's "
+                        f"travel {tinfo!r}"]
+            travel = tables
     except (AttributeError, KeyError, TypeError, TravelError) as e:
         return [f"malformed report document: {e!r}"]
 
@@ -481,6 +504,7 @@ def report_violations(doc: dict) -> list[str]:
             problems.append(
                 f"vehicle {route.vehicle_id}: final route must be fully committed"
             )
-        problems.extend(validate_route(route, requests_by_id, travel, config))
+        problems.extend(validate_route(route, requests_by_id, travel, config,
+                                       start_location=depots.get(route.vehicle_id)))
     problems.extend(routes_cover_records(routes, records))
     return problems

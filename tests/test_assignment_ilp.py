@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 
@@ -173,6 +174,54 @@ def test_exact_ties_are_not_pruned_by_rounding():
             (tuple(sorted(s)), v, c) for s, v, c in want[1])
         checked += 1
     assert checked > 1000
+
+
+def tree_records(seed=2029, n_graphs=120):
+    """What each solve of seeded random, tie-prone and twinned graphs returns
+    at the full budget and at budgets 7, 50 and 500: the nodes it spent,
+    whether it proved, its objective and its edges, or the error it raised.
+    The twinned graphs copy a tie-prone graph's vehicle 0 menu onto a new
+    vehicle, so the twin rule starts later twins past a menu position."""
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(n_graphs):
+        graphs.append(random_rtv_graph(rng, max_edges=16))
+        g = tie_prone_graph(rng)
+        graphs.append(g)
+        twin = 1 + max(e.vehicle_id for e in g.edges)
+        copies = tuple(Edge(e.requests, twin, e.cost, None)
+                       for e in g.edges if e.vehicle_id == 0)
+        graphs.append(RtvGraph(g.edges + copies, g.request_universe,
+                               g.vehicles_requiring_route))
+    records = []
+    for g in graphs:
+        for budget in (2_000_000, 7, 50, 500):
+            try:
+                sol = solve_assignment(g, budget)
+            except (StrandedRequestError, AssignmentBudgetError) as e:
+                records.append(type(e).__name__)
+                continue
+            records.append((sol.nodes_explored, sol.proven_optimal, sol.objective_value,
+                            [(e.requests, e.vehicle_id) for e in sol.chosen_edges]))
+    return records
+
+
+# recorded from the search that bounded every available option in menu order
+TREE_NODES = 49999
+TREE_DIGEST = "9b06a1cc615f585b98b0917120fb2a1d851384d481836dd4b63e0f0fdbcd514f"
+
+
+def test_search_tree_is_pinned():
+    # every solve enters the same nodes in the same order as the search
+    # that bounded each option in menu order, budget-cut solves included.
+    # Tie-prone costs make a child's bound land on the incumbent's
+    # objective exactly, where a walk in bound order must not stop early
+    # on a few ulps of rounding
+    records = tree_records()
+    assert len(records) == 1440
+    assert sum(r[0] for r in records if isinstance(r, tuple)) == TREE_NODES
+    digest = hashlib.sha256(repr(records).encode()).hexdigest()
+    assert digest == TREE_DIGEST
 
 
 def test_served_count_lexicographically_first():

@@ -1,13 +1,18 @@
 """End-to-end checks of the command line, run in-process via main(argv)."""
 
+import copy
 import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from instgen import matrix_instance
+from rollhorizon import corpus_config, make_instance, run, write_report
 from rollhorizon.assignment_ilp import AssignmentBudgetError, StrandedRequestError
 from rollhorizon.cli import SWEEP_COLUMNS, main
+from rollhorizon.instance_io import report_violations
 from rollhorizon.simulator import SimulationError
 
 DATA = Path(__file__).parent / "data"
@@ -84,6 +89,61 @@ def test_validate_rejects_bad_json(tmp_path, capsys):
 def test_validate_rejects_an_unreadable_report(tmp_path, capsys):
     assert main(["validate", "--report", str(tmp_path / "missing.json")]) == 2
     assert "error: cannot read report:" in capsys.readouterr().err
+
+
+def test_validate_times_each_route_from_its_depot(tmp_path, capsys):
+    # a route's first leg starts at its vehicle's depot at time 0
+    out = tmp_path / "r.json"
+    assert main(["solve", "--instance", str(FIXTURE), "--output", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    vid = next(rt["vehicle_id"] for rt in doc["routes"] if rt["stops"])
+    depot = next(v["depot"] for v in doc["vehicles"] if v["id"] == vid)
+    depot["x"] += 1_000_000
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--report", str(out)]) == 1
+    assert f"violation: vehicle {vid} stop 0: service at" in capsys.readouterr().out
+
+def test_validate_retimes_a_matrix_report_with_its_instance_tables(tmp_path, capsys):
+    # a matrix report does not hold its tables: a stop moved one second
+    # earlier than its leg allows passes a plain audit, and fails one that
+    # re-reads the instance's tables
+    inst = matrix_instance(make_instance(101, n_requests=30), random.Random(5))
+    out, tables = tmp_path / "r.json", tmp_path / "tables.json"
+    write_report(run(inst, corpus_config(2)), out)
+    tables.write_text(json.dumps({"times": inst.travel.times,
+                                  "distances": inst.travel.distances}))
+    assert main(["validate", "--report", str(out), "--instance", str(tables)]) == 0
+    doc = json.loads(out.read_text())
+
+    def moved_stops():
+        # each stop after a route's first, one second before its leg allows
+        for v, rt in enumerate(doc["routes"]):
+            for i in range(1, len(rt["stops"])):
+                prev, stop = rt["stops"][i - 1], rt["stops"][i]
+                early = (prev["scheduled_s"] + doc["config"]["dwell_s"]
+                         + inst.travel.times[prev["node_id"]][stop["node_id"]] - 1)
+                moved = copy.deepcopy(doc)
+                moved["routes"][v]["stops"][i]["scheduled_s"] = early
+                rec = next(r for r in moved["records"] if r["request_id"] == stop["request_id"])
+                rec[f"actual_{stop['kind']}_s"] = early
+                yield moved, i, early
+
+    # one that every other rule still allows
+    moved, i, early = next(m for m in moved_stops() if report_violations(m[0]) == [])
+    out.write_text(json.dumps(moved))
+    capsys.readouterr()
+    assert main(["validate", "--report", str(out)]) == 0
+    assert main(["validate", "--report", str(out), "--instance", str(tables)]) == 1
+    assert f"stop {i}: service at {early} before reachable time {early + 1}" in (
+        capsys.readouterr().out)
+    # tables of another instance do not fit, and a missing file is no input
+    tables.write_text(json.dumps({"times": [[0]], "distances": [[0]]}))
+    assert main(["validate", "--report", str(out), "--instance", str(tables)]) == 1
+    assert "travel tables of 1 nodes do not fit" in capsys.readouterr().out
+    missing = str(tmp_path / "missing.json")
+    assert main(["validate", "--report", str(out), "--instance", missing]) == 2
+    assert "error: cannot read instance:" in capsys.readouterr().err
 
 
 def test_sweep_corpus_grid_is_deterministic(tmp_path, capsys):

@@ -130,6 +130,25 @@ def test_recursive_closures_are_dropped():
     assert kept == []
 
 
+def test_every_nested_function_is_referenced():
+    # a helper defined inside a function that nothing else in that function
+    # reads, its own body aside, is dead code a rewrite left behind
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, FUNCTION):
+                continue
+            for inner in own_nodes(func):
+                if not isinstance(inner, FUNCTION):
+                    continue
+                inside = {id(node) for node in ast.walk(inner)}
+                if not any(isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                           and node.id == inner.name and id(node) not in inside
+                           for node in ast.walk(func)):
+                    dead.append(f"{path.name}:{inner.lineno} {func.name}.{inner.name}")
+    assert dead == []
+
+
 def test_bench_tracer_names_exist():
     # the layer tracer patches solver names from outside, so a refactor
     # that drops one must fail here rather than in a traced benchmark run
