@@ -11,7 +11,14 @@ share a vehicle is whatever that walk finds, with no pair test ahead of it.
 Its riders arrive as the caller's StopTable.mask, and each node of the walk
 carries the stops still owed as a set of slot bits; a route's distance is
 summed in route order, so the order the walk visits stops in cannot change
-the result.
+the result. A stop is late once the vehicle arrives past its
+StopTable.dues entry, in the kernel and the search alike. On travel that
+keeps the triangle inequality (obeys_triangle), an owed stop late from a
+node is late from every node below it, so the walk ends a node at its
+first late stop, and it does not enter a child that cannot reach the
+node's tightest owed stop, the one due first, in time: that child would
+end on it at once. Matrix travel, whose detours may arrive sooner, enters
+every child.
 best_route_exhaustive reads it for a single request set. best_route_insertion
 slots one new request into an existing order once exact search would be
 too wide: the same search, owing the base route's stops and the new ones
@@ -93,7 +100,9 @@ class StopTable:
     at slot 2i + 1, so comparing tuples of slots compares the stop-key
     sequences they spell. A route may start at any rider's stop point, from
     the first slot there, so an origin at one shares its legs; any other
-    distinct origin location gets one slot after the riders'. A leg's time
+    distinct origin location gets one slot after the riders'. A stop is
+    late when the vehicle arrives after its due time, its open time plus
+    its limit (max_wait at a pickup, max_delay at a dropoff). A leg's time
     and its distance are each filled on first use and kept, so every
     routine handed the same table pays for each leg once.
     """
@@ -106,14 +115,17 @@ class StopTable:
         self.slot_of = {r.id: 2 * i for i, r in enumerate(self.riders)}
         if len(self.slot_of) != len(self.riders):
             raise ValueError("stop table riders must have distinct ids")
+        if config.max_wait < 0 or config.max_delay < 0:
+            raise ValueError("stop table limits must be >= 0")
         self.points: list[Location] = []
         self.opens: list[int] = []
-        self.limits: list[int] = []
+        self.dues: list[int] = []
         self.deltas: list[int] = []
         for r in self.riders:
             self.points += (r.pickup, r.dropoff)
             self.opens += (r.desired_pickup_time, r.earliest_dropoff_time)
-            self.limits += (config.max_wait, config.max_delay)
+            self.dues += (r.desired_pickup_time + config.max_wait,
+                          r.earliest_dropoff_time + config.max_delay)
             self.deltas += (r.load, -r.load)
         self.origin_slot: dict[Location, int] = {}
         for slot, point in enumerate(self.points):
@@ -189,7 +201,7 @@ def _on_table(table: Optional[StopTable], stops: Sequence[tuple[str, Request]],
 def _timed_route(table: StopTable, origin: int, start, slots: Sequence[int]) -> CandidateRoute:
     """Time the stops at slots from the start, at origin slot origin: the one
     kernel behind every returned route. Passengers aboard take their riders' seats."""
-    opens, limits, deltas = table.opens, table.limits, table.deltas
+    opens, dues, deltas = table.opens, table.dues, table.deltas
     width, times, dists = table.width, table.times, table.dists
     cap, dwell = table.config.capacity, table.config.dwell
     start_load = load = table.seats(start.onboard)
@@ -208,7 +220,7 @@ def _timed_route(table: StopTable, origin: int, start, slots: Sequence[int]) -> 
         earliest = opens[pos]
         service = arrival if arrival > earliest else earliest
         load += deltas[pos]
-        if service - earliest > limits[pos] or load > cap:
+        if arrival > dues[pos] or load > cap:
             feasible = False
         free = service + dwell
         sched.append((arrival, service, free))
@@ -307,9 +319,18 @@ def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: in
     to the kernel's total and the order a node visits its children in
     cannot change the result. A set no sequence serves, or of more than
     max_new riders, is never a key.
+
+    Under obeys_triangle a node ends at its first late owed stop, and it
+    keeps the owed stop due first as it times them. A child other than that
+    stop, a rider joining or another owed stop, still owes it, so the node
+    reads the leg from the child's stop to it and skips the child when its
+    departure plus that leg passes the due time: the child's own first
+    loop would end it on that stop, so skipping it changes no result. On
+    other travel a late stop is only passed over, since a detour may reach
+    it in time, and every child is entered.
     """
     config, travel = table.config, table.travel
-    points, opens, limits, deltas = table.points, table.opens, table.limits, table.deltas
+    points, opens, dues, deltas = table.points, table.opens, table.dues, table.deltas
     width, times, dists = table.width, table.times, table.dists
     cap, dwell = config.capacity, config.dwell
     dist_of, time_of = travel.distance, travel.travel_time
@@ -335,8 +356,7 @@ def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: in
     def dfs(here, free, load, cost, pending, picked, joinable):
         # stop timing is _timed_route spelled out over slots: this runs at
         # every node, and a call per stop costs more than the arithmetic.
-        # A late stop's leg gets its time but not its distance, so a leg's
-        # distance is filled apart
+        # A child's distance is filled only once it is entered
         if not pending:
             got = best.get(picked)
             if got is None or cost < got[0] or (cost == got[0] and tuple(path) < got[1]):
@@ -344,8 +364,10 @@ def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: in
         row = width * here
         room = cap - load
         # (slot, the child's pending set, its rider bit or 0 for an owed
-        # stop, departure, distance)
+        # stop, departure, leg from here)
         steps = []
+        # under late_kill, the owed stop due first and its due time
+        tight = due = -1
         rest = pending
         while rest:
             bit = rest & -rest
@@ -356,18 +378,17 @@ def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: in
             if tt is None:
                 tt = times[leg] = time_of(points[here], points[pos])
             arrival = free + tt
-            earliest = opens[pos]
-            service = arrival if arrival > earliest else earliest
-            if service - earliest > limits[pos]:
+            if arrival > dues[pos]:
                 if late_kill:
                     return  # every extension still owes this stop
                 continue
+            if late_kill and (tight < 0 or dues[pos] < due):
+                tight, due = pos, dues[pos]
             if deltas[pos] > room:
                 continue  # an owed pickup
-            dist = dists[leg]
-            if dist is None:
-                dist = dists[leg] = dist_of(points[here], points[pos])
-            steps.append((pos, pending ^ bit | successor[pos], 0, service + dwell, dist))
+            earliest = opens[pos]
+            service = arrival if arrival > earliest else earliest
+            steps.append((pos, pending ^ bit | successor[pos], 0, service + dwell, leg))
         if joinable and picked.bit_count() < max_new:
             rest = joinable
             while rest:
@@ -379,19 +400,28 @@ def _exact_routes(table: StopTable, origin: int, start, riders: int, max_new: in
                 if tt is None:
                     tt = times[leg] = time_of(points[here], points[pos])
                 arrival = free + tt
-                earliest = opens[pos]
-                service = arrival if arrival > earliest else earliest
-                if service - earliest > limits[pos]:
+                if arrival > dues[pos]:
                     if late_kill:
                         joinable ^= bit  # nor can it join further down
                     continue
                 if deltas[pos] > room:
                     continue
-                dist = dists[leg]
-                if dist is None:
-                    dist = dists[leg] = dist_of(points[here], points[pos])
-                steps.append((pos, pending | 2 << pos, bit, service + dwell, dist))
-        for pos, owes, bit, depart, dist in steps:
+                earliest = opens[pos]
+                service = arrival if arrival > earliest else earliest
+                steps.append((pos, pending | 2 << pos, bit, service + dwell, leg))
+        for pos, owes, bit, depart, leg in steps:
+            if tight >= 0 and pos != tight:
+                # the child still owes the tightest stop, and would end at
+                # once if it cannot reach it in time
+                ahead = width * pos + tight
+                tt = times[ahead]
+                if tt is None:
+                    tt = times[ahead] = time_of(points[pos], points[tight])
+                if depart + tt > due:
+                    continue
+            dist = dists[leg]
+            if dist is None:
+                dist = dists[leg] = dist_of(points[here], points[pos])
             path.append(pos)
             dfs(pos, depart, load + deltas[pos], cost + dist, owes, picked | bit, joinable ^ bit)
             path.pop()

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 import itertools
 import random
 
@@ -34,7 +36,7 @@ from rollhorizon.routing import (
     schedule_route,
 )
 from rollhorizon.travel import EuclideanTravel, MatrixTravel, TravelError
-from strategies import MINUTE, travel_case
+from strategies import MINUTE, euclidean_points, matrix_points, travel_case
 
 TRAVEL = EuclideanTravel(1.0)
 
@@ -340,6 +342,36 @@ def test_exhaustive_keeps_a_tie_its_bound_overshoots_by_rounding():
         (PICKUP, 1), (DROPOFF, 0), (PICKUP, 2), (DROPOFF, 3), (DROPOFF, 1), (DROPOFF, 2)]
 
 
+def test_matrix_search_keeps_a_child_late_only_on_the_direct_leg():
+    # the passenger aboard (rider 0) is due at node 3 by 300 s. From rider
+    # 1's pickup at node 1 the direct leg there takes 600 s, but the detour
+    # through rider 1's dropoff at node 2 takes 120 s, so the join must not
+    # be skipped for missing the tightest owed stop on the direct leg
+    times = [[0, 60, 600, 60], [600, 0, 60, 600], [600, 600, 0, 60], [600, 600, 600, 0]]
+    travel = MatrixTravel(times, [[t / 60 for t in row] for row in times])
+    node = [Location(float(i), 0.0, node_id=i) for i in range(4)]
+    aboard = Request(0, node[0], node[3], 0, 0)
+    joiner = Request(1, node[1], node[2], 60, 120)
+    by_id = {0: aboard, 1: joiner}
+    start = PlanStart(node[0], 0, frozenset([0]))
+    config = cfg(dwell=0, max_wait=120, max_delay=300)
+    direct = ((PICKUP, joiner), (DROPOFF, aboard), (DROPOFF, joiner))
+    assert not schedule_route(start, direct, travel, config).feasible
+    got = best_route_exhaustive(start, [joiner], travel, config, by_id)
+    assert got is not None and got.feasible
+    assert [(k, r.id) for k, r in got.sequence] == [(PICKUP, 1), (DROPOFF, 1), (DROPOFF, 0)]
+    assert got.schedule == ((60, 60, 60), (120, 120, 120), (180, 180, 180))
+
+
+def test_stop_table_rejects_negative_limits():
+    # a stop is late past its open time plus its limit, which equals the
+    # validator's wait and delay rules only for limits of 0 or more
+    req = mk(0, 1, 0, 2, 0, 0)
+    for kw in (dict(max_wait=-1), dict(max_delay=-1)):
+        with pytest.raises(ValueError):
+            StopTable([req], [Location(0, 0)], TRAVEL, cfg(**kw))
+
+
 def test_exhaustive_rejects_oversized_input():
     reqs = [mk(i, i, 0, i + 1, 0, 0) for i in range(5)]
     start = PlanStart(Location(0, 0), 0)
@@ -388,6 +420,80 @@ def test_insertion_preserves_base_order_and_never_beats_exact():
         assert ins.total_distance >= full.total_distance - 1e-12
         compared += 1
     assert compared > 30
+
+
+def search_records(seed=3030, n_cases=150):
+    """What _exact_routes returns on seeded cases too wide for brute force:
+    6-10 riders on Euclidean or triangle-breaking matrix tables, 0-2 of
+    them aboard and up to 3 joining, then insertions of a rider, or of one
+    passenger's dropoff, into a base chain, the two owed chains the engine
+    inserts with. Each record is a search's (riders, (distance, slots))
+    items in key order."""
+    rng = random.Random(seed)
+    records = []
+    for case in range(n_cases):
+        build = matrix_points if case % 2 else euclidean_points
+        travel, points = build(rng.randint, rng.randint(3, 8))
+        reqs = []
+        for rid in range(rng.randint(6, 10)):
+            req = Request(rid, rng.choice(points), rng.choice(points),
+                          rng.randint(0, 20) * MINUTE, 0, rng.randint(1, 2))
+            reqs.append(derive_earliest_dropoff(req, travel))
+        config = SolverConfig(
+            horizon=3600, step=600, max_wait=rng.randint(5, 30) * MINUTE,
+            max_delay=rng.randint(5, 40) * MINUTE, dwell=rng.choice((0, 30, 90)),
+            fleet_size=1, capacity=rng.randint(2, 4),
+        )
+        ids = [r.id for r in reqs]
+        rng.shuffle(ids)
+        onboard = ids[:rng.randint(0, 2)]
+        start = PlanStart(rng.choice(points), rng.randint(0, 10) * MINUTE, frozenset(onboard))
+        table = StopTable(reqs, [start.plan_location], travel, config)
+        origin = table.origin_slot[start.plan_location]
+        # a re-solve's table also holds riders who may not join
+        riders = table.mask(ids[len(onboard):len(ids) - rng.randint(0, 2)])
+        records.append(sorted(_exact_routes(table, origin, start, riders,
+                                            rng.randint(0, 3)).items()))
+        # a base chain over some free riders and every passenger aboard but
+        # the first, in a random precedence-valid order; the first's
+        # dropoff, or else the first free rider, is inserted into it
+        free = ids[len(onboard):]
+        base_ids = free[1:1 + rng.randint(0, 5)]
+        stops = [2 * r for r in base_ids] + [2 * r + 1 for r in base_ids]
+        stops += [2 * r + 1 for r in onboard[1:]]
+        rng.shuffle(stops)
+        seen = set()
+        for i, slot in enumerate(stops):
+            if slot >> 1 in base_ids:
+                stops[i] = slot | 1 if slot >> 1 in seen else slot & ~1
+                seen.add(slot >> 1)
+        new = (2 * onboard[0] + 1,) if onboard else (2 * free[0], 2 * free[0] + 1)
+        # as the stops open under the case's limits, and as shuffled under
+        # limits loose enough that a shuffled base is often feasible
+        in_order = sorted(stops, key=lambda slot: table.opens[slot])
+        records.append(sorted(_exact_routes(table, origin, start, 0, 0,
+                                            (in_order, new)).items()))
+        loose = dataclasses.replace(config, max_wait=120 * MINUTE, max_delay=120 * MINUTE,
+                                    capacity=10)
+        table = StopTable(reqs, [start.plan_location], travel, loose)
+        records.append(sorted(_exact_routes(table, origin, start, 0, 0,
+                                            (stops, new)).items()))
+    return records
+
+
+# recorded from the search that entered every child its own deadlines
+# allowed, before children late for the tightest owed stop were skipped
+SEARCH_ROUTES = 2003
+SEARCH_DIGEST = "e4547c657846be5a65f943c8294874d847a1eda79a9bcff3443cbcd3c6194743"
+
+
+def test_search_results_are_pinned():
+    # every route search returns what it returned before it skipped
+    # children that cannot reach their parent's tightest owed stop in time
+    records = search_records()
+    assert len(records) == 450
+    assert sum(len(r) for r in records) == SEARCH_ROUTES
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == SEARCH_DIGEST
 
 
 @st.composite
