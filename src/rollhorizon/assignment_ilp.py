@@ -45,7 +45,7 @@ class StrandedRequestError(RuntimeError):
 
 
 class AssignmentBudgetError(RuntimeError):
-    """The search ran out of nodes with no assignment and no valid fallback."""
+    """The search ran out of nodes before reaching any assignment."""
 
 
 class UnprovenAssignmentWarning(RuntimeWarning):
@@ -93,30 +93,6 @@ def _solution_key(chosen, ignored):
     return (tuple(sorted((e.requests, e.vehicle_id) for e in chosen)), tuple(sorted(ignored)))
 
 
-def _fallback_incumbent(graph, penalty):
-    """Adopt the graph's fallback edges when the search found no assignment.
-
-    Returns a (objective, key, chosen, ignored) incumbent, or None when the
-    edges are no valid assignment: two for one vehicle, two sharing a
-    request, or a vehicle that needs a route left without one. A
-    carried-over plan that failed its re-timing leaves such a gap; no
-    fallback edges at all are valid only when no vehicle needs a route.
-    """
-    edges = graph.fallback_assignment
-    seen_vehicles = set()
-    covered: set[int] = set()
-    for e in edges:
-        if e.vehicle_id in seen_vehicles or not covered.isdisjoint(e.requests):
-            return None
-        seen_vehicles.add(e.vehicle_id)
-        covered.update(e.requests)
-    if not graph.vehicles_requiring_route <= seen_vehicles:
-        return None
-    ignored = frozenset(graph.request_universe - covered)
-    obj = canonical_objective(edges, ignored, penalty)
-    return (obj, _solution_key(edges, ignored), tuple(edges), ignored)
-
-
 def solve_assignment(
     graph: RtvGraph,
     budget: int = 2_000_000,
@@ -124,9 +100,15 @@ def solve_assignment(
     """Find the cost-minimal valid assignment of vehicles to trips.
 
     Exceeding the node budget returns the incumbent flagged not proven
-    optimal, or the graph's fallback edges when the search found none; a
-    graph where no assignment gives every vehicle carrying passengers a
-    route raises StrandedRequestError. Ties are broken deterministically,
+    optimal, or raises AssignmentBudgetError when the search reached no
+    leaf; a graph where no assignment gives every vehicle carrying
+    passengers a route raises StrandedRequestError. Until the first leaf the
+    limit is infinite, so the first dive enters a child at every position: a
+    vehicle needing no route may go idle, and a vehicle carrying passengers
+    has its delivery-only edge, which holds no request. Such a dive is
+    charged at most one unit per vehicle and per edge, plus one for the
+    leaf; only a loaded vehicle without a delivery-only edge can make it
+    backtrack. Ties are broken deterministically,
     so results are reproducible. Vehicles with identical menus (same
     trips, costs and stop orders) are twins, and the search keeps one
     labeling of them: twins in id order take options in increasing menu
@@ -376,11 +358,7 @@ def solve_assignment(
         # reaches are freed by reference counting, not by the cyclic collector
         del dfs
     if best is None and out_of_budget:
-        best = _fallback_incumbent(graph, penalty)
-        if best is None:
-            raise AssignmentBudgetError(
-                "assignment search exhausted its budget with no incumbent"
-            )
+        raise AssignmentBudgetError("assignment search exhausted its budget with no incumbent")
     if best is None:
         raise StrandedRequestError(graph.vehicles_requiring_route)
     obj, _key, chosen, ignored = best

@@ -255,11 +255,14 @@ def validate_route(
 def validate_record(
     record: ServiceRecord, request: Request, config: SolverConfig
 ) -> list[str]:
-    """Check one served outcome against the waiting and delay limits."""
+    """Check one outcome: an unserved record carries no times and names no
+    vehicle, and a served one keeps the waiting and delay limits."""
     out = []
     if not record.served:
         if record.actual_pickup_time is not None or record.actual_dropoff_time is not None:
             out.append(f"request {record.request_id}: unserved record carries times")
+        if record.vehicle_id is not None:
+            out.append(f"request {record.request_id}: unserved record names a vehicle")
         return out
     if record.actual_pickup_time is None or record.actual_dropoff_time is None:
         out.append(f"request {record.request_id}: served record missing times")

@@ -81,12 +81,6 @@ class RtvGraph:
     edges: tuple[Edge, ...]
     request_universe: frozenset[int]
     vehicles_requiring_route: frozenset[int]
-    # each vehicle's carried-over plan as an edge, or its delivery-only edge
-    # when it carries passengers and the plan no longer re-times. The solver
-    # falls back to them when its search budget runs out before any leaf,
-    # after checking they form a valid assignment: a plan that failed its
-    # re-timing can leave a passenger uncovered
-    fallback_assignment: tuple[Edge, ...] = ()
 
     @property
     def trips(self) -> tuple[tuple[int, ...], ...]:
@@ -146,9 +140,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     pairing's current one (lower distance, then smaller stop slots); edges
     are sorted by their request ids, then vehicle id. An exact route is kept
     as its distance and stop slots, and timed only when its edge's route is
-    first read. The fallback assignment is the edges of the carried-over
-    plans and, for a vehicle carrying passengers whose plan no longer
-    re-times, its delivery-only edge.
+    first read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -210,19 +202,13 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     # class's subset check. Plans are offered first: a class's insertion
     # bases read its first vehicle's routes, and those may be its plan
     given = {0}
-    preferred_keys: list[tuple[int, int]] = []
     for state in states:
-        vid = state.vehicle_id
         # rebuild the previous plan so the assignment can always keep it
         if state.planned_suffix:
             pending = table.mask(r.id for k, r in state.planned_suffix if k == PICKUP)
             cand = schedule_route(state, state.planned_suffix, travel, config, table=table)
-            if offer_route(pending, (vid,), cand):
+            if offer_route(pending, (state.vehicle_id,), cand):
                 given.add(pending)
-                preferred_keys.append((pending, vid))
-                continue
-        if state.onboard:
-            preferred_keys.append((0, vid))
 
     limit = config.effective_trip_size_limit
     given_by_size: list[list[int]] = [[] for _ in range(limit + 1)]
@@ -306,5 +292,4 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         tuple(ordered),
         frozenset(r.id for r in requests),
         frozenset(s.vehicle_id for s in states if s.onboard),
-        tuple(edges[key] for key in preferred_keys if key in edges),
     )

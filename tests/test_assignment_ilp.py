@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+import rollhorizon.engine as engine
 from collector import collector_off
-from instgen import random_rtv_graph
+from instgen import matrix_instance, random_instance, random_rtv_graph
 from oracles import enumerate_assignments
 from rollhorizon.assignment_ilp import (
     AssignmentBudgetError,
@@ -14,6 +15,7 @@ from rollhorizon.assignment_ilp import (
     compute_penalty,
     solve_assignment,
 )
+from rollhorizon.corpus import corpus_config, make_instance
 from rollhorizon.rtv import Edge, RtvGraph
 
 
@@ -206,9 +208,10 @@ def tree_records(seed=2029, n_graphs=120):
     return records
 
 
-# recorded from the search that bounded every available option in menu order
-TREE_NODES = 49999
-TREE_DIGEST = "9b06a1cc615f585b98b0917120fb2a1d851384d481836dd4b63e0f0fdbcd514f"
+# recorded from the search that bounded every available option in menu
+# order; a solve cut before any leaf records AssignmentBudgetError
+TREE_NODES = 49295
+TREE_DIGEST = "69b6ae5d00f9d38957401e9104b4c77c44762340cbbd1e5b27db7be8b2815d02"
 
 
 def test_search_tree_is_pinned():
@@ -330,30 +333,58 @@ def skipping_graph(requiring=()):
 
 
 def test_skipped_options_spend_budget():
-    sol = solve_assignment(skipping_graph(), budget=5)
-    assert sol.nodes_explored == 6
-    assert not sol.proven_optimal
-    assert sol.ignored_requests == frozenset({0, 1, 2})  # the empty fallback
+    with pytest.raises(AssignmentBudgetError, match="no incumbent"):
+        solve_assignment(skipping_graph(), budget=5)
+    # the dive's whole charge, one unit per vehicle and per edge plus the
+    # leaf, reaches that leaf
+    assert solve_assignment(skipping_graph(), budget=8).ignored_requests == frozenset()
 
 
 def test_unwound_searches_leave_no_cyclic_garbage():
     # a search cut short by its budget drops its recursive closure on the
-    # way out, as a completed one does: whether it keeps its incumbent,
-    # adopts the fallback or raises for want of one
+    # way out, as a completed one does: whether it keeps its incumbent or
+    # raises for want of one
     outcomes = []
     left = []
     with collector_off():
         sol = solve_assignment(blocking_graph(), budget=7)
         outcomes.append(sol.proven_optimal or sol.ignored_requests)
         left.append(gc.collect())
-        sol = solve_assignment(skipping_graph(), budget=5)
-        outcomes.append(sol.proven_optimal or sol.ignored_requests)
+        try:
+            solve_assignment(skipping_graph(), budget=5)
+        except AssignmentBudgetError:
+            outcomes.append("raised")
         left.append(gc.collect())
-        # vehicle 1 needs a route, which the empty fallback does not give it
         try:
             solve_assignment(skipping_graph(requiring={1}), budget=5)
         except AssignmentBudgetError:
             outcomes.append("raised")
         left.append(gc.collect())
-    assert outcomes == [frozenset({1}), frozenset({0, 1, 2}), "raised"]
+    assert outcomes == [frozenset({1}), "raised", "raised"]
     assert left == [0, 0, 0]
+
+
+def test_first_dive_reaches_a_leaf_on_live_graphs(monkeypatch):
+    # the graphs an engine run builds give every vehicle a child at every
+    # node of the first dive: one needing no route may go idle, and one
+    # carrying passengers has its delivery-only edge. So a budget of one
+    # unit per vehicle and per edge, plus the leaf, always returns a plan
+    graphs = []
+    real = engine.build_rtv_graph
+
+    def record(*args):
+        graphs.append(real(*args))
+        return graphs[-1]
+
+    monkeypatch.setattr(engine, "build_rtv_graph", record)
+    engine.run(make_instance(101), corpus_config(rh_factor=2))
+    for seed in (6, 10, 16, 19):  # capacities 4, 4, 4 and 3
+        rng = random.Random(seed)
+        inst, config = random_instance(rng)
+        engine.run(inst, config)
+        engine.run(matrix_instance(inst, rng), config)
+    for graph in graphs:
+        vehicles = {e.vehicle_id for e in graph.edges} | graph.vehicles_requiring_route
+        solve_assignment(graph, budget=len(vehicles) + len(graph.edges) + 1)
+    assert len(graphs) >= 100
+    assert sum(bool(graph.vehicles_requiring_route) for graph in graphs) >= 100

@@ -252,35 +252,34 @@ def test_same_input_same_report():
     assert a.summary.total_vmt == b.summary.total_vmt
 
 
-def _starved_assignment(monkeypatch, budget, *, keep_fallback=True, full_calls=0):
-    """Re-solves after the first full_calls get only `budget` search nodes."""
+def _starved_assignment(monkeypatch, budget):
+    """Every re-solve gets only `budget` search nodes."""
     real = engine.solve_assignment
-    calls = [0]
 
     def starved(graph, **kwargs):
-        calls[0] += 1
-        if calls[0] <= full_calls:
-            return real(graph, **kwargs)
-        if not keep_fallback:
-            graph = dataclasses.replace(graph, fallback_assignment=())
         return real(graph, budget=budget, **kwargs)
 
     monkeypatch.setattr(engine, "solve_assignment", starved)
 
 
 def test_unproven_assignment_warns(monkeypatch):
+    # two twins at the depot: budget 6 pays for the first solve's first
+    # dive (the root and its three options, the twin below, the leaf) but
+    # not for its next child, so the solve keeps that leaf unproven
     inst, cfg = two_request_instance()
-    _starved_assignment(monkeypatch, budget=1)
+    inst = dataclasses.replace(inst, vehicles=make_fleet(2, 2, Location(0, 0)))
+    _starved_assignment(monkeypatch, budget=6)
     with pytest.warns(UnprovenAssignmentWarning) as caught:
-        rep = run(inst, cfg)
+        rep = run(inst, dataclasses.replace(cfg, fleet_size=2))
     assert re.match(r"assignment at t=0s stopped after \d+ nodes", str(caught[0].message))
-    # the empty plan is the only incumbent a starved first solve can adopt
-    assert not any(r.served for r in rep.records)
+    # the first leaf puts both requests on vehicle 0
+    assert [(r.served, r.vehicle_id) for r in rep.records] == [(True, 0), (True, 0)]
 
 
 def test_budget_exhausted_without_fallback_is_a_typed_error(monkeypatch):
+    # one node is the root alone: the search reaches no leaf
     inst, cfg = two_request_instance()
-    _starved_assignment(monkeypatch, budget=1, keep_fallback=False, full_calls=1)
+    _starved_assignment(monkeypatch, budget=1)
     with pytest.raises(AssignmentBudgetError, match="no incumbent"):
         run(inst, cfg)
 

@@ -222,6 +222,9 @@ def test_validate_record():
     assert any("missing times" in p for p in validate_record(missing, req, config))
     ghost_times = ServiceRecord(7, False, None, 600, 900)
     assert any("carries times" in p for p in validate_record(ghost_times, req, config))
+    ghost_vehicle = ServiceRecord(7, False, 0)
+    assert validate_record(ghost_vehicle, req, config) == [
+        "request 7: unserved record names a vehicle"]
     backwards = ServiceRecord(7, True, 0, 900, 650)
     assert any("precedes" in p for p in validate_record(backwards, req, config))
 

@@ -7,7 +7,6 @@ import rollhorizon.routing as routing
 import rollhorizon.rtv as rtv
 from instgen import matrix_instance, random_instance, random_request
 from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
-from rollhorizon.assignment_ilp import solve_assignment
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -233,15 +232,10 @@ def test_plan_that_no_longer_times_falls_back_to_delivery():
     assert not schedule_route(state, state.planned_suffix, TRAVEL, cfg()).feasible
     newcomer = mk(2, 1, 1, 2, 2, 120)
     graph = build_rtv_graph([newcomer], [state], TRAVEL, cfg())
-    (fallback,) = graph.fallback_assignment
-    assert fallback.requests == () and fallback.vehicle_id == 0
-    assert fallback in graph.edges
-    assert [r.id for _k, r in fallback.route.sequence] == [0, 1]
-    # a search starved before its first leaf returns exactly that edge
-    sol = solve_assignment(graph, budget=1)
-    assert not sol.proven_optimal
-    assert sol.chosen_edges == graph.fallback_assignment
-    assert sol.ignored_requests == frozenset({2})
+    # the graph offers the feasible delivery-only edge instead
+    (delivery,) = [e for e in graph.edges if e.requests == ()]
+    assert delivery.vehicle_id == 0
+    assert [r.id for _k, r in delivery.route.sequence] == [0, 1]
 
 
 def test_carried_over_group_is_offered_to_every_vehicle():
@@ -421,7 +415,7 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
         engine.run(inst, config)
         engine.run(matrix_instance(inst, rng), config)
-    compared = carrying = planned = on_matrix = fallbacks = 0
+    compared = carrying = planned = on_matrix = 0
     for requests, states, travel, config in calls:
         if not any(s.onboard or s.planned_suffix for s in states):
             continue
@@ -434,26 +428,8 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         assert got == reference_rtv_graph(requests, states, travel, config)
         # each trip once, in edge order
         assert list(graph.trips) == sorted({trip for trip, _vid in got if trip})
-        # the fallback is graph edges: each plan that still times, else the
-        # delivery-only edge of a vehicle carrying passengers
-        edge_of = {(e.requests, e.vehicle_id): e for e in graph.edges}
-        by_id = {r.id: r for r in requests}
-        by_id.update((r.id, r) for s in states for _k, r in s.planned_suffix)
-        expected = []
-        for s in states:
-            seq = [(k, r.id) for k, r in s.planned_suffix]
-            if seq and naive_schedule(s.plan_location, s.plan_time, seq, by_id, travel, config,
-                                      initial_onboard=s.onboard)[0]:
-                pickups = tuple(sorted(rid for k, rid in seq if k == PICKUP))
-                expected.append(edge_of[(pickups, s.vehicle_id)])
-            elif s.onboard and ((), s.vehicle_id) in edge_of:
-                expected.append(edge_of[((), s.vehicle_id)])
-        assert len(graph.fallback_assignment) == len(expected)
-        assert {id(e) for e in graph.fallback_assignment} == {id(e) for e in expected}
-        fallbacks += len(expected)
         compared += 1
         carrying += sum(bool(s.onboard) for s in states)
         planned += sum(bool(s.planned_suffix) for s in states)
         on_matrix += isinstance(travel, MatrixTravel)
     assert compared >= 70 and carrying >= 160 and planned >= 200 and on_matrix >= 40
-    assert fallbacks >= 200
