@@ -114,6 +114,12 @@ def _setup(path: str, fmt: str, opt: dict) -> tuple[Instance, SolverConfig]:
     a csv request list takes them from opt or the defaults, in literal
     minutes. The config is not checked here: `run` rejects a bad one.
     """
+    # NaN and infinity are no place and no number of seconds; the speed is
+    # EuclideanTravel's to check
+    endless = [key for key in SETUP_KEYS if key not in ("capacity", "speed")
+               and opt.get(key) is not None and not math.isfinite(opt[key])]
+    if endless:
+        raise ConfigError(f"{', '.join(_flags(opt, endless))} must be finite")
     if fmt == "lilim":
         given = _flags(opt, ("speed", "depot_x", "depot_y"))
         if given:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv as _csv
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -94,6 +95,8 @@ def load_lilim(path, fleet_size: Optional[int] = None) -> Instance:
         speed = float(header[2])
     except ValueError:
         raise ParseError(f"{path}:{header_no}: non-numeric header field") from None
+    if not math.isfinite(speed):
+        raise ParseError(f"{path}:{header_no}: non-finite header field")
 
     nodes: dict[int, LilimNode] = {}
     node_line: dict[int, int] = {}
@@ -107,6 +110,8 @@ def load_lilim(path, fleet_size: Optional[int] = None) -> Instance:
             )
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric field") from None
+        if not (math.isfinite(node.x) and math.isfinite(node.y)):
+            raise ParseError(f"{path}:{lineno}: non-finite field")
         if node.id in nodes:
             raise ParseError(f"{path}:{lineno}: duplicate node id {node.id}")
         nodes[node.id] = node
@@ -230,6 +235,8 @@ def load_csv_requests(path, travel) -> Instance:
                 desired_min = float(row[5])
             except ValueError:
                 raise ParseError(f"{path}:{rowno}: non-numeric field") from None
+            if not all(map(math.isfinite, (px, py, dx, dy, desired_min))):
+                raise ParseError(f"{path}:{rowno}: non-finite field")
             if rid in seen:
                 raise ParseError(f"{path}:{rowno}: duplicate id {rid}")
             seen.add(rid)

@@ -2,22 +2,25 @@
 
 Trips are request subsets a single vehicle could serve together. The graph
 holds every feasible trip-vehicle pairing with its route cost. Vehicles at
-one place and time with the same passengers form a class, and each class
-grows its trips size by size from the empty trip, as bit masks of their
-riders: a subset is considered once all of its one-smaller subsets are
-trips of that class, and kept when the class can drive it. The groups
-vehicles' previous plans carry over are trips of every class from the start
-and are routed for every vehicle like any other subset. Up to its exact
-cap, a class reads its trips of each size from its one route enumeration;
-past the cap, trips grow by a higher request, routed by insertion. Each
-class grows in a loop of its own and stops at the first size where it finds
-no trip and no carried-over group has that size: nothing larger could pass
-its subset check. Each trip-vehicle pairing is kept as one edge, replaced
-only by a cheaper offer, and the edge names its trip by its request ids. An
-enumerated route is kept on its edge as its distance and stop slots and
-timed only when the edge's route is read, since the assignment reads only
-costs. No pairwise screen runs first: a pair becomes a trip, like any
-larger set, when some vehicle class routes it.
+one place and time with the same passengers form a class, and a class's
+trips are bit masks of their riders. Up to its exact cap, a class's trips
+are exactly the rider sets its one route enumeration serves: each is
+routed, so no subset rule applies. Past the cap, a trip grows by a higher
+request, routed by insertion, and a set is tried only once all of its
+one-smaller subsets are trips of the class: the subset rule prunes growth
+and nothing else. Dropping a rider delays no stop under travel that obeys
+the triangle inequality, so there the exact trips are closed under subsets
+anyway; on a matrix, a pair may be feasible where one of its riders alone
+is not. The groups vehicles' previous plans carry over are trips of every
+class from the start and are routed for every vehicle like any other
+subset. Each class grows in a loop of its own and stops at the first size
+where it finds no trip and no carried-over group has that size: nothing
+larger could pass its subset check. Each trip-vehicle pairing is kept as
+one edge, replaced only by a cheaper offer, and the edge names its trip by
+its request ids. An enumerated route is kept on its edge as its distance
+and stop slots and timed only when the edge's route is read, since the
+assignment reads only costs. No pairwise screen runs first: a pair becomes
+a trip, like any larger set, when some vehicle class routes it.
 
 Edge and RtvGraph are plain dataclasses, not frozen ones, since a
 re-solve builds thousands of edges and a frozen dataclass sets each field
@@ -118,29 +121,27 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     """Assemble the full trip-vehicle graph for one sub-problem.
 
     Each vehicle's previously planned stops are rebuilt into an edge, so
-    commitments stay representable, and the requests the plan still picks up
-    are a trip from the start; vehicles with passengers get a delivery-only
-    edge, which a class reads off its exact enumeration at the empty rider
-    set, or searches apart when its passengers fill the exact cap.
-    Vehicles at one place and time with the same passengers form a
-    class and share routes. Each class grows its trips one request at a
-    time from the empty trip: a set is the class's trip once every
-    one-smaller subset is a trip of the class or a carried-over group, and
-    the class has a feasible route for it; a set is a trip once some class
-    routes it, so carried-over groups are offered to every vehicle. Up to a
-    class's cap of new riders (the trip-size limit, and
-    exhaustive_route_limit less its passengers), its trips of a size are
-    read from its one exact enumeration of every rider set it can serve;
-    past the cap, the class's trips one smaller grow by a higher request,
-    which is inserted into the best route of the rest. The carried-over
-    plans are offered first, then each class grows on its own until a size
-    where it finds no trip and no carried-over group has that size; since no
-    two plans pick up one request, nothing larger could pass its subset
-    check. Each pairing is one edge, built when an offer beats the
-    pairing's current one (lower distance, then smaller stop slots); edges
-    are sorted by their request ids, then vehicle id. An exact route is kept
-    as its distance and stop slots, and timed only when its edge's route is
-    first read.
+    the assignment can keep the plan, and the requests the plan still picks
+    up are a trip from the start. Vehicles at one place and time with the
+    same passengers form a class and share routes. Up to a class's cap of
+    new riders (the trip-size limit, and exhaustive_route_limit less its
+    passengers), its trips are exactly the rider sets of its one exact
+    enumeration, each with its best route; a loaded class's route of no
+    new rider is its delivery-only edge. A class whose passengers fill the
+    exact cap runs no enumeration and searches its delivery route apart.
+    Past the cap, the class's trips one smaller and the carried-over groups
+    grow by a higher request, inserted into the route of the base's edge
+    for the class's first vehicle, once every one-smaller subset is a trip
+    of the class or a carried-over group. A set is a trip once some class
+    routes it, so carried-over groups are offered to every vehicle. The
+    carried-over plans are offered first, then each class grows on its own
+    until a size where it finds no trip and no carried-over group has that
+    size; since no two plans pick up one request, nothing larger could pass
+    its subset check. Each pairing is one edge, built when an offer beats
+    the pairing's current one (lower distance, then smaller stop slots);
+    edges are sorted by their request ids, then vehicle id. An exact route
+    is kept as its distance and stop slots, and timed only when its edge's
+    route is first read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -218,8 +219,8 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     everyone = table.mask(r.id for r in requests)
 
     def subsets_known(m: int, known: set) -> bool:
-        # dropping any rider from a feasible route keeps it feasible, so a
-        # class's trip needs every one-smaller subset as its trip too
+        # the subset rule, which prunes growth past the exact cap: a set is
+        # tried only once each of its one-smaller subsets is known
         rest = m
         while rest:
             bit = rest & -rest
@@ -229,57 +230,52 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         return True
 
     for rep, vids in classes:
-        # the class's exact routes by number of riders, timed from here
+        # the class's exact routes, timed from here
         origin = table.origin_slot[rep.plan_location]
         timing = (table, origin, rep)
-        cap = min(limit, config.exhaustive_route_limit - len(rep.onboard))
-        exact: list[list] = [[] for _ in range(max(cap, 0) + 1)]
-        if cap > 0:
-            for m, best in _exact_routes(table, origin, rep, everyone, cap).items():
-                exact[m.bit_count()].append((m, best))
-            # the enumeration's route of no new rider is the delivery route
-            if rep.onboard and exact[0]:
-                offer(0, vids, *exact[0][0][1], timing)
+        cap = max(min(limit, config.exhaustive_route_limit - len(rep.onboard)), 0)
+        known = set(given)  # the class's trips and the carried-over groups
+        if cap:
+            # every rider set the enumeration routes is a trip; the route of
+            # no new rider is the delivery route
+            exact = _exact_routes(table, origin, rep, everyone, cap)
+            for m, (dist, slots) in exact.items():
+                if m or rep.onboard:
+                    offer(m, vids, dist, slots, timing)
+            known.update(exact)
         else:
             # passengers fill the exact cap, so no enumeration runs; a lone
             # rider is inserted into this route
-            delivery = _dropoff_only_route(rep, travel, config, requests_by_id, table)
-            offer_route(0, vids, delivery)
-        known = set(given)  # the class's trips and the carried-over groups
-        last: list[int] = []  # the class's trips of the last size grown
-        for k in range(1, limit + 1):
+            offer_route(0, vids, _dropoff_only_route(rep, travel, config, requests_by_id, table))
+        # past the cap a trip grows from a trip one smaller, by a higher
+        # request, once every one-smaller subset is a trip of the class or a
+        # carried-over group
+        last = [m for m in known if m.bit_count() == cap]
+        for k in range(cap + 1, limit + 1):
             found = []
-            if k <= cap:
-                for m, (dist, slots) in exact[k]:
-                    if subsets_known(m, known):
+            # a carried-over group one smaller passes the subset check, so it
+            # is a base too
+            for base in {*last, *given_by_size[k - 1]}:
+                # the rider joins the route of the base's edge for the class's
+                # first vehicle; a member of the class can drive any route of
+                # another, and the (0, vid) edge is the delivery route or a
+                # cheaper carried-over plan of dropoffs only
+                base_edge = edges.get((base, vids[0]))
+                if base_edge is None:
+                    continue  # no route of the first vehicle to insert into
+                route = base_edge.route
+                top = base.bit_length()
+                rest = everyone >> top << top
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    m = base | bit
+                    if not subsets_known(m, known):
+                        continue
+                    cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
+                                                travel, config, table=table)
+                    if offer_route(m, vids, cand):
                         found.append(m)
-                        offer(m, vids, dist, slots, timing)
-            else:
-                # a carried-over group one smaller passes the subset check,
-                # so it is a base too
-                for base in {*last, *given_by_size[k - 1]}:
-                    # the rider joins the route of the base's edge for the
-                    # class's first vehicle, timed once and kept there; a
-                    # lone rider joins the delivery route, since the (0, vid)
-                    # edge may be a carried-over plan of dropoffs only
-                    base_edge = edges.get((base, vids[0]))
-                    if k > 1 and base_edge is None:
-                        continue  # no route of the first vehicle to insert into
-                    top = base.bit_length()
-                    rest = everyone >> top << top
-                    while rest:
-                        bit = rest & -rest
-                        rest ^= bit
-                        m = base | bit
-                        if not subsets_known(m, known):
-                            continue
-                        route = delivery if k == 1 else base_edge.route
-                        if route is None:
-                            continue
-                        cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
-                                                    travel, config, table=table)
-                        if offer_route(m, vids, cand):
-                            found.append(m)
             if not found and not given_by_size[k]:
                 # a larger trip needs trips of the class or carried-over
                 # groups one size down, and two groups never share a rider

@@ -29,8 +29,9 @@ class EuclideanTravel:
     obeys_triangle = True
 
     def __init__(self, speed: float = 1.0):
-        if speed <= 0:
-            raise TravelError(f"speed must be positive, got {speed}")
+        # NaN fails every comparison, so it is tested for apart
+        if not math.isfinite(speed) or speed <= 0:
+            raise TravelError(f"speed must be positive and finite, got {speed}")
         self.speed = float(speed)
 
     def distance(self, a: Location, b: Location) -> float:
@@ -57,6 +58,8 @@ class MatrixTravel:
                 for j, val in enumerate(row):
                     if val < 0:
                         raise TravelError(f"{name} matrix entry [{i}][{j}] is negative")
+                    if not math.isfinite(val):
+                        raise TravelError(f"{name} matrix entry [{i}][{j}] is not finite")
                 if m[i][i] != 0:
                     raise TravelError(f"{name} matrix diagonal entry [{i}][{i}] is nonzero")
         self.n = n

@@ -40,41 +40,54 @@ def naive_schedule(
     service starts. Infeasible when any waiting or delay limit breaks,
     capacity is exceeded, or the sequence itself is invalid.
     """
-    onboard = set(initial_onboard)
-    load = sum(requests_by_id[r].load for r in onboard)
-    if load > config.capacity:
+    at = _start(start_loc, start_time, initial_onboard, requests_by_id, config)
+    if at is None:
         return False, 0.0, []
-    loc = start_loc
-    free = start_time
-    total = 0.0
     stops: list[Stop] = []
     for kind, rid in seq:
-        req = requests_by_id[rid]
-        target = req.pickup if kind == PICKUP else req.dropoff
-        arrival = free + travel.travel_time(loc, target)
-        total += travel.distance(loc, target)
-        if kind == PICKUP:
-            if rid in onboard:
-                return False, 0.0, []
-            service = max(arrival, req.desired_pickup_time)
-            if service - req.desired_pickup_time > config.max_wait:
-                return False, 0.0, []
-            onboard.add(rid)
-            load += req.load
-            if load > config.capacity:
-                return False, 0.0, []
-        else:
-            if rid not in onboard:
-                return False, 0.0, []
-            service = max(arrival, req.earliest_dropoff_time)
-            if service - req.earliest_dropoff_time > config.max_delay:
-                return False, 0.0, []
-            onboard.discard(rid)
-            load -= req.load
-        stops.append(Stop(kind, rid, target, service, load))
-        free = service + config.dwell
-        loc = target
-    return True, total, stops
+        at = _visit(at, kind, rid, requests_by_id, travel, config)
+        if at is None:
+            return False, 0.0, []
+        stops.append(at[5])
+    return True, at[4], stops
+
+
+def _start(loc: Location, time: int, onboard: Iterable[int], requests_by_id, config):
+    """The walk's state before its first stop, or None when the passengers
+    overfill the vehicle: (place, free time, aboard, load, distance, None)."""
+    onboard = frozenset(onboard)
+    load = sum(requests_by_id[r].load for r in onboard)
+    return None if load > config.capacity else (loc, time, onboard, load, 0.0, None)
+
+
+def _visit(at, kind: str, rid: int, requests_by_id, travel, config):
+    """naive_schedule's walk one stop on: the state after serving the stop,
+    its Stop last, or None when the stop breaks a rule."""
+    loc, free, onboard, load, total, _stop = at
+    req = requests_by_id[rid]
+    target = req.pickup if kind == PICKUP else req.dropoff
+    arrival = free + travel.travel_time(loc, target)
+    total += travel.distance(loc, target)
+    if kind == PICKUP:
+        if rid in onboard:
+            return None
+        service = max(arrival, req.desired_pickup_time)
+        if service - req.desired_pickup_time > config.max_wait:
+            return None
+        onboard = onboard | {rid}
+        load += req.load
+        if load > config.capacity:
+            return None
+    else:
+        if rid not in onboard:
+            return None
+        service = max(arrival, req.earliest_dropoff_time)
+        if service - req.earliest_dropoff_time > config.max_delay:
+            return None
+        onboard = onboard - {rid}
+        load -= req.load
+    stop = Stop(kind, rid, target, service, load)
+    return target, service + config.dwell, onboard, load, total, stop
 
 
 def all_stop_orders(new_ids: Sequence[int], onboard_ids: Sequence[int]):
@@ -294,6 +307,45 @@ def _cheapest_placement(start_loc, start_time, base, new_stops, onboard, request
     return None if best is None else (best[0], best[2])
 
 
+def _rider_set_routes(start_loc: Location, start_time: int, new_ids: Sequence[int],
+                     onboard_ids: Iterable[int], max_new: int,
+                     requests_by_id: Mapping[int, Request], travel, config: SolverConfig
+                     ) -> dict[tuple[int, ...], tuple[float, tuple]]:
+    """The best route of every set of at most max_new new riders, by trying orders.
+
+    Extends stop orders one stop at a time and drops an order at its first
+    broken stop, since a stop's timing reads only the stops before it.
+    Every order that leaves nobody aboard is a route for the riders it
+    picked up. Returns {rider ids ascending: (cost, sequence)}, keeping each
+    set's lowest (cost, stop keys); the empty set is a key when the
+    passengers can be delivered.
+    """
+    best: dict[tuple[int, ...], tuple[float, tuple, tuple]] = {}
+    seq: list[tuple[str, int]] = []
+
+    def extend(at, picked):
+        aboard = at[2]
+        if not aboard:
+            key = tuple(stop_sort_key(k, r) for k, r in seq)
+            ids = tuple(sorted(picked))
+            if ids not in best or (at[4], key) < best[ids][:2]:
+                best[ids] = (at[4], key, tuple(seq))
+        steps = [(DROPOFF, r) for r in sorted(aboard)]
+        if len(picked) < max_new:
+            steps += [(PICKUP, r) for r in new_ids if r not in picked]
+        for kind, rid in steps:
+            after = _visit(at, kind, rid, requests_by_id, travel, config)
+            if after is not None:
+                seq.append((kind, rid))
+                extend(after, picked | {rid} if kind == PICKUP else picked)
+                seq.pop()
+
+    at = _start(start_loc, start_time, onboard_ids, requests_by_id, config)
+    if at is not None:
+        extend(at, frozenset())
+    return {ids: (cost, seq) for ids, (cost, _key, seq) in best.items()}
+
+
 def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, travel,
                         config: SolverConfig) -> dict[tuple[tuple[int, ...], int],
                                                       tuple[float, tuple]]:
@@ -301,22 +353,21 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
 
     Follows the graph's rules, with every route found by trying orders:
     - A vehicle's carried-over plan is an edge when its timing holds, and
-      its pickups are then a trip from the start.
-    - A vehicle with passengers gets a delivery-only edge (trip ()): the
+      its pickups are then a trip of every vehicle from the start.
+    - Vehicles at one place and time with the same passengers form a class
+      and share routes. A class's cap is the trip-size limit, and
+      exhaustive_route_limit less its passengers.
+    - Up to its cap, a class's trips are exactly the rider sets it has a
+      route for, each by its best order; with passengers aboard, the best
+      order of no new rider is its delivery-only edge (trip ()).
+    - A class whose passengers fill the cap gets a delivery-only edge: the
       best order while the passengers number at most
       exhaustive_route_limit, else each dropoff placed in turn, by id, at
       its cheapest place.
-    - Vehicles at one place and time with the same passengers form a class
-      and share routes.
-    - Trips grow a request at a time. A set is a candidate once every
-      one-smaller subset is a trip. A class routes a candidate once it has
-      routed every one-smaller subset, and the set is a trip once some
-      class routes it.
-    - A class routes a set by the best order while the set and the
-      passengers number at most exhaustive_route_limit. Past that, it
-      places the top id's pickup and dropoff at their cheapest place into a
-      base: the class's delivery-only route for a single request, else its
-      first vehicle's best edge for the rest of the set.
+    - Past its cap, a class routes a set once every one-smaller subset is a
+      trip of the class or a carried-over plan's trip: it places the top
+      id's pickup and dropoff at their cheapest place into its first
+      vehicle's best edge for the rest of the set.
     Returns {(trip ids, vehicle id): (cost, stop keys)}, keeping each
     pairing's lowest (cost, stop keys).
     """
@@ -327,6 +378,7 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
         for _kind, req in state.planned_suffix:
             by_id.setdefault(req.id, req)
     limit = config.exhaustive_route_limit
+    size_limit = config.effective_trip_size_limit
     edges: dict[tuple[tuple[int, ...], int], tuple] = {}  # -> (cost, keys, seq)
 
     def offer(trip, vid, cost, seq):
@@ -334,29 +386,6 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
         old = edges.get((trip, vid))
         if old is None or (cost, key) < old[:2]:
             edges[(trip, vid)] = (cost, key, seq)
-
-    classes: dict[tuple, list] = {}
-    for state in states:
-        classes.setdefault((state.plan_location, state.plan_time, state.onboard),
-                           []).append(state)
-    delivery: dict[tuple, Optional[tuple[float, tuple]]] = {}
-    for ckey, members in classes.items():
-        loc, time, onboard = ckey
-        found = None
-        if onboard and len(onboard) <= limit:
-            got = brute_force_best_route(loc, time, [], sorted(onboard), by_id, travel, config)
-            found = None if got is None else got[:2]
-        elif onboard:
-            found = (0.0, ())
-            for rid in sorted(onboard):
-                found = _cheapest_placement(loc, time, found[1], ((DROPOFF, rid),), onboard,
-                                            by_id, travel, config)
-                if found is None:
-                    break
-        delivery[ckey] = found
-        if found is not None:
-            for state in members:
-                offer((), state.vehicle_id, *found)
 
     given = {()}
     for state in states:
@@ -370,34 +399,47 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
             offer(trip, state.vehicle_id, cost, suffix)
             given.add(trip)
 
-    known = set(given)
+    classes: dict[tuple, list] = {}
+    for state in states:
+        classes.setdefault((state.plan_location, state.plan_time, state.onboard),
+                           []).append(state)
+    caps = {ckey: max(min(size_limit, limit - len(ckey[2])), 0) for ckey in classes}
     class_known = {ckey: set(given) for ckey in classes}
-    for k in range(1, config.effective_trip_size_limit + 1):
+    for ckey, members in classes.items():
+        loc, time, onboard = ckey
+        if caps[ckey]:
+            routes = _rider_set_routes(loc, time, [r.id for r in requests], onboard,
+                                       caps[ckey], by_id, travel, config)
+        elif len(onboard) <= limit:
+            got = brute_force_best_route(loc, time, [], sorted(onboard), by_id, travel, config)
+            routes = {} if got is None else {(): got[:2]}
+        else:
+            found = (0.0, ())
+            for rid in sorted(onboard):
+                found = _cheapest_placement(loc, time, found[1], ((DROPOFF, rid),), onboard,
+                                            by_id, travel, config)
+                if found is None:
+                    break
+            routes = {} if found is None else {(): found}
+        for ids, (cost, seq) in routes.items():
+            if ids or onboard:
+                class_known[ckey].add(ids)
+                for state in members:
+                    offer(ids, state.vehicle_id, cost, seq)
+
+    for k in range(1, size_limit + 1):
         for ids in itertools.combinations([r.id for r in requests], k):
             subsets = [tuple(i for i in ids if i != m) for m in ids]  # the last drops the top
-            if any(s not in known for s in subsets):
-                continue
             for ckey, members in classes.items():
-                if any(s not in class_known[ckey] for s in subsets):
+                if k <= caps[ckey] or any(s not in class_known[ckey] for s in subsets):
                     continue
-                loc, time, onboard = ckey
-                if k + len(onboard) <= limit:
-                    got = brute_force_best_route(loc, time, list(ids), sorted(onboard), by_id,
-                                                 travel, config)
-                    found = None if got is None else got[:2]
-                else:
-                    if k == 1:
-                        base = delivery[ckey]
-                    else:
-                        base = edges.get((subsets[-1], members[0].vehicle_id))
-                        base = None if base is None else (base[0], base[2])
-                    found = None if base is None else _cheapest_placement(
-                        loc, time, base[1], ((PICKUP, ids[-1]), (DROPOFF, ids[-1])), onboard,
-                        by_id, travel, config)
+                base = edges.get((subsets[-1], members[0].vehicle_id))
+                found = None if base is None else _cheapest_placement(
+                    ckey[0], ckey[1], base[2], ((PICKUP, ids[-1]), (DROPOFF, ids[-1])),
+                    ckey[2], by_id, travel, config)
                 if found is None:
                     continue
                 class_known[ckey].add(ids)
-                known.add(ids)
                 for state in members:
                     offer(ids, state.vehicle_id, *found)
     return {pairing: (cost, key) for pairing, (cost, key, _seq) in edges.items()}

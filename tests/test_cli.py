@@ -270,10 +270,19 @@ def test_solve_keeps_explicit_zero_minutes(tmp_path, capsys):
     ("csv", ["--speed", "-1"], "speed must be positive"),
     ("lilim", ["--capacity", "0"], "capacity must be >= 1"),
     ("lilim", ["--fleet-size", "0"], "fleet_size must be >= 1"),
+    ("csv", ["--speed", "nan"], "speed must be positive and finite, got nan"),
+    ("csv", ["--speed", "inf"], "speed must be positive and finite, got inf"),
+    ("csv", ["--step-min", "nan"], "--step-min must be finite"),
+    ("csv", ["--max-wait-min", "inf"], "--max-wait-min must be finite"),
+    ("csv", ["--depot-x", "nan", "--depot-y", "0"], "--depot-x must be finite"),
+    ("lilim", ["--step-min", "nan"], "--step-min must be finite"),
+    ("lilim", ["--max-delay-min=-inf", "--dwell-min", "inf"],
+     "--max-delay-min, --dwell-min must be finite"),
 ])
 def test_solve_rejects_explicit_zero_or_negative_settings(tmp_path, capsys, fmt, flags,
                                                           message):
-    # an explicit value is used as given, never swapped for the default
+    # an explicit value is used as given, never swapped for the default, and
+    # a value that is no finite number is refused
     instance = _two_request_csv(tmp_path) if fmt == "csv" else FIXTURE
     out = tmp_path / "x.json"
     code = main(["solve", "--instance", str(instance), "--format", fmt, *flags,
@@ -352,10 +361,31 @@ def test_a_benchmark_file_with_no_horizon_is_a_parse_error(tmp_path, capsys, com
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("fmt, edit", [
+    ("csv", lambda text: text.replace("1,1,1,5,5,10.5", "1,nan,1,5,5,10.5")),
+    ("csv", lambda text: text.replace("1,1,1,5,5,10.5", "1,1,1,5,5,inf")),
+    ("lilim", lambda text: text.replace("3\t50\t1\n", "3\t50\tnan\n", 1)),
+    ("lilim", lambda text: text.replace("\n0\t5\t", "\n0\tinf\t", 1)),
+])
+def test_a_non_finite_number_in_an_instance_file_is_a_parse_error(tmp_path, capsys, fmt,
+                                                                   edit):
+    source = _two_request_csv(tmp_path) if fmt == "csv" else FIXTURE
+    src = tmp_path / f"bad.{fmt}"
+    src.write_text(edit(source.read_text()))
+    assert src.read_text() != source.read_text()
+    out = tmp_path / "x.json"
+    assert main(["solve", "--instance", str(src), "--format", fmt, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {src}:") and "non-finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("travel", [
     {"mode": "euclidean", "speed": 0},
     {"mode": "euclidean", "speed": -2},
     {"mode": "euclidean", "speed": "fast"},
+    {"mode": "euclidean", "speed": float("nan")},
+    {"mode": "euclidean", "speed": float("inf")},
     "euclidean",
 ])
 def test_validate_reports_a_bad_travel_block_as_malformed(tmp_path, capsys, travel):

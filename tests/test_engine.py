@@ -150,9 +150,10 @@ def test_drain_past_its_cap_is_an_engine_error(monkeypatch):
 
 
 def _stitched_runs(monkeypatch, check):
-    """Run corpus case 101 at rh_factor 2, then four small matrix instances,
-    calling check(states before, routes, t_to, states after, travel, config)
-    after every step; both state lists are in vehicle id order."""
+    """Run corpus case 101 at rh_factor 2, the benchmark's first
+    matrix-lookahead case, then four small matrix instances, calling
+    check(states before, routes, t_to, states after, travel, config) after
+    every step; both state lists are in vehicle id order."""
     real = engine.simulate_step
 
     def stitching(states, routes, t_from, t_to, travel, config):
@@ -162,6 +163,8 @@ def _stitched_runs(monkeypatch, check):
 
     monkeypatch.setattr(engine, "simulate_step", stitching)
     run(make_instance(101), corpus_config(2))
+    case = WORKLOADS.matrix_cases(1)[0]
+    run(case.instance, case.config)
     for seed in range(4):
         rng = random.Random(seed)
         planar, cfg = random_instance(rng, max_requests=20, max_vehicles=3)
@@ -199,8 +202,9 @@ def test_each_step_commits_every_stop_its_vehicle_left_for(monkeypatch):
 
 def test_each_step_leaves_a_plan_that_keeps_its_committed_times(monkeypatch):
     # the stitching contract: the plan a step leaves a vehicle re-times from
-    # its new start as feasible, at exactly the times the chosen route gave
-    # those stops, since the vehicle has not yet left for the first of them
+    # its new start as feasible, at exactly the times and loads the chosen
+    # route gave those stops, since a step starts the next plan at the
+    # departure the route already had
     plans = 0
     broken = []
 
@@ -210,15 +214,17 @@ def test_each_step_leaves_a_plan_that_keeps_its_committed_times(monkeypatch):
             if not st.planned_suffix:
                 continue
             plans += 1
-            old = routes[st.vehicle_id].schedule[-len(st.planned_suffix):]
+            route = routes[st.vehicle_id]
+            tail = len(route.sequence) - len(st.planned_suffix)
             new = schedule_route(st, st.planned_suffix, travel, config)
-            if not (new.feasible and new.schedule == old):
-                broken.append(f"t={t_to} vehicle {st.vehicle_id}: {old} re-timed as "
-                              f"{new.schedule}, feasible {new.feasible}")
+            if not (new.feasible and new.schedule == route.schedule[tail:]
+                    and new.stops == route.stops[tail:]):
+                broken.append(f"t={t_to} vehicle {st.vehicle_id}: {route.schedule[tail:]} "
+                              f"re-timed as {new.schedule}, feasible {new.feasible}")
 
     _stitched_runs(monkeypatch, check)
     assert broken == []
-    assert plans == 156
+    assert plans == 287
 
 
 def test_config_errors():

@@ -90,6 +90,10 @@ def test_load_lilim_rejects_malformed_rows(tmp_path):
         load_lilim(write_variant(
             tmp_path, ["1\t10\t1", "1\t1\t2\t10\t10\t120\t5\t0\t2",
                        "2\t2\t3\t-10\t0\t120\t5\t1\t0"]))
+    with pytest.raises(ParseError, match="variant.txt:1: non-finite"):
+        load_lilim(write_variant(tmp_path, ["1\t10\tnan", "0\t0\t0\t0\t0\t120\t0\t0\t0"]))
+    with pytest.raises(ParseError, match="variant.txt:2: non-finite"):
+        load_lilim(write_variant(tmp_path, ["1\t10\t1", "0\tinf\t0\t0\t0\t120\t0\t0\t0"]))
 
 
 def test_adapt_benchmark_scales_by_native_day():
@@ -135,6 +139,10 @@ def test_load_csv_requests(tmp_path):
     (CSV_GOOD + "1,0,0,1,1,5\n", "duplicate"),
     (CSV_GOOD + "9,0,0,1,1,-2\n", "negative"),
     (CSV_GOOD + "9,zero,0,1,1,5\n", "numeric"),
+    (CSV_GOOD + "9,nan,0,1,1,5\n", "bad.csv:4: non-finite"),
+    (CSV_GOOD + "9,0,0,1,inf,5\n", "bad.csv:4: non-finite"),
+    (CSV_GOOD + "9,0,0,1,1,nan\n", "bad.csv:4: non-finite"),
+    (CSV_GOOD + "9,0,0,1,1,inf\n", "bad.csv:4: non-finite"),
     (CSV_GOOD + "9,0,0,1,1\n", "columns"),
 ])
 def test_load_csv_rejects(tmp_path, text, frag):

@@ -1,10 +1,13 @@
-"""The README's examples run as written, so a renamed flag cannot leave it stale."""
+"""The README's examples run as written and its tables name what the code
+has, so a renamed flag or field cannot leave it stale."""
 
+import dataclasses
 import re
 import shlex
 from pathlib import Path
 
 from rollhorizon.cli import main
+from rollhorizon.model import SolverConfig
 
 ROOT = Path(__file__).parent.parent
 README = (ROOT / "README.md").read_text()
@@ -26,3 +29,11 @@ def test_cli_example_runs(tmp_path, capsys, monkeypatch):
     assert main(argv) == 0
     assert "service_rate=" in capsys.readouterr().out
     assert (tmp_path / "synthetic_pd_small.report.json").exists()
+
+
+def test_configuration_table_lists_every_solver_field():
+    section = README[README.index("### Configuration"):]
+    table = re.match(r"### Configuration\n\n((?:\|.*\n)+)", section).group(1)
+    names = {name for row in table.splitlines()[2:]
+             for name in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert names == {f.name for f in dataclasses.fields(SolverConfig)}

@@ -76,17 +76,33 @@ def test_graph_trips_and_edges_small_instance():
 
 
 def test_graph_subset_closure():
-    rng = random.Random(2024)
-    config = cfg(capacity=3)
-    reqs = [random_request(rng, rid, 6.0, 400, TRAVEL) for rid in range(6)]
-    states = [fresh_state(0, 3, 3), fresh_state(1, 1, 5)]
-    graph = build_rtv_graph(reqs, states, TRAVEL, config)
-    sets = {frozenset(t) for t in graph.trips}
-    for s in sets:
-        if len(s) < 2:
-            continue
-        for drop in s:
-            assert (s - {drop}) in sets
+    # dropping a rider delays no stop when travel obeys the triangle
+    # inequality, so every rider set a class routes exactly has each of its
+    # one-smaller subsets as a trip of the same vehicle, and past the cap
+    # the subset rule keeps that too. Vehicles 1 and 2 share a class, and
+    # vehicle 3 carries a passenger, which lowers its cap
+    checked = 0
+    for seed in range(8):
+        rng = random.Random(seed)
+        config = cfg(capacity=rng.choice((2, 3, 4)), exhaustive_route_limit=rng.choice((3, 4)))
+        reqs = [random_request(rng, rid, 6.0, 400, TRAVEL) for rid in range(7)]
+        aboard = mk(99, 3, 3, rng.uniform(0, 6), rng.uniform(0, 6), 0)
+        states = [fresh_state(0, 1, 1), fresh_state(1, 4, 4), fresh_state(2, 4, 4),
+                  VehicleState(vehicle_id=3, plan_location=Location(3, 3), plan_time=30,
+                               onboard=frozenset([99]), planned_suffix=((DROPOFF, aboard),))]
+        graph = build_rtv_graph(reqs, states, TRAVEL, config)
+        trips = {(e.requests, e.vehicle_id) for e in graph.edges}
+        sets = {frozenset(t) for t in graph.trips} | {frozenset()}
+        for s in sets:
+            assert all(s - {drop} in sets for drop in s)
+        for state in states:
+            cap = min(config.capacity, config.exhaustive_route_limit - len(state.onboard))
+            for trip, vid in trips:
+                if vid == state.vehicle_id and 2 <= len(trip) <= cap:
+                    for rid in trip:
+                        assert (tuple(i for i in trip if i != rid), vid) in trips
+                    checked += 1
+    assert checked >= 1000
 
 
 def test_trip_size_never_exceeds_capacity_or_cap():
@@ -295,6 +311,30 @@ def test_a_carried_over_pair_may_share_in_larger_trips():
                                  (DROPOFF, 3), (PICKUP, 2), (DROPOFF, 2)]
 
 
+def test_an_exact_trip_needs_no_subset_to_be_a_trip():
+    # matrix nodes: the vehicle's spot V, a's pickup A, b's pickup B, their
+    # dropoffs DA and DB. The leg V-A takes 100 minutes, so a alone is
+    # picked up far too late, but V-B and B-A take a minute each: with b
+    # picked up first, a rides too. Every other leg takes a minute
+    V, A, B, DA, DB = range(5)
+    times = [[0 if i == j else 6000 if (i, j) == (V, A) else 60 for j in range(5)]
+             for i in range(5)]
+    travel = MatrixTravel(times, [[t / 60 for t in row] for row in times])
+    node = [Location(float(i), 0.0, node_id=i) for i in range(5)]
+    a = derive_earliest_dropoff(Request(0, node[A], node[DA], 120, 0), travel)
+    b = derive_earliest_dropoff(Request(1, node[B], node[DB], 60, 0), travel)
+    config = cfg(max_wait=300, max_delay=3600, dwell=0, capacity=2)
+    state = VehicleState(vehicle_id=0, plan_location=node[V], plan_time=0)
+    graph = build_rtv_graph([a, b], [state], travel, config)
+    routes = {e.requests: [(k, r.id) for k, r in e.route.sequence] for e in graph.edges}
+    assert sorted(routes) == [(0, 1), (1,)]
+    assert routes[(0, 1)][:2] == [(PICKUP, 1), (PICKUP, 0)]
+    got = {(e.requests, e.vehicle_id):
+           (e.cost, tuple(stop_sort_key(k, r.id) for k, r in e.route.sequence))
+           for e in graph.edges}
+    assert got == reference_rtv_graph([a, b], [state], travel, config)
+
+
 def test_edge_costs_match_independent_walk():
     rng = random.Random(3131)
     config = cfg()
@@ -399,23 +439,26 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
     # trips onto insertion, and passengers aboard lower the cap further.
     # Each instance also runs on a table that breaks the triangle
     # inequality, where a late stop prunes nothing and a detour may arrive
-    # earlier
+    # earlier; there a pair may be a trip while one of its riders alone is
+    # not, which seeds 83 and 98 reach
     calls = []
     real = engine.build_rtv_graph
 
     def record(requests, states, travel, config):
-        calls.append((requests, states, travel, config))
+        # the engine passes a view of its pending requests, which change
+        # after the call
+        calls.append((tuple(requests), states, travel, config))
         return real(requests, states, travel, config)
 
     monkeypatch.setattr(engine, "build_rtv_graph", record)
-    for seed in (0, 2, 6, 11, 16, 23):
+    for seed in (0, 2, 6, 11, 16, 23, 83, 98):
         rng = random.Random(seed)
         inst, config = random_instance(rng, max_requests=30, max_vehicles=4,
                                        rh_choices=(1, 2, 3))
         config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
         engine.run(inst, config)
         engine.run(matrix_instance(inst, rng), config)
-    compared = carrying = planned = on_matrix = 0
+    compared = pending = carrying = planned = on_matrix = unclosed = 0
     for requests, states, travel, config in calls:
         if not any(s.onboard or s.planned_suffix for s in states):
             continue
@@ -429,7 +472,18 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         # each trip once, in edge order
         assert list(graph.trips) == sorted({trip for trip, _vid in got if trip})
         compared += 1
+        pending += bool(requests)
         carrying += sum(bool(s.onboard) for s in states)
         planned += sum(bool(s.planned_suffix) for s in states)
         on_matrix += isinstance(travel, MatrixTravel)
-    assert compared >= 70 and carrying >= 160 and planned >= 200 and on_matrix >= 40
+        # a trip of a vehicle, other than a carried-over group, with a
+        # one-smaller subset that is no trip of the vehicle: only the exact
+        # enumeration makes one, and a subset rule would have dropped it
+        groups = {tuple(sorted(r.id for k, r in s.planned_suffix if k == PICKUP))
+                  for s in states}
+        unclosed += any(
+            trip not in groups and len(trip) >= 2
+            and any((tuple(i for i in trip if i != rid), vid) not in got for rid in trip)
+            for trip, vid in got)
+    assert compared >= 120 and pending >= 100 and carrying >= 250 and planned >= 280
+    assert on_matrix >= 65 and unclosed >= 2

@@ -27,6 +27,11 @@ def test_euclidean_speed_must_be_positive():
         EuclideanTravel(0.0)
     with pytest.raises(TravelError):
         EuclideanTravel(-1.0)
+    # NaN fails every comparison, and infinity makes every leg take no time
+    with pytest.raises(TravelError):
+        EuclideanTravel(float("nan"))
+    with pytest.raises(TravelError):
+        EuclideanTravel(float("inf"))
 
 
 def test_euclidean_symmetry_and_triangle_inequality():
@@ -69,6 +74,8 @@ def test_matrix_times_become_integers():
     ([[0, -1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], "negative"),
     ([[1, 1], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], "diagonal"),
     ([[0, 1], [1, 0]], [[0.0, 1.0], [-2.0, 0.0]], "negative"),
+    ([[0, float("nan")], [1, 0]], [[0.0, 1.0], [1.0, 0.0]], "not finite"),
+    ([[0, 1], [1, 0]], [[0.0, float("inf")], [1.0, 0.0]], "not finite"),
 ])
 def test_matrix_validation(times, dists, frag):
     with pytest.raises(TravelError, match=frag):
