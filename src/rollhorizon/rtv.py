@@ -11,16 +11,18 @@ one-smaller subsets are trips of the class: the subset rule prunes growth
 and nothing else. Dropping a rider delays no stop under travel that obeys
 the triangle inequality, so there the exact trips are closed under subsets
 anyway; on a matrix, a pair may be feasible where one of its riders alone
-is not. The groups vehicles' previous plans carry over are trips of every
-class from the start and are routed for every vehicle like any other
-subset. Each class grows in a loop of its own and stops at the first size
-where it finds no trip and no carried-over group has that size: nothing
-larger could pass its subset check. Each trip-vehicle pairing is kept as
-one edge, replaced only by a cheaper offer, and the edge names its trip by
-its request ids. An enumerated route is kept on its edge as its distance
-and stop slots and timed only when the edge's route is read, since the
-assignment reads only costs. No pairwise screen runs first: a pair becomes
-a trip, like any larger set, when some vehicle class routes it.
+is not. Each class grows in a loop of its own and stops at the first size
+where it finds no trip: nothing larger could pass its subset check. A
+vehicle's previous plan is an edge of that vehicle alone, and it seeds no
+trip. It is rebuilt only where its class's enumeration cannot reach the
+plan's group: elsewhere the enumeration walks the plan's own stops, which
+a feasible plan reaches in time, and keeps a route no worse. Each
+trip-vehicle pairing is kept as one edge, replaced only by a cheaper
+offer, and the edge names its trip by its request ids. An enumerated
+route is kept on its edge as its distance and stop slots and timed only
+when the edge's route is read, since the assignment reads only costs. No
+pairwise screen runs first: a pair becomes a trip, like any larger set,
+when some vehicle class routes it.
 
 Edge and RtvGraph are plain dataclasses, not frozen ones, since a
 re-solve builds thousands of edges and a frozen dataclass sets each field
@@ -100,11 +102,10 @@ def _dropoff_only_route(state, travel, config, requests_by_id, table):
     Searched apart only for a class whose passengers fill the exact cap
     (exhaustive_route_limit), which runs no route enumeration; any other
     class reads this route off its enumeration, as the route of the empty
-    rider set.
+    rider set. So at least exhaustive_route_limit passengers, and that
+    limit is at least 1, are aboard: there is always someone to deliver.
     """
     onboard = sorted(state.onboard)
-    if not onboard:
-        return None
     if len(onboard) <= config.exhaustive_route_limit:
         return best_route_exhaustive(state, [], travel, config, requests_by_id, table=table)
     # too many aboard for exact search: place each dropoff greedily
@@ -120,28 +121,25 @@ def _dropoff_only_route(state, travel, config, requests_by_id, table):
 def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig) -> RtvGraph:
     """Assemble the full trip-vehicle graph for one sub-problem.
 
-    Each vehicle's previously planned stops are rebuilt into an edge, so
-    the assignment can keep the plan, and the requests the plan still picks
-    up are a trip from the start. Vehicles at one place and time with the
-    same passengers form a class and share routes. Up to a class's cap of
-    new riders (the trip-size limit, and exhaustive_route_limit less its
-    passengers), its trips are exactly the rider sets of its one exact
-    enumeration, each with its best route; a loaded class's route of no
-    new rider is its delivery-only edge. A class whose passengers fill the
-    exact cap runs no enumeration and searches its delivery route apart.
-    Past the cap, the class's trips one smaller and the carried-over groups
-    grow by a higher request, inserted into the route of the base's edge
-    for the class's first vehicle, once every one-smaller subset is a trip
-    of the class or a carried-over group. A set is a trip once some class
-    routes it, so carried-over groups are offered to every vehicle. The
-    carried-over plans are offered first, then each class grows on its own
-    until a size where it finds no trip and no carried-over group has that
-    size; since no two plans pick up one request, nothing larger could pass
-    its subset check. Each pairing is one edge, built when an offer beats
-    the pairing's current one (lower distance, then smaller stop slots);
-    edges are sorted by their request ids, then vehicle id. An exact route
-    is kept as its distance and stop slots, and timed only when its edge's
-    route is first read.
+    Vehicles at one place and time with the same passengers form a class
+    and share routes. Up to a class's cap of new riders (the trip-size
+    limit, and exhaustive_route_limit less its passengers), its trips are
+    exactly the rider sets of its one exact enumeration, each with its best
+    route; a loaded class's route of no new rider is its delivery-only
+    edge. A class whose passengers fill the exact cap runs no enumeration
+    and searches its delivery route apart. Past the cap, the class's trips
+    one smaller grow by a higher request, inserted into the route of the
+    base's edge for the class's first vehicle, once every one-smaller
+    subset is a trip of the class; each class grows until a size where it
+    finds no trip. A vehicle's previous plan is an edge of that vehicle,
+    and seeds no trip: it is rebuilt, before its class grows, only where
+    the class's enumeration cannot reach the plan's group, because the
+    class ran none, or the plan picks up more riders than the cap or a
+    rider who is no active request. Each pairing is one edge, built when
+    an offer beats the pairing's current one (lower distance, then smaller
+    stop slots); edges are sorted by their request ids, then vehicle id.
+    An exact route is kept as its distance and stop slots, and timed only
+    when its edge's route is first read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -154,20 +152,20 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     # vehicles agreeing on those (idle twins at a depot, typically) share
     # every search; one representative is routed and its route offered to all
     class_index: dict[tuple, int] = {}
-    classes: list[tuple[object, list[int]]] = []
+    classes: list[list] = []  # each class's member states, in vehicle id order
     for state in states:
         ckey = (state.plan_location, state.plan_time, frozenset(state.onboard))
         at = class_index.get(ckey)
         if at is None:
             class_index[ckey] = len(classes)
-            classes.append((state, [state.vehicle_id]))
+            classes.append([state])
         else:
-            classes[at][1].append(state.vehicle_id)
+            classes[at].append(state)
 
     # every route routine of this re-solve numbers its stops and reads its
     # legs from one table; trips are StopTable masks of their riders
-    table = StopTable(requests_by_id.values(), (rep.plan_location for rep, _ in classes),
-                      travel, config)
+    table = StopTable(requests_by_id.values(),
+                      (members[0].plan_location for members in classes), travel, config)
     slot_of, riders = table.slot_of, table.riders
 
     # (trip mask, vehicle_id) -> its edge of lowest (distance, slots); a
@@ -198,24 +196,7 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
         offer(key, vids, cand.total_distance, slots, cand)
         return True
 
-    # the empty trip and every feasible carried-over plan's pickups are trips
-    # from the start; a plan was never routed per class, so it passes every
-    # class's subset check. Plans are offered first: a class's insertion
-    # bases read its first vehicle's routes, and those may be its plan
-    given = {0}
-    for state in states:
-        # rebuild the previous plan so the assignment can always keep it
-        if state.planned_suffix:
-            pending = table.mask(r.id for k, r in state.planned_suffix if k == PICKUP)
-            cand = schedule_route(state, state.planned_suffix, travel, config, table=table)
-            if offer_route(pending, (state.vehicle_id,), cand):
-                given.add(pending)
-
     limit = config.effective_trip_size_limit
-    given_by_size: list[list[int]] = [[] for _ in range(limit + 1)]
-    for m in given:
-        if m.bit_count() <= limit:
-            given_by_size[m.bit_count()].append(m)
     everyone = table.mask(r.id for r in requests)
 
     def subsets_known(m: int, known: set) -> bool:
@@ -229,12 +210,14 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                 return False
         return True
 
-    for rep, vids in classes:
+    for members in classes:
+        rep = members[0]
+        vids = [state.vehicle_id for state in members]
         # the class's exact routes, timed from here
         origin = table.origin_slot[rep.plan_location]
         timing = (table, origin, rep)
         cap = max(min(limit, config.exhaustive_route_limit - len(rep.onboard)), 0)
-        known = set(given)  # the class's trips and the carried-over groups
+        known = {0}  # the empty trip and the class's trips
         if cap:
             # every rider set the enumeration routes is a trip; the route of
             # no new rider is the delivery route
@@ -247,23 +230,31 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
             # passengers fill the exact cap, so no enumeration runs; a lone
             # rider is inserted into this route
             offer_route(0, vids, _dropoff_only_route(rep, travel, config, requests_by_id, table))
+        # a member's previous plan is an edge of that vehicle alone, rebuilt
+        # only where the enumeration cannot reach its group: the enumeration
+        # walks the plan's own stops, which a feasible plan reaches in time,
+        # so its edge is never worse. A plan seeds no trip
+        for state in members:
+            if state.planned_suffix:
+                pending = table.mask(r.id for k, r in state.planned_suffix if k == PICKUP)
+                if not cap or pending.bit_count() > cap or pending & ~everyone:
+                    offer_route(pending, (state.vehicle_id,),
+                                schedule_route(state, state.planned_suffix, travel, config,
+                                               table=table))
         # past the cap a trip grows from a trip one smaller, by a higher
-        # request, once every one-smaller subset is a trip of the class or a
-        # carried-over group
+        # request, once every one-smaller subset is a trip of the class
         last = [m for m in known if m.bit_count() == cap]
         for k in range(cap + 1, limit + 1):
             found = []
-            # a carried-over group one smaller passes the subset check, so it
-            # is a base too
-            for base in {*last, *given_by_size[k - 1]}:
+            for base in last:
                 # the rider joins the route of the base's edge for the class's
                 # first vehicle; a member of the class can drive any route of
                 # another, and the (0, vid) edge is the delivery route or a
-                # cheaper carried-over plan of dropoffs only
+                # cheaper plan of dropoffs only
                 base_edge = edges.get((base, vids[0]))
                 if base_edge is None:
                     continue  # no route of the first vehicle to insert into
-                route = base_edge.route
+                route = None  # read once some extension passes the subset rule
                 top = base.bit_length()
                 rest = everyone >> top << top
                 while rest:
@@ -272,14 +263,14 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                     m = base | bit
                     if not subsets_known(m, known):
                         continue
+                    if route is None:
+                        route = base_edge.route
                     cand = best_route_insertion(rep, route, riders[bit.bit_length() - 1],
                                                 travel, config, table=table)
                     if offer_route(m, vids, cand):
                         found.append(m)
-            if not found and not given_by_size[k]:
-                # a larger trip needs trips of the class or carried-over
-                # groups one size down, and two groups never share a rider
-                break
+            if not found:
+                break  # a larger trip needs trips of the class one size down
             known.update(found)
             last = found
 

@@ -352,8 +352,6 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
     """The trip-vehicle graph's edges, from brute-force routes.
 
     Follows the graph's rules, with every route found by trying orders:
-    - A vehicle's carried-over plan is an edge when its timing holds, and
-      its pickups are then a trip of every vehicle from the start.
     - Vehicles at one place and time with the same passengers form a class
       and share routes. A class's cap is the trip-size limit, and
       exhaustive_route_limit less its passengers.
@@ -364,10 +362,15 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
       best order while the passengers number at most
       exhaustive_route_limit, else each dropoff placed in turn, by id, at
       its cheapest place.
+    - A vehicle's carried-over plan is an edge of that vehicle when its
+      timing holds, and it makes its group a trip of no class. The graph
+      rebuilds a plan only where its class cannot route the plan's stops
+      up to the cap, since elsewhere the class's route is never worse;
+      offering every plan here checks that claim.
     - Past its cap, a class routes a set once every one-smaller subset is a
-      trip of the class or a carried-over plan's trip: it places the top
-      id's pickup and dropoff at their cheapest place into its first
-      vehicle's best edge for the rest of the set.
+      trip of the class: it places the top id's pickup and dropoff at their
+      cheapest place into its first vehicle's best edge for the rest of the
+      set.
     Returns {(trip ids, vehicle id): (cost, stop keys)}, keeping each
     pairing's lowest (cost, stop keys).
     """
@@ -387,7 +390,6 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
         if old is None or (cost, key) < old[:2]:
             edges[(trip, vid)] = (cost, key, seq)
 
-    given = {()}
     for state in states:
         suffix = tuple((k, r.id) for k, r in state.planned_suffix)
         if not suffix:
@@ -397,14 +399,13 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
         if feasible:
             trip = tuple(sorted(r for k, r in suffix if k == PICKUP))
             offer(trip, state.vehicle_id, cost, suffix)
-            given.add(trip)
 
     classes: dict[tuple, list] = {}
     for state in states:
         classes.setdefault((state.plan_location, state.plan_time, state.onboard),
                            []).append(state)
     caps = {ckey: max(min(size_limit, limit - len(ckey[2])), 0) for ckey in classes}
-    class_known = {ckey: set(given) for ckey in classes}
+    class_known = {ckey: {()} for ckey in classes}
     for ckey, members in classes.items():
         loc, time, onboard = ckey
         if caps[ckey]:

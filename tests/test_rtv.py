@@ -7,6 +7,7 @@ import rollhorizon.routing as routing
 import rollhorizon.rtv as rtv
 from instgen import matrix_instance, random_instance, random_request
 from oracles import naive_schedule, reference_rtv_graph, stop_sort_key
+from rollhorizon.corpus import CORPUS_SEEDS, corpus_config, make_instance
 from rollhorizon.model import (
     DROPOFF,
     PICKUP,
@@ -220,16 +221,67 @@ def test_previous_plan_is_rebuilt_as_an_edge():
         plan_time=0,
         planned_suffix=plan.sequence,
     )
+    # with b no longer a request, the class's enumeration cannot reach the
+    # plan's group, so the plan itself is rebuilt
+    for active in ([a, b], [a]):
+        graph = build_rtv_graph(active, [state], TRAVEL, config)
+        pair_edges = [
+            e for e in graph.edges
+            if e.vehicle_id == 3 and e.requests == (0, 1)
+        ]
+        assert pair_edges
+        # the rebuilt plan must reproduce the old schedule, not just its cost
+        best = min(pair_edges, key=lambda e: e.cost)
+        assert best.cost == plan.total_distance
+        assert best.route.stops == plan.stops
+
+
+def test_a_plan_out_of_the_enumerations_reach_is_an_edge_of_its_vehicle():
+    # one passenger aboard and exhaustive_route_limit 2 leave a cap of one
+    # new rider, so the pair a, b is reachable only by inserting b into a's
+    # route. The passenger, picked up at x = 0 at time 0, drops off at
+    # x = -6; a rides -2 -> 1 from 120 s, b rides -4 -> 3 from 210 s. a's
+    # best route drops a off before the passenger, and no place for b in
+    # it keeps both dropoffs in time. The plan Pa Pb Dp Da Db drops the
+    # passenger first and serves both
+    passenger = mk(9, 0, 0, -6, 0, 0)
+    a = mk(0, -2, 0, 1, 0, 120)
+    b = mk(1, -4, 0, 3, 0, 210)
+    plan = ((PICKUP, a), (PICKUP, b), (DROPOFF, passenger), (DROPOFF, a), (DROPOFF, b))
+    config = cfg(max_wait=120, max_delay=600, exhaustive_route_limit=2)
+
+    def carrier(suffix):
+        return VehicleState(vehicle_id=0, plan_location=Location(0, 0), plan_time=0,
+                            onboard=frozenset([9]), planned_suffix=suffix)
+
+    unplanned = build_rtv_graph([a, b], [carrier(((DROPOFF, passenger),))], TRAVEL, config)
+    assert (0, 1) not in unplanned.trips
+    graph = build_rtv_graph([a, b], [carrier(plan)], TRAVEL, config)
+    (pair,) = [e for e in graph.edges if e.requests == (0, 1)]
+    assert pair.vehicle_id == 0
+    assert pair.route.sequence == plan
+    assert pair.cost == pair.route.total_distance == 15.0
+
+
+def test_a_plan_its_class_enumerates_is_not_rebuilt(monkeypatch):
+    # the plan picks up two riders and the class's cap is 2, so the
+    # enumeration walks the plan's own stops and its route is never worse
+    a = mk(0, 2, 0, 6, 0, 300)
+    b = mk(1, 3, 0, 7, 0, 400)
+    config = cfg(capacity=2)
+    plan = best_route_exhaustive(PlanStart(Location(0, 0), 0), [a, b], TRAVEL, config)
+    state = VehicleState(vehicle_id=3, plan_location=Location(0, 0), plan_time=0,
+                         planned_suffix=plan.sequence)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("a plan its class enumerates was rebuilt")
+
+    monkeypatch.setattr(rtv, "schedule_route", rebuilt)
     graph = build_rtv_graph([a, b], [state], TRAVEL, config)
-    pair_edges = [
-        e for e in graph.edges
-        if e.vehicle_id == 3 and e.requests == (0, 1)
-    ]
-    assert pair_edges
-    # the rebuilt plan must reproduce the old schedule, not just its cost
-    best = min(pair_edges, key=lambda e: e.cost)
-    assert best.cost == plan.total_distance
-    assert best.route.stops == plan.stops
+    (pair,) = [e for e in graph.edges if e.requests == (0, 1)]
+    assert pair.vehicle_id == 3
+    assert pair.cost == plan.total_distance
+    assert pair.route.stops == plan.stops
 
 
 def test_plan_that_no_longer_times_falls_back_to_delivery():
@@ -271,7 +323,8 @@ def test_carried_over_group_is_offered_to_every_vehicle():
         for e in graph.edges
         if e.requests == (0, 1)
     }
-    # the idle vehicle one unit closer drives the planner's group for less
+    # the group fits both classes' cap of 2, so each one's enumeration
+    # routes it: the idle vehicle one unit closer drives it for less
     assert pair_costs == {0: 7.0, 1: 6.0}
 
 
@@ -280,8 +333,9 @@ def test_a_carried_over_pair_may_share_in_larger_trips():
     # of a passenger aboard, then the dropoffs of a, b and x. Legs into
     # dropoffs and the legs S-B, A-X, X-B take a minute, every other leg
     # 100 minutes, so no empty vehicle starting at either pickup can serve
-    # a and b together. The vehicle's plan serves both through S, so a and
-    # b may share a route
+    # a and b together. The vehicle's plan serves both through S; with one
+    # passenger aboard its cap is 3, so its enumeration finds that route and
+    # the larger trip with x as well
     A, B, X, S, DA, DB, DX = range(7)
     quick = {(S, B), (A, X), (X, B)}
     times = [[0 if i == j else 60 if j in (S, DA, DB, DX) or (i, j) in quick else 6000
@@ -431,6 +485,31 @@ def test_exact_routes_are_timed_only_when_read(monkeypatch):
         assert len(built) == len(stops) == len(route.sequence)
         assert route == unread and unread == route
     assert len(timed) == 2 * len(graph.edges)  # each read once, then the check
+
+
+def test_corpus_lookahead_work_counts(monkeypatch):
+    # the graph's work over the 20 corpus instances at rh 2: insertions,
+    # plan rebuilds and timed routes. A plan its class's enumeration
+    # reaches is not rebuilt, and a base route is timed only once some
+    # extension of it passes the subset rule. Any change to these counts
+    # changes how much routing each re-solve does
+    counts = {"insertion": 0, "plan": 0, "timed": 0}
+
+    def counting(key, real):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(rtv, "best_route_insertion",
+                        counting("insertion", rtv.best_route_insertion))
+    monkeypatch.setattr(rtv, "schedule_route", counting("plan", rtv.schedule_route))
+    timed = counting("timed", routing._timed_route)
+    monkeypatch.setattr(routing, "_timed_route", timed)
+    monkeypatch.setattr(rtv, "_timed_route", timed)
+    for seed in CORPUS_SEEDS:
+        engine.run(make_instance(seed), corpus_config(rh_factor=2))
+    assert counts == {"insertion": 249, "plan": 2, "timed": 3012}
 
 
 def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
