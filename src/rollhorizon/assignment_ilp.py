@@ -108,7 +108,9 @@ def solve_assignment(
     has its delivery-only edge, which holds no request. Such a dive is
     charged at most one unit per vehicle and per edge, plus one for the
     leaf; only a loaded vehicle without a delivery-only edge can make it
-    backtrack. Ties are broken deterministically,
+    backtrack. Under planar travel every loaded vehicle has one, since the
+    dropoffs of its feasible previous plan, in order, are such a route; so
+    only matrix travel can. Ties are broken deterministically,
     so results are reproducible. Vehicles with identical menus (same
     trips, costs and stop orders) are twins, and the search keeps one
     labeling of them: twins in id order take options in increasing menu

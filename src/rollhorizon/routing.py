@@ -19,10 +19,12 @@ first late stop, and it does not enter a child that cannot reach the
 node's tightest owed stop, the one due first, in time: that child would
 end on it at once. Matrix travel, whose detours may arrive sooner, enters
 every child.
-best_route_exhaustive reads it for a single request set. best_route_insertion
-slots one new request into an existing order once exact search would be
-too wide: the same search, owing the base route's stops and the new ones
-as two chains, with no rider to join. schedule_route times a fixed stop
+best_route_exhaustive reads it for a single request set; with none, it
+routes just the passengers' dropoffs, so every delivery-only route is
+exact, however many ride. best_route_insertion slots one new request into
+an existing order once exact search would be too wide: the same search,
+owing the base route's stops and the request's pickup and dropoff as two
+chains, with no rider to join. schedule_route times a fixed stop
 sequence. The search times stops inline over slots, for speed; it and the
 kernel are the only stop timing here. A recursive closure holds itself
 through its cell, so _exact_routes deletes its dfs in a finally as the
@@ -274,7 +276,9 @@ def best_route_exhaustive(start, request_set: Iterable[Request], travel, config:
     hold every rider of the search and the start's location, and have been
     built for the same travel model and config. Without one, the search
     builds a table of its own. The search is _exact_routes over
-    request_set, read at the whole set.
+    request_set, read at the whole set. exhaustive_route_limit bounds
+    request_set alone: an empty one asks for the delivery-only route,
+    found exactly however many passengers are aboard.
     """
     new = sorted(request_set, key=_request_id)
     if len(new) > config.exhaustive_route_limit:
@@ -441,46 +445,27 @@ def best_route_insertion(start, base_route: CandidateRoute, new_request: Request
                          ) -> Optional[CandidateRoute]:
     """Cheapest feasible insertion of one request into an existing order.
 
-    Tries every pickup/dropoff position pair that keeps the base order
-    intact and the pickup before the dropoff. Returns None when no
-    placement is feasible. `table` must hold the start's location and every
-    rider of the route and of the passengers aboard, and have been built
-    for the same travel model and config. Without one, a table of the
-    route's riders is built.
+    The exact search with no rider to join and two owed chains, the base
+    route's stops and the new request's pickup and dropoff: it walks every
+    pickup/dropoff position pair that keeps the base order intact and the
+    pickup before the dropoff, and keeps the lowest (distance, stop keys),
+    as the kernel times it. Every stop is timed from the start and every
+    load checked, the seats of the passengers aboard and of the pickups the
+    base owes included. Returns None when no placement is feasible. `table`
+    (see _on_table) must hold the start's location and every rider of the
+    route and of the passengers aboard; a one-off table holds only the
+    route's and the new request's.
     """
     if not base_route.feasible:
         raise ValueError("base route must be feasible")
-    return _insert_stops(
-        start, base_route, ((PICKUP, new_request), (DROPOFF, new_request)), travel, config,
-        table=table,
-    )
-
-
-def _insert_stops(start, base_route: CandidateRoute, new_stops: Sequence[tuple[str, Request]],
-                  travel, config: SolverConfig, *, table: Optional[StopTable] = None
-                  ) -> Optional[CandidateRoute]:
-    """Cheapest feasible placement of new_stops, kept in their given order.
-
-    The exact search with no rider to join and two owed chains, the base
-    route's stops and new_stops: it walks every placement that keeps both
-    orders and keeps the lowest (distance, stop keys), as the kernel times
-    it. Every stop is timed from the start and every load checked, so the
-    base route may break any limit. Returns None when no placement is
-    feasible. `table` (see _on_table) must hold the start's location and
-    every rider of the route and of the passengers aboard; a one-off table
-    holds only the route's.
-    """
     base = base_route.sequence
-    in_base = {req.id for _kind, req in base}
-    picked = set(start.onboard)
-    for kind, req in new_stops:
-        if req.id in in_base or (req.id in picked) != (kind == DROPOFF):
-            raise ValueError(f"{kind} of request {req.id} cannot join this route")
-        picked.add(req.id)
-    table, origin, slots = _on_table(table, (*base, *new_stops), start.plan_location, travel,
-                                     config)
-    n = len(base)
-    best = _exact_routes(table, origin, start, 0, 0, (slots[:n], slots[n:])).get(0)
+    rid = new_request.id
+    if rid in start.onboard or any(req.id == rid for _kind, req in base):
+        raise ValueError(f"request {rid} cannot join this route")
+    table, origin, slots = _on_table(
+        table, (*base, (PICKUP, new_request), (DROPOFF, new_request)), start.plan_location,
+        travel, config)
+    best = _exact_routes(table, origin, start, 0, 0, (slots[:-2], slots[-2:])).get(0)
     if best is None:
         return None
     return _timed_route(table, origin, start, best[1])

@@ -13,16 +13,19 @@ the triangle inequality, so there the exact trips are closed under subsets
 anyway; on a matrix, a pair may be feasible where one of its riders alone
 is not. Each class grows in a loop of its own and stops at the first size
 where it finds no trip: nothing larger could pass its subset check. A
-vehicle's previous plan is an edge of that vehicle alone, and it seeds no
-trip. It is rebuilt only where its class's enumeration cannot reach the
-plan's group: elsewhere the enumeration walks the plan's own stops, which
-a feasible plan reaches in time, and keeps a route no worse. Each
-trip-vehicle pairing is kept as one edge, replaced only by a cheaper
-offer, and the edge names its trip by its request ids. An enumerated
-route is kept on its edge as its distance and stop slots and timed only
-when the edge's route is read, since the assignment reads only costs. No
-pairwise screen runs first: a pair becomes a trip, like any larger set,
-when some vehicle class routes it.
+loaded class's delivery-only route is always exact: the route of no new
+rider off its enumeration, or, where its passengers fill the cap, the
+exact search of their dropoffs alone, however many ride; insertion only
+adds a rider. A vehicle's previous plan is an edge of that vehicle
+alone, and it seeds no trip. It is rebuilt only where its class's
+enumeration cannot reach the plan's group: elsewhere the enumeration
+walks the plan's own stops, which a feasible plan reaches in time, and
+keeps a route no worse. Each trip-vehicle pairing is kept as one edge,
+replaced only by a cheaper offer, and the edge names its trip by its
+request ids. An enumerated route is kept on its edge as its distance and
+stop slots and timed only when the edge's route is read, since the
+assignment reads only costs. No pairwise screen runs first: a pair
+becomes a trip, like any larger set, when some vehicle class routes it.
 
 Edge and RtvGraph are plain dataclasses, not frozen ones, since a
 re-solve builds thousands of edges and a frozen dataclass sets each field
@@ -43,7 +46,6 @@ from .routing import (
     CandidateRoute,
     StopTable,
     _exact_routes,
-    _insert_stops,
     _timed_route,
     best_route_exhaustive,
     best_route_insertion,
@@ -57,10 +59,11 @@ class Edge:
 
     requests are the trip's request ids in ascending order. () marks a
     delivery-only edge that serves no new requests and just drops off the
-    vehicle's current passengers; every vehicle carrying passengers has at
-    least one such edge, so the assignment step can always route them. slots
-    are the route's stops as StopTable slots, which within one graph spell
-    exactly one stop sequence.
+    vehicle's current passengers. Under planar travel every vehicle
+    carrying passengers has one, since the dropoffs of its feasible
+    previous plan, in order, are such a route; there the assignment step
+    can always route them. slots are the route's stops as StopTable slots,
+    which within one graph spell exactly one stop sequence.
     """
 
     requests: tuple[int, ...]
@@ -96,28 +99,6 @@ class RtvGraph:
         return tuple(dict.fromkeys(e.requests for e in self.edges if e.requests))
 
 
-def _dropoff_only_route(state, travel, config, requests_by_id, table):
-    """Route that only delivers the vehicle's current passengers.
-
-    Searched apart only for a class whose passengers fill the exact cap
-    (exhaustive_route_limit), which runs no route enumeration; any other
-    class reads this route off its enumeration, as the route of the empty
-    rider set. So at least exhaustive_route_limit passengers, and that
-    limit is at least 1, are aboard: there is always someone to deliver.
-    """
-    onboard = sorted(state.onboard)
-    if len(onboard) <= config.exhaustive_route_limit:
-        return best_route_exhaustive(state, [], travel, config, requests_by_id, table=table)
-    # too many aboard for exact search: place each dropoff greedily
-    cand = _timed_route(table, table.origin_slot[state.plan_location], state, ())
-    for rid in onboard:
-        cand = _insert_stops(state, cand, ((DROPOFF, requests_by_id[rid]),), travel, config,
-                             table=table)
-        if cand is None:
-            return None
-    return cand
-
-
 def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfig) -> RtvGraph:
     """Assemble the full trip-vehicle graph for one sub-problem.
 
@@ -126,20 +107,21 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
     limit, and exhaustive_route_limit less its passengers), its trips are
     exactly the rider sets of its one exact enumeration, each with its best
     route; a loaded class's route of no new rider is its delivery-only
-    edge. A class whose passengers fill the exact cap runs no enumeration
-    and searches its delivery route apart. Past the cap, the class's trips
-    one smaller grow by a higher request, inserted into the route of the
-    base's edge for the class's first vehicle, once every one-smaller
-    subset is a trip of the class; each class grows until a size where it
-    finds no trip. A vehicle's previous plan is an edge of that vehicle,
-    and seeds no trip: it is rebuilt, before its class grows, only where
-    the class's enumeration cannot reach the plan's group, because the
-    class ran none, or the plan picks up more riders than the cap or a
-    rider who is no active request. Each pairing is one edge, built when
-    an offer beats the pairing's current one (lower distance, then smaller
-    stop slots); edges are sorted by their request ids, then vehicle id.
-    An exact route is kept as its distance and stop slots, and timed only
-    when its edge's route is first read.
+    edge. A class whose passengers fill the exact cap lets no rider join:
+    its delivery route is the exact search of their dropoffs alone, however
+    many ride. Past the cap, the class's trips one smaller grow by a higher
+    request, inserted into the route of the base's edge for the class's
+    first vehicle, once every one-smaller subset is a trip of the class;
+    each class grows until a size where it finds no trip. A vehicle's
+    previous plan is an edge of that vehicle, and seeds no trip: it is
+    rebuilt, before its class grows, only where the class's enumeration
+    cannot reach the plan's group, because the class ran none, or the plan
+    picks up more riders than the cap or a rider who is no active request.
+    Each pairing is one edge, built when an offer beats the pairing's
+    current one (lower distance, then smaller stop slots); edges are sorted
+    by their request ids, then vehicle id. An exact route is kept as its
+    distance and stop slots, and timed only when its edge's route is first
+    read.
     """
     requests = sorted(active_requests, key=lambda r: r.id)
     states = sorted(vehicle_states, key=lambda s: s.vehicle_id)
@@ -227,9 +209,11 @@ def build_rtv_graph(active_requests, vehicle_states, travel, config: SolverConfi
                     offer(m, vids, dist, slots, timing)
             known.update(exact)
         else:
-            # passengers fill the exact cap, so no enumeration runs; a lone
-            # rider is inserted into this route
-            offer_route(0, vids, _dropoff_only_route(rep, travel, config, requests_by_id, table))
+            # passengers fill the exact cap, so no rider joins the exact
+            # search: it routes their dropoffs alone, however many ride, and
+            # a lone rider is inserted into that route
+            offer_route(0, vids, best_route_exhaustive(rep, (), travel, config, requests_by_id,
+                                                       table=table))
         # a member's previous plan is an edge of that vehicle alone, rebuilt
         # only where the enumeration cannot reach its group: the enumeration
         # walks the plan's own stops, which a feasible plan reaches in time,

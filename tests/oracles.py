@@ -357,11 +357,8 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
       exhaustive_route_limit less its passengers.
     - Up to its cap, a class's trips are exactly the rider sets it has a
       route for, each by its best order; with passengers aboard, the best
-      order of no new rider is its delivery-only edge (trip ()).
-    - A class whose passengers fill the cap gets a delivery-only edge: the
-      best order while the passengers number at most
-      exhaustive_route_limit, else each dropoff placed in turn, by id, at
-      its cheapest place.
+      order of no new rider is its delivery-only edge (trip ()), however
+      many passengers ride, a cap of 0 included.
     - A vehicle's carried-over plan is an edge of that vehicle when its
       timing holds, and it makes its group a trip of no class. The graph
       rebuilds a plan only where its class cannot route the plan's stops
@@ -408,20 +405,8 @@ def reference_rtv_graph(active_requests: Sequence[Request], vehicle_states, trav
     class_known = {ckey: {()} for ckey in classes}
     for ckey, members in classes.items():
         loc, time, onboard = ckey
-        if caps[ckey]:
-            routes = _rider_set_routes(loc, time, [r.id for r in requests], onboard,
-                                       caps[ckey], by_id, travel, config)
-        elif len(onboard) <= limit:
-            got = brute_force_best_route(loc, time, [], sorted(onboard), by_id, travel, config)
-            routes = {} if got is None else {(): got[:2]}
-        else:
-            found = (0.0, ())
-            for rid in sorted(onboard):
-                found = _cheapest_placement(loc, time, found[1], ((DROPOFF, rid),), onboard,
-                                            by_id, travel, config)
-                if found is None:
-                    break
-            routes = {} if found is None else {(): found}
+        routes = _rider_set_routes(loc, time, [r.id for r in requests], onboard, caps[ckey],
+                                   by_id, travel, config)
         for ids, (cost, seq) in routes.items():
             if ids or onboard:
                 class_known[ckey].add(ids)

@@ -30,7 +30,6 @@ from rollhorizon.routing import (
     PlanStart,
     StopTable,
     _exact_routes,
-    _insert_stops,
     best_route_exhaustive,
     best_route_insertion,
     schedule_route,
@@ -425,9 +424,9 @@ def test_insertion_preserves_base_order_and_never_beats_exact():
 def search_records(seed=3030, n_cases=150):
     """What _exact_routes returns on seeded cases too wide for brute force:
     6-10 riders on Euclidean or triangle-breaking matrix tables, 0-2 of
-    them aboard and up to 3 joining, then insertions of a rider, or of one
-    passenger's dropoff, into a base chain, the two owed chains the engine
-    inserts with. Each record is a search's (riders, (distance, slots))
+    them aboard and up to 3 joining, then insertions into a base chain, as
+    a second owed chain, of a rider, as the engine inserts, or of one
+    passenger's dropoff. Each record is a search's (riders, (distance, slots))
     items in key order."""
     rng = random.Random(seed)
     records = []
@@ -500,15 +499,13 @@ def test_search_results_are_pinned():
 def insertion_case(draw):
     # few shared points, so stops coincide and placements tie on distance.
     # The base serves up to 5 requests, where the engine inserts (past
-    # exhaustive_route_limit 4); the new stops are a pickup and dropoff, or
-    # one passenger's dropoff as when a vehicle only delivers its riders
+    # exhaustive_route_limit 4), and one more request joins it
     travel, points = draw(travel_case(draw(st.integers(1, 5))))
     point = st.sampled_from(points)
-    lone_dropoff = draw(st.booleans())
-    n_onboard = draw(st.integers(int(lone_dropoff), 2))
+    n_onboard = draw(st.integers(0, 2))
     n_base = draw(st.integers(0, 5 - n_onboard))
     # ids interleave, so the inserted request's keys sort anywhere in the route
-    ids = draw(st.permutations(range(n_base + n_onboard + (not lone_dropoff))))
+    ids = draw(st.permutations(range(n_base + n_onboard + 1)))
     reqs = {}
     for rid in ids:
         req = Request(rid, draw(point), draw(point), draw(st.integers(0, 40)) * MINUTE,
@@ -522,21 +519,14 @@ def insertion_case(draw):
         dwell=draw(st.sampled_from((0, 30, 90))), fleet_size=1,
         capacity=draw(st.integers(1, 3) | st.integers(4, 10)),
     )
-    new_id = ids[0]
-    if lone_dropoff:
-        onboard, base_ids = ids[:n_onboard], ids[n_onboard:]
-        new_stops = ((DROPOFF, new_id),)
-    else:
-        base_ids, onboard = ids[1:n_base + 1], ids[n_base + 1:]
-        new_stops = ((PICKUP, new_id), (DROPOFF, new_id))
+    new_id, base_ids, onboard = ids[0], ids[1:n_base + 1], ids[n_base + 1:]
     # a random precedence-valid base order: shuffle every stop, then let
-    # each rider's earlier stop be its pickup. Some other passengers'
-    # dropoffs may be missing, as on the intermediate bases of the engine's
-    # greedy delivery chain, where those passengers still take their seats
+    # each rider's earlier stop be its pickup. Some passengers' dropoffs
+    # may be missing, though the engine's bases hold them all: those
+    # passengers still take their seats, which the search must count
     stops = [(PICKUP, r) for r in base_ids] + [(DROPOFF, r) for r in base_ids]
-    others = [r for r in onboard if r != new_id]
-    skipped = draw(st.sets(st.sampled_from(others))) if others else set()
-    stops += [(DROPOFF, r) for r in others if r not in skipped]
+    skipped = draw(st.sets(st.sampled_from(onboard))) if onboard else set()
+    stops += [(DROPOFF, r) for r in onboard if r not in skipped]
     order = list(draw(st.permutations(stops)))
     seen = set()
     for i, (kind, rid) in enumerate(order):
@@ -549,40 +539,35 @@ def insertion_case(draw):
         order.sort(key=lambda s: reqs[s[1]].desired_pickup_time if s[0] == PICKUP
                    else reqs[s[1]].earliest_dropoff_time)
     start = PlanStart(draw(point), draw(st.integers(0, 10)) * MINUTE, frozenset(onboard))
-    return travel, config, start, tuple(order), new_stops, reqs
+    return travel, config, start, tuple(order), new_id, reqs
 
 
 @settings(max_examples=600, deadline=None)
 @given(insertion_case())
 def test_insertion_equals_brute_force_over_order_keeping_placements(case):
-    travel, config, start, base_order, new_stops, by_id = case
+    travel, config, start, base_order, new_id, by_id = case
     # every rider on one table, as in a re-solve; the base fills its legs
     table = StopTable(by_id.values(), [start.plan_location], travel, config)
     base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], travel, config,
                           table=table)
-    new = [(k, by_id[r]) for k, r in new_stops]
-    if len(new_stops) == 2:
-        if not base.feasible:
-            with pytest.raises(ValueError):
-                best_route_insertion(start, base, new[0][1], travel, config, table=table)
-            return
+    if not base.feasible:
+        with pytest.raises(ValueError):
+            best_route_insertion(start, base, by_id[new_id], travel, config, table=table)
+        return
 
-        def insert(**kw):
-            return best_route_insertion(start, base, new[0][1], travel, config, **kw)
-    else:
-        def insert(**kw):
-            # any base will do: every stop is re-timed and every load checked
-            return _insert_stops(start, base, new, travel, config, **kw)
+    def insert(**kw):
+        return best_route_insertion(start, base, by_id[new_id], travel, config, **kw)
+
     got = insert(table=table)
     # a one-off table knows only the riders with a stop on the route, so it
     # must refuse a passenger aboard without one
-    if start.onboard <= {r for _k, r in (*base_order, *new_stops)}:
+    if start.onboard <= {r for _k, r in base_order}:
         assert insert() == got
     else:
         with pytest.raises(ValueError):
             insert()
     want = None
-    for seq in order_keeping_placements(base_order, new_stops):
+    for seq in order_keeping_placements(base_order, ((PICKUP, new_id), (DROPOFF, new_id))):
         feasible, cost, stops = naive_schedule(
             start.plan_location, start.plan_time, seq, by_id, travel, config, start.onboard
         )
@@ -599,41 +584,38 @@ def test_insertion_equals_brute_force_over_order_keeping_placements(case):
     assert got == schedule_route(start, got.sequence, travel, config, table=table)
 
 
-def test_dropoff_insertion_counts_the_passenger_it_drops():
-    # rider 0 (two seats) is aboard but not yet on the base, which is then
-    # over capacity; dropping it first frees the seats the base needs
-    r0 = Request(0, Location(0, 0), Location(0, 0), 0, 0, load=2)
-    r1 = mk(1, 1, 0, 2, 0, 600)
-    r2 = mk(2, 1, 0, 2, 0, 600)
-    by_id = {0: r0, 1: r1, 2: r2}
-    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
-    config = cfg(dwell=0, capacity=3)
-    table = StopTable(by_id.values(), [start.plan_location], TRAVEL, config)
-    base_order = ((PICKUP, 1), (PICKUP, 2), (DROPOFF, 1), (DROPOFF, 2))
-    base = schedule_route(start, [(k, by_id[r]) for k, r in base_order], TRAVEL, config,
-                          table=table)
-    assert not base.feasible and base.start_load == 2
-    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config, table=table)
-    assert [(k, r.id) for k, r in got.sequence] == [(DROPOFF, 0), *base_order]
-    assert [s.onboard_after for s in got.stops] == [0, 1, 2, 1, 0]
-    assert got.schedule[1:] == base.schedule
-    assert got.total_distance == base.total_distance
-
-
 def test_insertion_checks_the_seats_of_the_pickups_it_owes():
-    # rider 0 (two seats) is aboard, so the base's pickup of rider 1 (two
-    # seats) fits only after rider 0's far dropoff, though dropping rider 0
-    # last would drive half as far
+    # rider 0 (two seats) is aboard, so rider 1 (two seats) fits only after
+    # rider 0's far dropoff, though dropping rider 0 last would drive half
+    # as far and keep every stop in time
     r0 = Request(0, Location(0, 0), Location(10, 0), 0, 0, load=2)
     r1 = Request(1, Location(1, 0), Location(2, 0), 600, 660, load=2)
     start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
-    config = cfg(dwell=0, capacity=3)
-    table = StopTable([r0, r1], [start.plan_location], TRAVEL, config)
-    base = schedule_route(start, ((PICKUP, r1), (DROPOFF, r1)), TRAVEL, config, table=table)
-    assert not base.feasible
-    got = _insert_stops(start, base, ((DROPOFF, r0),), TRAVEL, config, table=table)
-    assert got.feasible and got.total_distance == 20.0
-    assert [(k, r.id) for k, r in got.sequence] == [(DROPOFF, 0), (PICKUP, 1), (DROPOFF, 1)]
+    for capacity, order, distance in ((3, [(DROPOFF, 0), (PICKUP, 1), (DROPOFF, 1)], 20.0),
+                                      (4, [(PICKUP, 1), (DROPOFF, 1), (DROPOFF, 0)], 10.0)):
+        config = cfg(dwell=0, capacity=capacity)
+        table = StopTable([r0, r1], [start.plan_location], TRAVEL, config)
+        base = schedule_route(start, ((DROPOFF, r0),), TRAVEL, config, table=table)
+        got = best_route_insertion(start, base, r1, TRAVEL, config, table=table)
+        assert got.feasible and got.total_distance == distance
+        assert [(k, r.id) for k, r in got.sequence] == order
+
+
+def test_exhaustive_counts_the_seats_of_a_passenger_aboard():
+    # rider 0 (two seats) is aboard and rides to the far end, so at capacity
+    # 3 riders 1 and 2 (one seat each) cannot share the vehicle, though
+    # carrying both at once would drive less
+    r0 = Request(0, Location(0, 0), Location(10, 0), 0, 0, load=2)
+    r1, r2 = mk(1, 1, 0, 2, 0, 0), mk(2, 1, 0, 2, 0, 0)
+    by_id = {0: r0, 1: r1, 2: r2}
+    start = PlanStart(Location(0, 0), 0, onboard=frozenset([0]))
+    for capacity, distance in ((3, 12.0), (4, 10.0)):
+        config = cfg(capacity=capacity)
+        table = StopTable(by_id.values(), [start.plan_location], TRAVEL, config)
+        got = best_route_exhaustive(start, [r1, r2], TRAVEL, config, by_id, table=table)
+        assert got.feasible and got.total_distance == distance
+        assert max(s.onboard_after for s in got.stops) == capacity
+        assert got == schedule_route(start, got.sequence, TRAVEL, config, table=table)
 
 
 def test_insertion_requires_feasible_base():

@@ -137,10 +137,12 @@ def test_onboard_vehicle_gets_delivery_only_edge():
     assert any(e.requests == (0,) for e in graph.edges)
 
 
-def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
+def test_delivery_only_edge_is_exact_past_the_exact_limit():
     # three riders aboard, boarded at the vehicle's spot at time 0; their
     # dropoffs lie at x = 1, -1 and 5, and the carried-over plan drives the
-    # worst order D2 D1 D0 (distance 13)
+    # worst order D2 D1 D0 (distance 13). At exhaustive_route_limit 2 the
+    # passengers fill the exact cap, so no rider may join, yet their
+    # delivery route is still the exact one
     riders = [mk(0, 0, 0, 1, 0, 0), mk(1, 0, 0, -1, 0, 0), mk(2, 0, 0, 5, 0, 0)]
     state = VehicleState(
         vehicle_id=0,
@@ -149,21 +151,20 @@ def test_delivery_only_edge_places_dropoffs_greedily_past_exact_limit():
         onboard=frozenset([0, 1, 2]),
         planned_suffix=tuple((DROPOFF, riders[i]) for i in (2, 1, 0)),
     )
-    config = cfg(exhaustive_route_limit=2)
-    graph = build_rtv_graph([], [state], TRAVEL, config)
+    graph = build_rtv_graph([], [state], TRAVEL, cfg(exhaustive_route_limit=2))
     (edge,) = [e for e in graph.edges if e.requests == ()]
-    # D0 first; D1 ties before or after it at distance 3, and the smaller
-    # stop keys put it after; D2 then goes last
     assert [(k, r.id) for k, r in edge.route.sequence] == [
-        (DROPOFF, 0), (DROPOFF, 1), (DROPOFF, 2)]
-    assert edge.route.schedule == ((60, 60, 90), (210, 210, 240), (600, 600, 630))
+        (DROPOFF, 1), (DROPOFF, 0), (DROPOFF, 2)]
+    assert edge.route.schedule == ((60, 60, 90), (210, 210, 240), (480, 480, 510))
     assert [s.onboard_after for s in edge.route.stops] == [2, 1, 0]
-    assert edge.cost == edge.route.total_distance == 9.0
-    # exact search over the same riders finds D1 D0 D2 at distance 7
-    exact = build_rtv_graph([], [state], TRAVEL, cfg(exhaustive_route_limit=3))
-    (best,) = [e for e in exact.edges if e.requests == ()]
-    assert [r.id for _k, r in best.route.sequence] == [1, 0, 2]
-    assert best.cost == 7.0
+    assert edge.cost == edge.route.total_distance == 7.0
+    # the same edge as at limit 3, where the passengers just fill the cap,
+    # and at limit 4, where the class's enumeration gives it as the route
+    # of no new rider
+    for limit in (3, 4):
+        exact = build_rtv_graph([], [state], TRAVEL, cfg(exhaustive_route_limit=limit))
+        (best,) = [e for e in exact.edges if e.requests == ()]
+        assert best == edge and best.route == edge.route
 
 
 def test_delivery_route_is_read_off_the_class_enumeration(monkeypatch):
@@ -535,9 +536,14 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         inst, config = random_instance(rng, max_requests=30, max_vehicles=4,
                                        rh_choices=(1, 2, 3))
         config = dataclasses.replace(config, exhaustive_route_limit=rng.choice((2, 3)))
-        engine.run(inst, config)
-        engine.run(matrix_instance(inst, rng), config)
-    compared = pending = carrying = planned = on_matrix = unclosed = 0
+        matrix = matrix_instance(inst, rng)
+        # and at limit 1, where a passenger aboard fills the exact cap, and
+        # two fill it past the limit
+        for limit in (config.exhaustive_route_limit, 1):
+            tight = dataclasses.replace(config, exhaustive_route_limit=limit)
+            engine.run(inst, tight)
+            engine.run(matrix, tight)
+    compared = pending = carrying = planned = on_matrix = unclosed = past_limit = 0
     for requests, states, travel, config in calls:
         if not any(s.onboard or s.planned_suffix for s in states):
             continue
@@ -555,6 +561,11 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
         carrying += sum(bool(s.onboard) for s in states)
         planned += sum(bool(s.planned_suffix) for s in states)
         on_matrix += isinstance(travel, MatrixTravel)
+        past_limit += any(len(s.onboard) > config.exhaustive_route_limit for s in states)
+        if not isinstance(travel, MatrixTravel):
+            # the dropoffs of a loaded vehicle's feasible plan are a delivery
+            # route, so under planar travel the exact search finds one
+            assert all(((), s.vehicle_id) in got for s in states if s.onboard)
         # a trip of a vehicle, other than a carried-over group, with a
         # one-smaller subset that is no trip of the vehicle: only the exact
         # enumeration makes one, and a subset rule would have dropped it
@@ -565,4 +576,4 @@ def test_graph_equals_a_brute_force_reference_on_live_states(monkeypatch):
             and any((tuple(i for i in trip if i != rid), vid) not in got for rid in trip)
             for trip, vid in got)
     assert compared >= 120 and pending >= 100 and carrying >= 250 and planned >= 280
-    assert on_matrix >= 65 and unclosed >= 2
+    assert on_matrix >= 65 and unclosed >= 2 and past_limit >= 50
