@@ -12,7 +12,6 @@ from .assignment_ilp import (
     IlpSolution,
     StrandedRequestError,
     UnprovenAssignmentWarning,
-    canonical_objective,
     compute_penalty,
     solve_assignment,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "best_route_exhaustive",
     "best_route_insertion",
     "build_rtv_graph",
-    "canonical_objective",
     "compute_penalty",
     "corpus_config",
     "coverage_end",

@@ -11,10 +11,10 @@ solver maximizes served count and breaks ties by cost. The search state is
 bit masks over the sorted request ids; every bound term it needs is fixed
 per branching position and built once per solve, and a parent bounds each
 child before entering it. Each position's options are sorted once by their
-own share of a child's bound, so a node walks the options still disjoint
-from the served set in bound order and stops at the first one past the
-incumbent; the options past it cost the node no work, though its budget
-is charged as if it passed every option in menu order. Vehicles that
+own share of a child's bound, so a node walks them in bound order,
+passes over those that overlap its served set, and stops at the first
+one past the incumbent, overlapping or not; its budget is charged as if
+it passed every option in menu order. Vehicles that
 reach the most requests are branched on first, and a node enters its
 children best bound first, which shrinks the tree without changing a
 completed search's answer. The recursive search closure holds itself
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .rtv import Edge, RtvGraph
 
@@ -76,23 +76,6 @@ def compute_penalty(graph: RtvGraph) -> float:
     return 1.0 + sum(worst[v] for v in sorted(worst))
 
 
-def canonical_objective(chosen: Iterable[Edge], ignored: Iterable[int], penalty: float) -> float:
-    """Accumulate the objective in a fixed order for bit-stable totals."""
-    total = 0.0
-    ordered = sorted(chosen, key=lambda e: (e.requests, e.vehicle_id))
-    for e in ordered:
-        total += e.cost
-    for _rid in sorted(ignored):
-        total += penalty
-    return total
-
-
-def _solution_key(chosen, ignored):
-    """The tie-break key: the sorted (request ids, vehicle id) pairs, then
-    the sorted ignored request ids."""
-    return (tuple(sorted((e.requests, e.vehicle_id) for e in chosen)), tuple(sorted(ignored)))
-
-
 def solve_assignment(
     graph: RtvGraph,
     budget: int = 2_000_000,
@@ -130,38 +113,35 @@ def solve_assignment(
     bound order, with leaving the vehicle idle last. Every optimal leaf is
     entered in any order, so a search that completes returns the same
     answer whatever the order; only a search that runs out of budget can
-    return another incumbent. A node walks its options in bound order and
-    stops at the first whose bound, before its never negative seat term,
-    exceeds the incumbent's objective by more than the pruning slack
-    again, so no child the limit would keep is left unwalked.
-    nodes_explored counts every node entered plus every option from the
-    node's first menu position on, as if it passed them all in menu
-    order: those skipped for overlapping the served set and those past
-    the walk's stop included. A node charges its options before entering
-    any child, and the budget caps that count.
+    return another incumbent. A node walks all its options in bound order,
+    passing over those that overlap its served set or lie before its twin
+    start, and stops at the first whose bound, before its never negative
+    seat term, exceeds the incumbent's objective by more than the pruning
+    slack again: options ascend in that bound, so no child the limit would
+    keep is left unwalked. nodes_explored counts every node entered plus
+    every option from the node's first menu position on, as if it passed
+    them all in menu order: those passed over and those past the walk's
+    stop included. A node charges its options before entering any child,
+    and the budget caps that count.
     """
     penalty = compute_penalty(graph)
-    universe = graph.request_universe
 
     all_vehicles = sorted(
         {e.vehicle_id for e in graph.edges} | set(graph.vehicles_requiring_route)
     )
     # requests become bits, ordered by id, so request sets are ints; a menu
-    # row is (edge, its request ids, their bits), in menu order
-    bit_of = {rid: 1 << k for k, rid in enumerate(sorted(universe))}
+    # row is (edge, its request bits), in menu order
+    bit_of = {rid: 1 << k for k, rid in enumerate(sorted(graph.request_universe))}
     menu_of: dict[int, list] = {v: [] for v in all_vehicles}
+    reach_of = dict.fromkeys(all_vehicles, 0)  # the requests the vehicle's menu covers
     for e in graph.edges:
         bits = 0
         for rid in e.requests:
             bits |= bit_of[rid]
-        menu_of[e.vehicle_id].append((e, e.requests, bits))
-    reach_of = {}  # the requests the vehicle's menu covers
-    for v, menu in menu_of.items():
-        menu.sort(key=lambda row: (row[0].cost, row[1]))
-        reach = 0
-        for row in menu:
-            reach |= row[2]
-        reach_of[v] = reach
+        menu_of[e.vehicle_id].append((e, bits))
+        reach_of[e.vehicle_id] |= bits
+    for menu in menu_of.values():
+        menu.sort(key=lambda row: (row[0].cost, row[0].requests))
 
     # vehicles with identical menus (same trips, costs and stop orders, e.g.
     # an idle fleet parked at one depot) are interchangeable; the search
@@ -170,11 +150,9 @@ def solve_assignment(
     # key: with menu (64,) before (51,), twins 0 and 1 get (64,) and (51,)
     # although ((51,), 0), ((64,), 1) ties it with a smaller key. An edge's
     # stop slots stand for its stop order: within one graph they map one to one
-    def menu_signature(v):
-        rows = tuple([(e.requests, e.cost, e.slots) for e, _reqs, _bits in menu_of[v]])
-        return (v in graph.vehicles_requiring_route, rows)
-
-    sig_of = {v: menu_signature(v) for v in all_vehicles}
+    sig_of = {v: (v in graph.vehicles_requiring_route,
+                  tuple([(e.requests, e.cost, e.slots) for e, _bits in menu_of[v]]))
+              for v in all_vehicles}
     group_rank: dict = {}
     for v in sorted(all_vehicles, key=lambda v: (len(menu_of[v]), v)):
         group_rank.setdefault(sig_of[v], len(group_rank))
@@ -186,10 +164,8 @@ def solve_assignment(
     vehicle_ids = sorted(all_vehicles, key=lambda v: (
         -reach_of[v].bit_count(), len(menu_of[v]), group_rank[sig_of[v]], v))
     n_veh = len(vehicle_ids)
-    grouped_with_prev = [
-        pos > 0 and sig_of[vehicle_ids[pos]] == sig_of[vehicle_ids[pos - 1]]
-        for pos in range(n_veh)
-    ]
+    grouped_with_prev = [pos > 0 and sig_of[v] == sig_of[vehicle_ids[pos - 1]]
+                         for pos, v in enumerate(vehicle_ids)]
 
     # the admissible remainder bound at position p charges each open
     # request its term there: its cheapest share among edges at positions
@@ -204,8 +180,6 @@ def solve_assignment(
     coverable = [0] * (n_veh + 1)
     ranked = [None] * (n_veh + 1)  # (term, bit) of covered requests, largest first
     step = [None] * n_veh  # (bit, its term at p + 1 minus at p) where they differ
-    touched = [0] * n_veh  # requests the vehicle at p can take
-    holding = [None] * n_veh  # bit -> bits of the options holding it
     # per option, in walk order: its bound's own term (cost minus drop), its
     # menu index, edge, request bits, drop (the sum of their terms at p + 1)
     # and how many of them compete for seats from p + 1 on. A child's bound
@@ -213,43 +187,30 @@ def solve_assignment(
     # seat term that is never negative, so a walk in this order may stop at
     # the first option whose bound without the seat term exceeds the limit
     options_at = [None] * n_veh
-    # for a later twin: menu index -> bits of the options at or past it
-    from_index = [None] * n_veh
     for p in range(n_veh - 1, -1, -1):
         nxt, cov_next = term[p + 1], covered[p + 1]
         row, cov, widest = dict(nxt), cov_next, 0
-        hold, options = {}, []
-        for i, (e, reqs, bits) in enumerate(menu_of[vehicle_ids[p]]):
-            drop = 0.0
-            if len(reqs) > widest:
-                widest = len(reqs)
+        in_menu, options = {}, []  # in_menu: the menu's request bits, in menu order
+        for i, (e, bits) in enumerate(menu_of[vehicle_ids[p]]):
+            reqs, drop = e.requests, 0.0
+            widest = max(widest, len(reqs))
             share = e.cost / len(reqs) if reqs else 0.0
             for rid in reqs:
                 b = bit_of[rid]
                 drop += nxt[b]
-                hold[b] = 0  # keys in menu order, the order step sums its terms in
+                in_menu[b] = None
                 t = penalty if penalty < share else share
                 if not cov & b or t < row[b]:
                     row[b] = t
                     cov |= b
             options.append((e.cost - drop, i, e, bits, drop, (bits & cov_next).bit_count()))
         options.sort()  # menu indices are distinct, so edges are never compared
-        for k, (_v, _i, e, _b, _d, _n) in enumerate(options):
-            for rid in e.requests:
-                hold[bit_of[rid]] |= 1 << k
-        if grouped_with_prev[p]:
-            at_or_past = [0] * (len(options) + 1)
-            for k, option in enumerate(options):
-                at_or_past[option[1]] = 1 << k
-            for i in range(len(options) - 1, -1, -1):
-                at_or_past[i] |= at_or_past[i + 1]
-            from_index[p] = at_or_past
         term[p], covered[p], coverable[p] = row, cov, coverable[p + 1] + widest
-        holding[p], options_at[p] = hold, options
-        touched[p] = sum(hold)
-        step[p] = tuple([(b, nxt[b] - row[b]) for b in hold if nxt[b] != row[b]])
+        options_at[p] = options
+        # summed in menu order, so bounds do not depend on the walk order
+        step[p] = tuple([(b, nxt[b] - row[b]) for b in in_menu if nxt[b] != row[b]])
 
-    best: Optional[tuple[float, tuple, tuple[Edge, ...], frozenset]] = None
+    best: Optional[tuple[float, list, tuple[Edge, ...], int]] = None
     # prune a bound above this: bounds are summed in another order than
     # objectives, so an exact tie may round a few ulps above the incumbent
     limit = math.inf
@@ -269,11 +230,18 @@ def solve_assignment(
             out_of_budget = True
             return
         if pos == n_veh:
-            ignored = frozenset(rid for rid, b in bit_of.items() if not served & b)
-            obj = canonical_objective(chosen, ignored, penalty)
-            key = _solution_key(chosen, ignored)
+            # the objective is summed in (request ids, vehicle id) order, for
+            # bit-stable totals, and ties go to the smaller list of those
+            # pairs; the edges fix the served set, so it is no part of the key
+            ordered = sorted(chosen, key=lambda e: (e.requests, e.vehicle_id))
+            obj = 0.0
+            for e in ordered:
+                obj += e.cost
+            for _ in range(len(bit_of) - served.bit_count()):
+                obj += penalty
+            key = [(e.requests, e.vehicle_id) for e in ordered]
             if best is None or (obj, key) < (best[0], best[1]):
-                best = (obj, key, tuple(chosen), ignored)
+                best = (obj, key, tuple(ordered), served)
                 limit = obj + 1e-9 * abs(obj)
                 stop = limit + 1e-9 * abs(limit)
             return
@@ -285,17 +253,8 @@ def solve_assignment(
         for b, d in step[pos]:
             if open_bits & b:
                 t_next += d
-        competing = open_bits & covered[nxt]
-        over = competing.bit_count() - coverable[nxt]
-        # the options from start_idx on that are disjoint from served
-        hold = holding[pos]
+        over = (open_bits & covered[nxt]).bit_count() - coverable[nxt]
         options = options_at[pos]
-        avail = from_index[pos][start_idx] if start_idx else (1 << len(options)) - 1
-        m = served & touched[pos]
-        while m:
-            b = m & -m
-            avail &= ~hold[b]
-            m ^= b
         next_grouped = nxt < n_veh and grouped_with_prev[nxt]
         # every option from start_idx on is charged as if passed in menu
         # order, whether bounded, skipped or left past the walk's stop
@@ -316,12 +275,13 @@ def solve_assignment(
                 top += 1
         base = cost + t_next
         children = []
-        while avail:
-            k = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            v, i, e, bits, drop, n_comp = options[k]
+        # options ascend in v, so once one is past the stop every later one
+        # is too, whether or not it overlaps the served set
+        for v, i, e, bits, drop, n_comp in options:
             if base + v > stop:
                 break
+            if bits & served or i < start_idx:
+                continue
             bound = cost + e.cost + t_next - drop
             if over > n_comp:
                 # an option holding the largest open term leaves the next
@@ -363,7 +323,7 @@ def solve_assignment(
         raise AssignmentBudgetError("assignment search exhausted its budget with no incumbent")
     if best is None:
         raise StrandedRequestError(graph.vehicles_requiring_route)
-    obj, _key, chosen, ignored = best
-    ordered = tuple(sorted(chosen, key=lambda e: (e.requests, e.vehicle_id)))
+    obj, _key, ordered, served = best
+    ignored = frozenset(rid for rid, b in bit_of.items() if not served & b)
     # skipped options are charged in bulk, which can overshoot the budget
     return IlpSolution(ordered, ignored, obj, not out_of_budget, min(nodes, budget + 1))

@@ -431,39 +431,53 @@ def load_report_dict(path) -> dict:
         raise ParseError(f"{path}: not valid JSON ({e})") from None
 
 
+def _of(value, *types):
+    """The value, if its JSON type is one of types (a bool is no int)."""
+    if type(value) not in types:
+        raise TypeError(f"{value!r} is not {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def _location(d: dict) -> Location:
+    return Location(_of(d["x"], int, float), _of(d["y"], int, float),
+                    _of(d.get("node_id"), int, type(None)))
+
+
 def report_violations(doc: dict, tables: Optional[MatrixTravel] = None) -> list[str]:
     """Re-check a serialized report against the service constraints.
 
     Rebuilds requests, records, and routes from the document and runs the
-    independent validators. Leg reachability, from each vehicle's depot at
-    time 0 on, is checked when the report declares planar travel, or when
-    the tables of a matrix report are given; a report does not hold its
-    matrix, so without them a matrix report skips that part. Tables whose
-    size differs from the report's declared matrix are a violation.
+    independent validators. A field of the wrong JSON type (a number given
+    as a string, say) makes the document malformed. Leg reachability, from
+    each vehicle's depot at time 0 on, is checked when the report declares
+    planar travel, or when the tables of a matrix report are given; a
+    report does not hold its matrix, so without them a matrix report skips
+    that part. Tables whose size differs from the report's declared matrix
+    are a violation, and so is a route of a vehicle the report does not
+    list, or a second route of one vehicle.
     """
     problems: list[str] = []
     try:
         cfg = doc["config"]
-        config = SolverConfig(
-            horizon=cfg["horizon_s"], step=cfg["step_s"], rh_factor=cfg["rh_factor"],
-            max_wait=cfg["max_wait_s"], max_delay=cfg["max_delay_s"],
-            dwell=cfg["dwell_s"], fleet_size=cfg["fleet_size"],
-            capacity=cfg["capacity"],
-        )
+        config = SolverConfig(*[_of(cfg[key], int) for key in (
+            "horizon_s", "step_s", "rh_factor", "max_wait_s", "max_delay_s",
+            "dwell_s", "fleet_size", "capacity")])
         requests_by_id = {}
         for r in doc["requests"]:
             requests_by_id[r["id"]] = Request(
-                id=r["id"],
-                pickup=Location(r["pickup"]["x"], r["pickup"]["y"], r["pickup"].get("node_id")),
-                dropoff=Location(r["dropoff"]["x"], r["dropoff"]["y"], r["dropoff"].get("node_id")),
-                desired_pickup_time=r["desired_pickup_s"],
-                earliest_dropoff_time=r["earliest_dropoff_s"],
-                load=r.get("load", 1),
+                id=_of(r["id"], int),
+                pickup=_location(r["pickup"]),
+                dropoff=_location(r["dropoff"]),
+                desired_pickup_time=_of(r["desired_pickup_s"], int),
+                earliest_dropoff_time=_of(r["earliest_dropoff_s"], int),
+                load=_of(r.get("load", 1), int),
             )
         records = [
             ServiceRecord(
-                r["request_id"], r["served"], r.get("vehicle_id"),
-                r.get("actual_pickup_s"), r.get("actual_dropoff_s"),
+                _of(r["request_id"], int), _of(r["served"], bool),
+                _of(r.get("vehicle_id"), int, type(None)),
+                _of(r.get("actual_pickup_s"), int, type(None)),
+                _of(r.get("actual_dropoff_s"), int, type(None)),
             )
             for r in doc["records"]
         ]
@@ -471,17 +485,14 @@ def report_violations(doc: dict, tables: Optional[MatrixTravel] = None) -> list[
         for rt in doc["routes"]:
             stops = tuple(
                 Stop(
-                    s["kind"], s["request_id"],
-                    Location(s["x"], s["y"], s.get("node_id")),
-                    s["scheduled_s"], s["onboard_after"],
+                    s["kind"], _of(s["request_id"], int), _location(s),
+                    _of(s["scheduled_s"], int), _of(s["onboard_after"], int),
                 )
                 for s in rt["stops"]
             )
-            routes.append(Route(rt["vehicle_id"], stops, rt["committed_prefix_len"]))
-        depots = {
-            v["id"]: Location(v["depot"]["x"], v["depot"]["y"], v["depot"].get("node_id"))
-            for v in doc["vehicles"]
-        }
+            routes.append(Route(_of(rt["vehicle_id"], int), stops,
+                                _of(rt["committed_prefix_len"], int)))
+        depots = {_of(v["id"], int): _location(v["depot"]) for v in doc["vehicles"]}
         travel = None
         tinfo = doc.get("travel", {})
         if tinfo.get("mode") == "euclidean":
@@ -506,7 +517,13 @@ def report_violations(doc: dict, tables: Optional[MatrixTravel] = None) -> list[
         problems.extend(validate_record(rec, req, config))
     for rid in set(requests_by_id) - seen:
         problems.append(f"request {rid}: no record in report")
+    routed = set()
     for route in routes:
+        if route.vehicle_id not in depots:
+            problems.append(f"vehicle {route.vehicle_id}: route of a vehicle not in the fleet")
+        elif route.vehicle_id in routed:
+            problems.append(f"vehicle {route.vehicle_id}: second route")
+        routed.add(route.vehicle_id)
         if route.committed_prefix_len != len(route.stops):
             problems.append(
                 f"vehicle {route.vehicle_id}: final route must be fully committed"

@@ -156,7 +156,8 @@ def validate_route(
 ) -> list[str]:
     """Independently check a route against every service constraint.
 
-    Verifies pickup-before-dropoff pairing, that every passenger aboard at
+    Verifies that each stop is at its request's pickup or dropoff point,
+    pickup-before-dropoff pairing, that every passenger aboard at
     the start is a known request, that every passenger aboard at the start
     or picked up is dropped off, seat capacity at every stop,
     waiting within [0, max_wait], delay within [0, max_delay], non-decreasing
@@ -206,6 +207,8 @@ def validate_route(
         prev_loc = stop.location
 
         if stop.kind == PICKUP:
+            if stop.location != req.pickup:
+                out.append(f"vehicle {v} stop {i}: not at request {req.id}'s pickup point")
             if stop.request_id in picked or stop.request_id in onboard:
                 out.append(f"vehicle {v} stop {i}: request {req.id} picked up twice")
             picked.add(stop.request_id)
@@ -219,6 +222,8 @@ def validate_route(
                     f"vehicle {v} stop {i}: waiting {wait} over limit {config.max_wait}"
                 )
         elif stop.kind == DROPOFF:
+            if stop.location != req.dropoff:
+                out.append(f"vehicle {v} stop {i}: not at request {req.id}'s dropoff point")
             if stop.request_id not in onboard:
                 out.append(f"vehicle {v} stop {i}: dropoff of request {req.id} not onboard")
             else:

@@ -79,6 +79,78 @@ def test_validate_flags_corruption(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
 
+def _fixture_report(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["solve", "--instance", str(FIXTURE), "--output", str(out)]) == 0
+    capsys.readouterr()
+    return out, json.loads(out.read_text())
+
+
+def _set_scheduled(doc, value):
+    next(rt for rt in doc["routes"] if rt["stops"])["stops"][0]["scheduled_s"] = value
+
+
+def _set_pickup(doc, value):
+    next(r for r in doc["records"] if r["served"])["actual_pickup_s"] = value
+
+
+def _set_capacity(doc, value):
+    doc["config"]["capacity"] = value
+
+
+def _set_depot_x(doc, value):
+    doc["vehicles"][0]["depot"]["x"] = value
+
+
+@pytest.mark.parametrize("edit,value", [
+    (_set_scheduled, "12"), (_set_capacity, "3"), (_set_pickup, "5"), (_set_depot_x, None),
+])
+def test_validate_reports_a_field_of_the_wrong_type_as_malformed(tmp_path, capsys, edit,
+                                                                  value):
+    out, doc = _fixture_report(tmp_path, capsys)
+    edit(doc, value)
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--report", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("violation: malformed report document:")
+    assert lines[1:] == ["1 violation(s)"]
+
+
+def test_validate_flags_stops_moved_onto_the_depot(tmp_path, capsys):
+    # with every stop at its vehicle's depot each leg takes no time, so only
+    # the stops' places give the move away
+    out, doc = _fixture_report(tmp_path, capsys)
+    depots = {v["id"]: v["depot"] for v in doc["vehicles"]}
+    for rt in doc["routes"]:
+        for stop in rt["stops"]:
+            stop.update(depots[rt["vehicle_id"]])
+    assert any(rt["stops"] for rt in doc["routes"])
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--report", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "stop 0: not at request" in text and "'s pickup point" in text
+    assert "'s dropoff point" in text
+
+
+def test_validate_flags_routes_outside_the_fleet(tmp_path, capsys):
+    out, doc = _fixture_report(tmp_path, capsys)
+    shifted = copy.deepcopy(doc)
+    for item in shifted["routes"] + shifted["records"]:
+        if item.get("vehicle_id") is not None:
+            item["vehicle_id"] += 100
+    out.write_text(json.dumps(shifted))
+    assert main(["validate", "--report", str(out)]) == 1
+    vid = doc["routes"][0]["vehicle_id"]
+    assert f"violation: vehicle {vid + 100}: route of a vehicle not in the fleet" in (
+        capsys.readouterr().out)
+    # an empty second route adds no stop, so only the count gives it away
+    doc["routes"].append({"vehicle_id": vid, "stops": [], "committed_prefix_len": 0})
+    out.write_text(json.dumps(doc))
+    assert main(["validate", "--report", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"violation: vehicle {vid}: second route", "1 violation(s)"]
+
+
 def test_validate_rejects_bad_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

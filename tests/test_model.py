@@ -127,6 +127,10 @@ def test_validate_route_catches_each_violation_kind():
     assert any("onboard_after" in p for p in
                validate_route(wrong_load, by_id, travel, config))
 
+    misplaced = corrupt(route, 1, location=req.pickup)
+    assert [p for p in validate_route(misplaced, by_id, travel, config) if "point" in p] == [
+        "vehicle 0 stop 1: not at request 7's dropoff point"]
+
     unknown = corrupt(route, 0, request_id=99)
     assert any("unknown request" in p for p in
                validate_route(unknown, by_id, travel, config))
